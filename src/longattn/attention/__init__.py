@@ -1,47 +1,20 @@
 """Attention score mechanisms, positional structure, and the multi-head wrapper."""
 
-from .encodings import (
-    DEFAULT_ALPHA,
-    apply_soft_mask,
-    frame_index_augment,
-    signed_sinusoid_table,
-    sinusoid_encoding,
-    soft_mask_matrix,
-)
-from .multihead import multi_head_attention
-from .params import AttentionParams, AttentionVariant, init_attention_params
-from .variants import (
-    attention_weights,
-    attn_gaussian,
-    attn_kernel_form,
-    attn_relative,
-    attn_shared_qk,
-    attn_soft_mask,
-    attn_standard,
-    export_attn_csv,
-    kernel_form_factors,
-    scores_relative,
-    sigma_inverse,
-)
+from .encodings import DEFAULT_ALPHA, signed_sinusoid_table, sinusoid_encoding, soft_mask_matrix
+from .multihead import attention_weights, multi_head_attention
+from .params import VARIANTS, AttentionParams, AttentionVariant, init_attention_params
+from .variants import attn_kernel_form, kernel_form_factors, sigma_inverse
 
 __all__ = [
     "AttentionParams",
     "AttentionVariant",
     "DEFAULT_ALPHA",
-    "apply_soft_mask",
+    "VARIANTS",
     "attention_weights",
-    "attn_gaussian",
     "attn_kernel_form",
-    "attn_relative",
-    "attn_shared_qk",
-    "attn_soft_mask",
-    "attn_standard",
-    "export_attn_csv",
-    "frame_index_augment",
     "init_attention_params",
     "kernel_form_factors",
     "multi_head_attention",
-    "scores_relative",
     "signed_sinusoid_table",
     "sigma_inverse",
     "sinusoid_encoding",

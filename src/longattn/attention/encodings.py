@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
-from ..numerics.linalg import as_matrix
+from ..errors import ConfigError
 
 DEFAULT_ALPHA = 100.0
 
@@ -19,21 +18,17 @@ def sinusoid_encoding(length: int, dim: int) -> np.ndarray:
 
     Column 2k is sin(i / 10000^(2k/dim)), column 2k+1 the matching cos.
     """
-    if dim % 2 != 0:
-        raise ConfigError(f"sinusoid encoding needs an even dimension, got {dim}")
-    positions = np.arange(length, dtype=np.float64)
-    return _sinusoid_at(positions, dim)
+    return _sinusoid_at(np.arange(length, dtype=np.float64), dim)
 
 
 def signed_sinusoid_table(length: int, dim: int) -> np.ndarray:
     """Sinusoid rows for every signed offset -(L-1)..(L-1); row index = offset + L - 1."""
-    if dim % 2 != 0:
-        raise ConfigError(f"sinusoid encoding needs an even dimension, got {dim}")
-    offsets = np.arange(-(length - 1), length, dtype=np.float64)
-    return _sinusoid_at(offsets, dim)
+    return _sinusoid_at(np.arange(-(length - 1), length, dtype=np.float64), dim)
 
 
 def _sinusoid_at(positions: np.ndarray, dim: int) -> np.ndarray:
+    if dim % 2 != 0:
+        raise ConfigError(f"sinusoid encoding needs an even dimension, got {dim}")
     k = np.arange(0, dim, 2, dtype=np.float64)
     inv_freq = 10000.0 ** (-k / dim)
     args = positions[:, None] * inv_freq[None, :]
@@ -57,24 +52,8 @@ def soft_mask_matrix(length: int, sigma: float) -> np.ndarray:
     return -squared_offset_matrix(length) / (2.0 * sigma * sigma)
 
 
-def apply_soft_mask(scores, mask) -> np.ndarray:
-    """Add the mask to pre-softmax scores."""
-    scores, mask = as_matrix(scores), as_matrix(mask)
-    if scores.shape != mask.shape:
-        raise DimensionError(
-            f"apply_soft_mask: shapes differ: {scores.shape} vs {mask.shape}"
-        )
-    return scores + mask
-
-
 def frame_index_column(length: int, start_index: int, alpha: float) -> np.ndarray:
     """Scaled frame indices (start_index + i) / alpha as an Lx1 column."""
     if alpha <= 0:
         raise ConfigError(f"frame-index scale alpha must be positive, got {alpha}")
     return ((np.arange(length, dtype=np.float64) + start_index) / alpha).reshape(-1, 1)
-
-
-def frame_index_augment(x, start_index: int = 0, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Append the scaled frame index as one extra feature column."""
-    x = as_matrix(x)
-    return np.concatenate([x, frame_index_column(x.shape[0], start_index, alpha)], axis=1)

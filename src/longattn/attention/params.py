@@ -1,15 +1,29 @@
-"""Attention variant tags and per-head trainable parameters."""
+"""Attention variant registry and per-head trainable parameters.
+
+``VARIANTS`` holds one ``VariantSpec`` per variant: a new variant is one entry.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..numerics.tensor import Tensor, param
+from ..numerics.tensor import Tensor, append_const_col, param
+from .encodings import frame_index_column
+from .variants import (
+    dot_product_pair_stage,
+    gaussian_pair_stage,
+    gaussian_projection,
+    qk_projections,
+    relative_pair_stage,
+    shared_projection,
+    soft_mask_tensor,
+)
 
 # At initialization the frame-index feature of Gaussian attention is scaled so
 # that the kernel penalty reaches 1/2 at this many frames of offset. Mirrors
@@ -32,19 +46,16 @@ class AttentionVariant(Enum):
 
     @property
     def frame_indexed(self) -> bool:
-        return self in (AttentionVariant.GAUSSIAN_FRAME_INDEX,
-                        AttentionVariant.STANDARD_FRAME_INDEX)
+        return VARIANTS[self].frame_indexed
 
     @property
     def shares_qk(self) -> bool:
-        return self in (AttentionVariant.SHARED_QK, AttentionVariant.GAUSSIAN,
-                        AttentionVariant.GAUSSIAN_FRAME_INDEX)
+        return VARIANTS[self].shares_qk
 
     @property
     def default_abs_pe(self) -> bool:
         """Whether absolute positional encoding is added by default."""
-        return self in (AttentionVariant.STANDARD, AttentionVariant.SOFT_MASK,
-                        AttentionVariant.SHARED_QK, AttentionVariant.STANDARD_FRAME_INDEX)
+        return VARIANTS[self].default_abs_pe
 
     @classmethod
     def parse(cls, name: str) -> "AttentionVariant":
@@ -88,6 +99,106 @@ class AttentionParams:
         return math.exp(self.log_sigma_mask.data[0, 0])
 
 
+@dataclass(frozen=True)
+class VariantSpec:
+    """Everything one attention variant means: ``project`` is the per-frame stage,
+    ``pair`` the pairwise stage ending in ``softmax_rows``, ``pair_elements(length,
+    d_model, d_k)`` the closed-form element count of one head's pairwise stage, and
+    ``init_scores(rng, score_in, d_model, d_k, alpha)`` draws the score weights."""
+
+    project: Callable[[Tensor, AttentionParams], Any]
+    pair: Callable[[Any, AttentionParams], Tensor]
+    pair_elements: Callable[[int, int, int], int]
+    init_scores: Callable[..., dict[str, Tensor]]
+    frame_indexed: bool = False
+    shares_qk: bool = False
+    default_abs_pe: bool = False
+
+    def projections(self, x: Tensor, params: AttentionParams, alpha: float, start_index: int):
+        """Per-frame stage: append the frame index if this variant uses it, then project."""
+        if self.frame_indexed:
+            x = append_const_col(x, frame_index_column(x.data.shape[0], start_index, alpha))
+        return self.project(x, params)
+
+
+def _init_qk(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+    std = 1.0 / math.sqrt(score_in)
+    return {"w_q": param(rng.normal(0.0, std, size=(d_k, score_in))),
+            "w_k_x": param(rng.normal(0.0, std, size=(d_k, score_in)))}
+
+
+def _init_shared(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+    std = 1.0 / math.sqrt(score_in)
+    return {"w_s": param(rng.normal(0.0, std, size=(d_k, score_in)))}
+
+
+def _init_gaussian(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+    std = 1.0 / math.sqrt(score_in)
+    return {"w_s": param(rng.normal(0.0, std / d_k**0.25, size=(d_k, score_in)))}
+
+
+def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+    scores = _init_gaussian(rng, score_in, d_model, d_k, alpha)
+    # index feature sits between the model features and the bias column
+    norm = alpha * d_k**0.25 / INDEX_WINDOW_INIT
+    scores["w_s"].data[:, d_model] = norm / math.sqrt(d_k)
+    return scores
+
+
+_STANDARD = VariantSpec(
+    project=lambda x, p: qk_projections(x, p.w_q, p.w_k_x),
+    pair=lambda qk, p: dot_product_pair_stage(*qk),
+    pair_elements=lambda n, d_model, d_k: 3 * n * n,  # raw, scaled scores; attention
+    init_scores=_init_qk,
+    default_abs_pe=True,
+)
+_GAUSSIAN = VariantSpec(
+    project=lambda x, p: gaussian_projection(x, p.w_s),
+    pair=lambda a, p: gaussian_pair_stage(a),
+    pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
+    init_scores=_init_gaussian,
+    shares_qk=True,
+)
+
+VARIANTS: dict[AttentionVariant, VariantSpec] = {
+    AttentionVariant.STANDARD: _STANDARD,
+    AttentionVariant.STANDARD_FRAME_INDEX: replace(_STANDARD, frame_indexed=True),
+    AttentionVariant.SOFT_MASK: replace(
+        _STANDARD,
+        pair=lambda qk, p: dot_product_pair_stage(
+            *qk, mask=soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask)),
+        # standard plus offset template, mask, masked scores, and 2 width scalars
+        pair_elements=lambda n, d_model, d_k: 6 * n * n + 2,
+        init_scores=lambda *dims: {
+            **_init_qk(*dims), "log_sigma_mask": param([[math.log(SOFT_MASK_SIGMA_INIT)]])},
+    ),
+    AttentionVariant.SHARED_QK: replace(
+        _STANDARD,
+        project=lambda x, p: shared_projection(x, p.w_s),
+        pair=lambda q, p: dot_product_pair_stage(q, q),
+        init_scores=_init_shared,
+        shares_qk=True,
+    ),
+    AttentionVariant.GAUSSIAN: _GAUSSIAN,
+    AttentionVariant.GAUSSIAN_FRAME_INDEX: replace(
+        _GAUSSIAN, init_scores=_init_gaussian_frame_index, frame_indexed=True),
+    AttentionVariant.RELATIVE_PE: replace(
+        _STANDARD,
+        pair=lambda qk, p: relative_pair_stage(*qk, p.w_k_r, p.u, p.v),
+        # four term matrices, three sums, scaled scores, attention, plus the
+        # offset tables (sinusoids, their key projection, position bias) and
+        # the content-bias column
+        pair_elements=lambda n, d_model, d_k: 9 * n * n + (2 * n - 1) * (d_model + d_k + 1) + n,
+        init_scores=lambda rng, score_in, d_model, d_k, alpha: {
+            **_init_qk(rng, score_in, d_model, d_k, alpha),
+            "w_k_r": param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model))),
+            "u": param(rng.normal(0.0, 0.02, size=(1, d_k))),
+            "v": param(rng.normal(0.0, 0.02, size=(1, d_k)))},
+        default_abs_pe=False,
+    ),
+}
+
+
 def init_attention_params(
     variant: AttentionVariant,
     d_model: int,
@@ -96,27 +207,9 @@ def init_attention_params(
     alpha: float,
     rng: np.random.Generator,
 ) -> AttentionParams:
-    """Draw one head's weights; the draw order is fixed for reproducibility."""
-    score_in = d_model + (2 if variant.frame_indexed else 1)
-    std = 1.0 / math.sqrt(score_in)
-    p = AttentionParams()
-    if variant.shares_qk:
-        gauss = variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX)
-        w_std = std / d_k**0.25 if gauss else std
-        w = rng.normal(0.0, w_std, size=(d_k, score_in))
-        if variant is AttentionVariant.GAUSSIAN_FRAME_INDEX:
-            # index feature sits between the model features and the bias column
-            norm = alpha * d_k**0.25 / INDEX_WINDOW_INIT
-            w[:, d_model] = norm / math.sqrt(d_k)
-        p.w_s = param(w)
-    else:
-        p.w_q = param(rng.normal(0.0, std, size=(d_k, score_in)))
-        p.w_k_x = param(rng.normal(0.0, std, size=(d_k, score_in)))
-    if variant is AttentionVariant.SOFT_MASK:
-        p.log_sigma_mask = param([[math.log(SOFT_MASK_SIGMA_INIT)]])
-    if variant is AttentionVariant.RELATIVE_PE:
-        p.w_k_r = param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model)))
-        p.u = param(rng.normal(0.0, 0.02, size=(1, d_k)))
-        p.v = param(rng.normal(0.0, 0.02, size=(1, d_k)))
+    """Draw one head's score weights, then its value map; the order is fixed."""
+    spec = VARIANTS[variant]
+    score_in = d_model + (2 if spec.frame_indexed else 1)
+    p = AttentionParams(**spec.init_scores(rng, score_in, d_model, d_k, alpha))
     p.w_v = param(rng.normal(0.0, 1.0 / math.sqrt(d_model + 1), size=(d_v, d_model + 1)))
     return p

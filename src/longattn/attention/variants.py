@@ -4,11 +4,12 @@ Each variant is split into a projection stage (per-frame linear maps) and a
 pairwise stage (everything whose footprint grows with the squared sequence
 length); the memory-footprint tool measures the pairwise stage. All paths
 end in a row softmax, so every returned matrix is row-stochastic.
+``params.VARIANTS`` wires each variant to its two stages.
 
 ``attn_kernel_form`` is the plain-array oracle for the algebraic identity
 between shared-QK attention and its normalized-kernel rewriting: the scores
 are computed from pairwise feature distances and per-frame energy factors
-instead of inner products, and must agree with ``attn_shared_qk``.
+instead of inner products, and must agree with the shared-QK variant.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, InternalError
+from ..errors import InternalError
 from ..numerics.linalg import as_matrix
 from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
     add,
-    append_ones,
     append_const_col,
     const,
     exp,
@@ -36,13 +36,7 @@ from ..numerics.tensor import (
     tile_rows,
     transpose,
 )
-from .encodings import (
-    DEFAULT_ALPHA,
-    frame_index_column,
-    signed_sinusoid_table,
-    squared_offset_matrix,
-)
-from .params import AttentionParams, AttentionVariant
+from .encodings import signed_sinusoid_table, squared_offset_matrix
 
 
 def _as_tensor(x) -> Tensor:
@@ -116,12 +110,12 @@ def offset_gather(col: Tensor, length: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# scaled dot-product attention and its masked variant
+# scaled dot-product pairwise stage and its soft mask
 # ---------------------------------------------------------------------------
 
 
 def qk_projections(x, w_q, w_k) -> tuple[Tensor, Tensor]:
-    xa = append_ones(_as_tensor(x))
+    xa = append_const_col(_as_tensor(x))
     return matmul(xa, transpose(w_q)), matmul(xa, transpose(w_k))
 
 
@@ -133,22 +127,11 @@ def dot_product_pair_stage(q: Tensor, k: Tensor, mask: Tensor | None = None) -> 
     return softmax_rows(scores)
 
 
-def attn_standard(x, w_q: Tensor, w_k: Tensor) -> Tensor:
-    """Row-softmax of scaled query/key inner products."""
-    q, k = qk_projections(x, w_q, w_k)
-    return dot_product_pair_stage(q, k)
-
-
 def soft_mask_tensor(length: int, log_sigma: Tensor) -> Tensor:
     """Trainable-width Gaussian window as an additive pre-softmax penalty."""
     base = const(-0.5 * squared_offset_matrix(length))
     inv_sigma_sq = pow_scalar(exp(log_sigma), -2.0)
     return mul_scalar_tensor(base, inv_sigma_sq)
-
-
-def attn_soft_mask(x, w_q: Tensor, w_k: Tensor, log_sigma: Tensor) -> Tensor:
-    q, k = qk_projections(x, w_q, w_k)
-    return dot_product_pair_stage(q, k, mask=soft_mask_tensor(q.data.shape[0], log_sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +140,7 @@ def attn_soft_mask(x, w_q: Tensor, w_k: Tensor, log_sigma: Tensor) -> Tensor:
 
 
 def shared_projection(x, w_s: Tensor) -> Tensor:
-    return matmul(append_ones(_as_tensor(x)), transpose(w_s))
-
-
-def attn_shared_qk(x, w_s: Tensor) -> Tensor:
-    """Scaled dot-product attention with one shared query/key matrix."""
-    q = shared_projection(x, w_s)
-    return dot_product_pair_stage(q, q)
+    return matmul(append_const_col(_as_tensor(x)), transpose(w_s))
 
 
 def gaussian_projection(x, w_s: Tensor) -> Tensor:
@@ -172,16 +149,8 @@ def gaussian_projection(x, w_s: Tensor) -> Tensor:
 
 
 def gaussian_pair_stage(a: Tensor) -> Tensor:
+    """Row-normalized Gaussian kernel; it sees only row differences, so it is shift-invariant."""
     return softmax_rows(pairwise_sqdist_scores(a))
-
-
-def attn_gaussian(x, w_s: Tensor) -> Tensor:
-    """Row-normalized Gaussian kernel over pairwise feature distances.
-
-    Scores depend only on differences of (projected) input frames, so the
-    result is invariant under a constant shift of all frames.
-    """
-    return gaussian_pair_stage(gaussian_projection(x, w_s))
 
 
 def sigma_inverse(w_s) -> np.ndarray:
@@ -232,14 +201,6 @@ def relative_terms(
     return add(add(t_content, t_position), add(t_content_bias, t_position_bias))
 
 
-def scores_relative(x, w_q, w_k_x, w_k_r, u, v, r_table=None) -> Tensor:
-    """Unscaled relative-position scores; caller scales by 1/sqrt(d_k) and softmaxes."""
-    q, kx = qk_projections(x, w_q, w_k_x)
-    if r_table is None:
-        r_table = const(signed_sinusoid_table(q.data.shape[0], w_k_r.data.shape[1]))
-    return relative_terms(q, kx, w_k_r, u, v, _as_tensor(r_table))
-
-
 def relative_pair_stage(
     q: Tensor, kx: Tensor, w_k_r: Tensor, u: Tensor, v: Tensor
 ) -> Tensor:
@@ -247,49 +208,3 @@ def relative_pair_stage(
     scores = relative_terms(q, kx, w_k_r, u, v, r_table)
     d_k = q.data.shape[1]
     return softmax_rows(mul_scalar(scores, 1.0 / math.sqrt(d_k)))
-
-
-def attn_relative(x, w_q, w_k_x, w_k_r, u, v) -> Tensor:
-    q, kx = qk_projections(x, w_q, w_k_x)
-    return relative_pair_stage(q, kx, w_k_r, u, v)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-# ---------------------------------------------------------------------------
-
-
-def frame_index_augment_op(x: Tensor, start_index: int, alpha: float) -> Tensor:
-    return append_const_col(x, frame_index_column(x.data.shape[0], start_index, alpha))
-
-
-def attention_weights(
-    x,
-    params: AttentionParams,
-    variant: AttentionVariant,
-    alpha: float = DEFAULT_ALPHA,
-    start_index: int = 0,
-) -> Tensor:
-    """Row-stochastic attention matrix for one head under the given variant."""
-    xt = _as_tensor(x)
-    if variant.frame_indexed:
-        xt = frame_index_augment_op(xt, start_index, alpha)
-    if variant in (AttentionVariant.STANDARD, AttentionVariant.STANDARD_FRAME_INDEX):
-        return attn_standard(xt, params.w_q, params.w_k_x)
-    if variant is AttentionVariant.SOFT_MASK:
-        return attn_soft_mask(xt, params.w_q, params.w_k_x, params.log_sigma_mask)
-    if variant is AttentionVariant.SHARED_QK:
-        return attn_shared_qk(xt, params.w_s)
-    if variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX):
-        return attn_gaussian(xt, params.w_s)
-    if variant is AttentionVariant.RELATIVE_PE:
-        return attn_relative(xt, params.w_q, params.w_k_x, params.w_k_r, params.u, params.v)
-    raise ConfigError(f"unhandled attention variant: {variant}")
-
-
-def export_attn_csv(weights, path) -> None:
-    """Write an attention matrix as CSV with 17 significant digits."""
-    weights = as_matrix(weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in weights:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

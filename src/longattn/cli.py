@@ -86,8 +86,8 @@ def cmd_train(args) -> int:
 def _load_model(path) -> TrainedModel:
     try:
         return load_checkpoint(path)
-    except FileNotFoundError:
-        raise ConfigError(f"checkpoint not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
 
 
 def cmd_eval(args) -> int:
@@ -98,7 +98,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, {f"concat{args.concat_k}": eval_set},
                       config_hash=digest, checkpoint=str(args.checkpoint),
                       seed=args.eval_seed, bucket_edges=cfg.eval.bucket_edges,
-                      max_frames=cfg.eval.max_frames, workers=cfg.eval.workers)
+                      max_frames=cfg.eval.max_frames)
     write_report_csv(report, args.out)
     for row in report.rows:
         log.info("%s %s: %d utts, error %.4f", row.eval_set, row.bucket,
@@ -116,10 +116,6 @@ def cmd_sweep(args) -> int:
         name, path = item.split("=", 1)
         AttentionVariant.parse(name)
         specs[name] = path
-    missing = [f"{name}={path}" for name, path in specs.items()
-               if not _exists(path)]
-    if missing:
-        raise ConfigError("missing checkpoints: " + ", ".join(missing))
     models = {}
     for name, path in specs.items():
         model = _load_model(path)
@@ -132,18 +128,10 @@ def cmd_sweep(args) -> int:
     heldout = _heldout_dataset(cfg)
     result = run_length_sweep(models, heldout, _int_list(args.lengths),
                               _int_list(args.seeds), config_hash=digest,
-                              max_frames=cfg.eval.max_frames, workers=cfg.eval.workers)
+                              max_frames=cfg.eval.max_frames)
     write_sweep_csv(result, args.out)
     log.info("sweep -> %s", args.out)
     return 0
-
-
-def _exists(path) -> bool:
-    try:
-        with open(path, "rb"):
-            return True
-    except OSError:
-        return False
 
 
 def cmd_heatmap(args) -> int:

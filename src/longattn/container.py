@@ -60,20 +60,38 @@ def write_container(path, meta: dict, arrays: Iterable[tuple[str, np.ndarray]]) 
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse a container; a short read, bad text, or a trailing byte is a ConfigError."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ConfigError(f"{path}: not a longattn container (bad magic)")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code, rows, cols = struct.unpack("<BII", fh.read(9))
+        raw = fh.read()
+    if raw[:len(MAGIC)] != MAGIC:
+        raise ConfigError(f"{path}: not a longattn container (bad magic)")
+    pos = len(MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ConfigError(f"{path}: truncated container: {what} needs {n} bytes at {pos}")
+        pos += n
+        return raw[pos - n:pos]
+
+    arrays: dict[str, np.ndarray] = {}
+    try:
+        (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
+        meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
+        (n_arrays,) = struct.unpack("<I", take(4, "array count"))
+        for i in range(n_arrays):
+            (name_len,) = struct.unpack("<H", take(2, f"name length of array {i}"))
+            name = take(name_len, f"name of array {i}").decode("utf-8")
+            code, rows, cols = struct.unpack("<BII", take(9, f"header of {name!r}"))
             if code not in _DTYPES:
                 raise ConfigError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = _DTYPES[code]
-            raw = fh.read(rows * cols * dtype.itemsize)
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(rows, cols).copy()
+            values = take(rows * cols * dtype.itemsize, f"values of {name!r}")
+            arrays[name] = np.frombuffer(values, dtype=dtype).reshape(rows, cols).copy()
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: corrupt container: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: container metadata is not a JSON object")
+    if pos != len(raw):
+        raise ConfigError(f"{path}: {len(raw) - pos} trailing byte(s) after the last array")
     return meta, arrays

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DimensionError,
     InfeasibleAlignmentError,
     SizeError,
     UndefinedRateError,
@@ -45,18 +44,6 @@ def min_frames_required(labels: Sequence[int]) -> int:
     blank between equal neighbours."""
     repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
     return len(labels) + repeats
-
-
-def validate_lattice(lattice, tol: float = 1e-10) -> np.ndarray:
-    """Check that each row is a normalized log-probability distribution."""
-    lattice = as_matrix(lattice)
-    row_lse = np.log(np.exp(lattice - lattice.max(axis=1, keepdims=True))
-                     .sum(axis=1)) + lattice.max(axis=1)
-    if np.abs(row_lse).max() > tol:
-        raise DimensionError(
-            f"lattice rows are not normalized: max |logsumexp| = {np.abs(row_lse).max():.3e}"
-        )
-    return lattice
 
 
 def _extended_labels(labels: Sequence[int]) -> np.ndarray:

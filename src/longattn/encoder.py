@@ -22,7 +22,7 @@ from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
     add,
-    append_ones,
+    append_const_col,
     const,
     frame_stack,
     layer_norm_rows,
@@ -142,10 +142,6 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
 
-    def zero_grad(self) -> None:
-        for t in self.tensors():
-            t.zero_grad()
-
 
 @dataclass
 class TrainedModel:
@@ -200,7 +196,7 @@ def subsample(features, factor: int, proj: Tensor) -> Tensor:
             f"need at least {factor} frames to subsample, got {x.data.shape[0]}"
         )
     stacked = frame_stack(x, factor)
-    return matmul(append_ones(stacked), transpose(proj))
+    return matmul(append_const_col(stacked), transpose(proj))
 
 
 def sa_block_forward(
@@ -216,8 +212,8 @@ def sa_block_forward(
                                alpha=cfg.alpha, start_index=start_index, capture=capture)
     y = add(x, mha)
     h2 = layer_norm_rows(y, block.ln2_gain, block.ln2_bias)
-    hidden = relu(matmul(append_ones(h2), transpose(block.ffn_w1)))
-    ffn = matmul(append_ones(hidden), transpose(block.ffn_w2))
+    hidden = relu(matmul(append_const_col(h2), transpose(block.ffn_w1)))
+    ffn = matmul(append_const_col(hidden), transpose(block.ffn_w2))
     return add(y, ffn)
 
 
@@ -238,7 +234,7 @@ def encoder_forward(
         if capture is not None:
             capture.append(block_capture)
     x = layer_norm_rows(x, params.final_gain, params.final_bias)
-    return matmul(append_ones(x), transpose(params.w_out))
+    return matmul(append_const_col(x), transpose(params.w_out))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from .evaluation import (
     evaluate,
     overall_error,
     run_length_sweep,
-    sweep_mean,
     write_report_csv,
     write_sweep_csv,
 )
-from .heatmap import diagonal_mass, dump_heatmap, write_pgm
+from .heatmap import dump_heatmap, write_pgm
 from .memory import MemoryFootprint, memory_footprint_estimate, write_memory_csv
 from .synth import (
     Dataset,
@@ -42,7 +41,6 @@ __all__ = [
     "concat_eval",
     "config_hash",
     "decode_utterance",
-    "diagonal_mass",
     "dump_heatmap",
     "evaluate",
     "gen_dataset",
@@ -54,7 +52,6 @@ __all__ = [
     "overall_error",
     "run_length_sweep",
     "save_dataset",
-    "sweep_mean",
     "token_prototypes",
     "train_model",
     "write_curve_csv",

@@ -20,12 +20,11 @@ class EvalSettings:
     seed: int = 99
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES
     max_frames: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         self.bucket_edges = tuple(self.bucket_edges)
-        if self.n_utterances < 1 or self.workers < 1:
-            raise ConfigError("eval n_utterances and workers must be positive")
+        if self.n_utterances < 1:
+            raise ConfigError("eval n_utterances must be positive")
 
 
 @dataclass
@@ -44,16 +43,6 @@ class ExperimentConfig:
             "train": asdict(self.train),
             "eval": eval_dict,
         }
-
-
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def _apply_override(raw: dict, entry: str) -> None:
@@ -127,8 +116,3 @@ def config_hash(cfg: ExperimentConfig) -> str:
     digest = hashlib.sha256(canonical_json(cfg.to_dict()).encode("utf-8"))
     return digest.hexdigest()[:16]
 
-
-def write_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

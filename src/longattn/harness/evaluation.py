@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +47,12 @@ def decode_utterance(model: TrainedModel, features: np.ndarray,
     factor = model.config.subsample_factor
     t = features.shape[0]
     if max_frames is not None and t > max_frames and t >= 2 * factor:
+        # both halves keep at least ``factor`` frames because t >= 2 * factor
         mid = (t // 2) // factor * factor
-        if mid >= factor and t - mid >= factor:
-            log.info("splitting %d-frame utterance at frame %d (budget %d)",
-                     t, mid, max_frames)
-            return (decode_utterance(model, features[:mid], max_frames)
-                    + decode_utterance(model, features[mid:], max_frames))
+        log.info("splitting %d-frame utterance at frame %d (budget %d)",
+                 t, mid, max_frames)
+        return (decode_utterance(model, features[:mid], max_frames)
+                + decode_utterance(model, features[mid:], max_frames))
     logits = encoder_forward(features, model.params, model.config)
     return greedy_decode(logits.data)
 
@@ -72,7 +71,6 @@ def evaluate(
     seed: int | None = None,
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES,
     max_frames: int | None = None,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Greedy-decode every utterance; aggregate corpus-level error per length bucket."""
     started = time.perf_counter()
@@ -86,13 +84,7 @@ def evaluate(
                         f"eval set {name!r} has token {t} outside the checkpoint "
                         f"vocabulary [1, {vocab - 1}]"
                     )
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                hyps = list(pool.map(
-                    lambda u: decode_utterance(model, u.features, max_frames),
-                    dataset.utterances))
-        else:
-            hyps = [decode_utterance(model, u.features, max_frames) for u in dataset]
+        hyps = [decode_utterance(model, u.features, max_frames) for u in dataset]
         # ordered reduction into buckets keyed by raw feature length
         n_buckets = len(bucket_edges)
         counts = [0] * n_buckets
@@ -165,7 +157,6 @@ def run_length_sweep(
     seeds: list[int],
     config_hash: str = "",
     max_frames: int | None = None,
-    workers: int = 1,
 ) -> SweepResult:
     """Error rate per (variant, concatenation factor), averaged over eval seeds."""
     result = SweepResult(config_hash=config_hash)
@@ -175,7 +166,7 @@ def run_length_sweep(
             for seed in seeds:
                 eval_set = concat_eval(heldout, k, seed=seed)
                 report = evaluate(model, {"sweep": eval_set}, config_hash=config_hash,
-                                  seed=seed, max_frames=max_frames, workers=workers)
+                                  seed=seed, max_frames=max_frames)
                 ter = overall_error(report, "sweep")
                 result.rows.append(SweepRow(variant, k, str(seed), len(eval_set), ter))
                 per_seed.append(ter)
@@ -183,13 +174,6 @@ def run_length_sweep(
                                         float(np.mean(per_seed))))
             log.info("sweep %s k=%d mean error %.4f", variant, k, np.mean(per_seed))
     return result
-
-
-def sweep_mean(result: SweepResult, variant: str, k: int) -> float:
-    for row in result.rows:
-        if row.variant == variant and row.k == k and row.seed == "mean":
-            return row.token_error_rate
-    raise ConfigError(f"sweep has no mean row for {variant!r} k={k}")
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

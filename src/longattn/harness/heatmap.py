@@ -47,12 +47,3 @@ def dump_heatmap(
     write_pgm(f"{out_prefix}.pgm", attn)
     return attn
 
-
-def diagonal_mass(attn: np.ndarray, width: int) -> float:
-    """Smallest per-row attention mass within ±width frames of the diagonal."""
-    n = attn.shape[0]
-    worst = 1.0
-    for i in range(n):
-        lo, hi = max(0, i - width), min(n, i + width + 1)
-        worst = min(worst, float(attn[i, lo:hi].sum()))
-    return worst

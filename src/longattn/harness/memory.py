@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attention.params import AttentionVariant, init_attention_params
-from ..attention.variants import (
-    dot_product_pair_stage,
-    frame_index_augment_op,
-    gaussian_pair_stage,
-    gaussian_projection,
-    qk_projections,
-    relative_pair_stage,
-    shared_projection,
-    soft_mask_tensor,
-)
+from ..attention.params import VARIANTS, AttentionVariant, init_attention_params
 from ..encoder import EncoderConfig
 from ..errors import ConfigError
 from ..numerics.tensor import const, count_allocations
@@ -40,24 +30,7 @@ class MemoryFootprint:
 
 def analytic_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig) -> int:
     """Closed-form element count of the pairwise stage for one head."""
-    sq = length * length
-    if variant in (AttentionVariant.STANDARD, AttentionVariant.STANDARD_FRAME_INDEX,
-                   AttentionVariant.SHARED_QK):
-        # raw scores, scaled scores, attention
-        return 3 * sq
-    if variant is AttentionVariant.SOFT_MASK:
-        # standard plus offset template, mask, masked scores, and 2 width scalars
-        return 6 * sq + 2
-    if variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX):
-        # pairwise distances, attention
-        return 2 * sq
-    if variant is AttentionVariant.RELATIVE_PE:
-        # four term matrices, three sums, scaled scores, attention, plus the
-        # offset tables (sinusoids, their key projection, position bias) and
-        # the content-bias column
-        span = 2 * length - 1
-        return 9 * sq + span * (cfg.d_model + cfg.d_k + 1) + length
-    raise ConfigError(f"unhandled variant {variant}")
+    return VARIANTS[variant].pair_elements(length, cfg.d_model, cfg.d_k)
 
 
 def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig,
@@ -65,31 +38,11 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
     """Run one head's pairwise stage under the allocation meter."""
     rng = np.random.default_rng([seed, 0x6D])
     params = init_attention_params(variant, cfg.d_model, cfg.d_k, cfg.d_v, cfg.alpha, rng)
+    spec = VARIANTS[variant]
     x = const(rng.normal(size=(length, cfg.d_model)))
-    if variant.frame_indexed:
-        x = frame_index_augment_op(x, 0, cfg.alpha)
-    if variant in (AttentionVariant.STANDARD, AttentionVariant.STANDARD_FRAME_INDEX):
-        q, k = qk_projections(x, params.w_q, params.w_k_x)
-        with count_allocations() as meter:
-            dot_product_pair_stage(q, k)
-    elif variant is AttentionVariant.SOFT_MASK:
-        q, k = qk_projections(x, params.w_q, params.w_k_x)
-        with count_allocations() as meter:
-            dot_product_pair_stage(q, k, mask=soft_mask_tensor(length, params.log_sigma_mask))
-    elif variant is AttentionVariant.SHARED_QK:
-        q = shared_projection(x, params.w_s)
-        with count_allocations() as meter:
-            dot_product_pair_stage(q, q)
-    elif variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX):
-        a = gaussian_projection(x, params.w_s)
-        with count_allocations() as meter:
-            gaussian_pair_stage(a)
-    elif variant is AttentionVariant.RELATIVE_PE:
-        q, kx = qk_projections(x, params.w_q, params.w_k_x)
-        with count_allocations() as meter:
-            relative_pair_stage(q, kx, params.w_k_r, params.u, params.v)
-    else:
-        raise ConfigError(f"unhandled variant {variant}")
+    projected = spec.projections(x, params, cfg.alpha, start_index=0)
+    with count_allocations() as meter:
+        spec.pair(projected, params)
     return meter.elements
 
 

@@ -2,13 +2,12 @@
 
 from . import linalg, tensor
 from .gradcheck import check_gradients, finite_diff_grad, max_relative_error
-from .optim import Adam, OptimizerState, optimizer_step
+from .optim import Adam
 from .tensor import AllocationMeter, Tensor, backward, const, count_allocations, param
 
 __all__ = [
     "Adam",
     "AllocationMeter",
-    "OptimizerState",
     "Tensor",
     "backward",
     "check_gradients",
@@ -17,7 +16,6 @@ __all__ = [
     "finite_diff_grad",
     "linalg",
     "max_relative_error",
-    "optimizer_step",
     "param",
     "tensor",
 ]

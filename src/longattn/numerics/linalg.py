@@ -1,7 +1,7 @@
-"""Array-level dense linear algebra with explicit shape contracts.
+"""Array-level helpers with explicit shape contracts.
 
-These functions operate on plain float64 ndarrays and are the forward
-definitions the autodiff ops in ``tensor`` build on. No broadcasting:
+These functions operate on plain float64 ndarrays; ``softmax_rows`` is the
+forward definition the autodiff op in ``tensor`` builds on. No broadcasting:
 mismatched shapes raise ``DimensionError``.
 """
 
@@ -19,32 +19,9 @@ def as_matrix(x) -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max subtraction; each row sums to 1."""
     m = as_matrix(m)
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-12) -> np.ndarray:
-    """Normalize each row to zero mean and unit variance, then apply gain/bias."""
-    x, gain, bias = as_matrix(x), as_matrix(gain), as_matrix(bias)
-    n = x.shape[1]
-    if gain.shape != (1, n) or bias.shape != (1, n):
-        raise DimensionError(
-            f"layer_norm: gain {gain.shape}, bias {bias.shape} do not match width {n}"
-        )
-    if eps <= 0:
-        raise DimensionError(f"layer_norm: eps must be positive, got {eps}")
-    mu = x.mean(axis=1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    return centered / np.sqrt(var + eps) * gain + bias

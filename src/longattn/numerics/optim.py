@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -11,46 +10,8 @@ from ..errors import ConfigError
 from .tensor import Tensor
 
 
-@dataclass
-class OptimizerState:
-    """First/second moment accumulators, one pair per parameter."""
-
-    first: list[np.ndarray] = field(default_factory=list)
-    second: list[np.ndarray] = field(default_factory=list)
-    step_count: int = 0
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor]) -> "OptimizerState":
-        return cls(
-            first=[np.zeros_like(p.data) for p in params],
-            second=[np.zeros_like(p.data) for p in params],
-        )
-
-
-def optimizer_step(
-    params: Sequence[Tensor],
-    state: OptimizerState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
-    """One update from the accumulated gradients; grads are left untouched."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    b1, b2 = betas
-    state.step_count += 1
-    t = state.step_count
-    for p, m, v in zip(params, state.first, state.second):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m[:] = b1 * m + (1.0 - b1) * g
-        v[:] = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 class Adam:
-    """Convenience wrapper binding parameters to an ``OptimizerState``."""
+    """Adam over a fixed parameter list, one pair of moment buffers per tensor."""
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -60,10 +21,22 @@ class Adam:
         self.lr = lr
         self.betas = betas
         self.eps = eps
-        self.state = OptimizerState.for_params(self.params)
+        self.first = [np.zeros_like(p.data) for p in self.params]
+        self.second = [np.zeros_like(p.data) for p in self.params]
+        self.step_count = 0
 
     def step(self) -> None:
-        optimizer_step(self.params, self.state, self.lr, self.betas, self.eps)
+        """One update from the accumulated gradients; grads are left untouched."""
+        b1, b2 = self.betas
+        self.step_count += 1
+        t = self.step_count
+        for p, m, v in zip(self.params, self.first, self.second):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m[:] = b1 * m + (1.0 - b1) * g
+            v[:] = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..errors import DimensionError, StateError
+from .linalg import softmax_rows as _softmax
 
 _meter: "AllocationMeter | None" = None
 
@@ -167,23 +168,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_op(a.data + b.data, (a, b), grad_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u)
-        accumulate_grad(b, -u)
-
-    return make_op(a.data - b.data, (a, b), grad_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, -u)
-
-    return make_op(-a.data, (a,), grad_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
 
@@ -192,13 +176,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(b, u * a.data)
 
     return make_op(a.data * b.data, (a, b), grad_fn)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u)
-
-    return make_op(a.data + c, (a,), grad_fn)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
@@ -279,24 +256,6 @@ def sum_all(a: Tensor) -> Tensor:
     return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
 
 
-def row_sums(a: Tensor) -> Tensor:
-    """Sum across columns: (L, C) -> (L, 1)."""
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, np.repeat(u, a.data.shape[1], axis=1))
-
-    return make_op(a.data.sum(axis=1, keepdims=True), (a,), grad_fn)
-
-
-def col_sums(a: Tensor) -> Tensor:
-    """Sum across rows: (L, C) -> (1, C)."""
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, np.repeat(u, a.data.shape[0], axis=0))
-
-    return make_op(a.data.sum(axis=0, keepdims=True), (a,), grad_fn)
-
-
 def tile_rows(v: Tensor, n: int) -> Tensor:
     """Stack ``n`` copies of the 1xC row vector ``v``."""
     if v.data.shape[0] != 1:
@@ -308,36 +267,19 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
     return make_op(np.repeat(v.data, n, axis=0), (v,), grad_fn)
 
 
-def tile_cols(v: Tensor, n: int) -> Tensor:
-    """Stack ``n`` copies of the Lx1 column vector ``v`` side by side."""
-    if v.data.shape[1] != 1:
-        raise DimensionError(f"tile_cols: expected Lx1 column vector, got {v.data.shape}")
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(v, u.sum(axis=1, keepdims=True))
-
-    return make_op(np.repeat(v.data, n, axis=1), (v,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
 
 
-def append_ones(x: Tensor) -> Tensor:
-    """Append a constant-1 column (bias input augmentation)."""
-    rows = x.data.shape[0]
-    out = np.concatenate([x.data, np.ones((rows, 1))], axis=1)
+def append_const_col(x: Tensor, col: np.ndarray | float = 1.0) -> Tensor:
+    """Append one non-trainable column to the right of ``x``.
 
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(x, u[:, :-1])
-
-    return make_op(out, (x,), grad_fn)
-
-
-def append_const_col(x: Tensor, col: np.ndarray) -> Tensor:
-    """Append one non-trainable column to the right of ``x``."""
-    col = np.asarray(col, dtype=np.float64).reshape(-1, 1)
+    ``col`` is the column itself or a scalar that fills it; the default
+    constant 1 is the bias input augmentation.
+    """
+    col = np.asarray(col, dtype=np.float64)
+    col = np.full((x.data.shape[0], 1), col) if col.ndim == 0 else col.reshape(-1, 1)
     if col.shape[0] != x.data.shape[0]:
         raise DimensionError(
             f"append_const_col: column length {col.shape[0]} vs {x.data.shape[0]} rows"
@@ -348,18 +290,6 @@ def append_const_col(x: Tensor, col: np.ndarray) -> Tensor:
         accumulate_grad(x, u[:, :-1])
 
     return make_op(out, (x,), grad_fn)
-
-
-def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
-    if not (0 <= j0 < j1 <= x.data.shape[1]):
-        raise DimensionError(f"slice_cols: [{j0}:{j1}] out of range for {x.data.shape}")
-
-    def grad_fn(u: np.ndarray) -> None:
-        g = np.zeros_like(x.data)
-        g[:, j0:j1] = u
-        accumulate_grad(x, g)
-
-    return make_op(x.data[:, j0:j1].copy(), (x,), grad_fn)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -402,8 +332,6 @@ def frame_stack(x: Tensor, factor: int) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    from .linalg import softmax_rows as _softmax
-
     p = _softmax(x.data)
 
     def grad_fn(u: np.ndarray) -> None:

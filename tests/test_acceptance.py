@@ -16,12 +16,10 @@ import pytest
 
 from conftest import screen_seed
 from longattn.attention import (
+    AttentionParams,
     AttentionVariant,
     attention_weights,
-    attn_gaussian,
     attn_kernel_form,
-    attn_shared_qk,
-    attn_standard,
     init_attention_params,
 )
 from longattn.ctc import ctc_brute_force, ctc_loss, ctc_loss_op, min_frames_required
@@ -69,7 +67,8 @@ def test_criterion_1_kernel_identity():
         d_k = int(rng.integers(1, 9))
         x = rng.normal(size=(L, D))
         w_s = rng.normal(scale=1.0 / math.sqrt(D + 1), size=(d_k, D + 1))
-        direct = attn_shared_qk(x, const(w_s)).data
+        direct = attention_weights(x, AttentionParams(w_s=const(w_s)),
+                                   AttentionVariant.SHARED_QK).data
         rewritten = attn_kernel_form(x, w_s)
         worst = max(worst, np.abs(rewritten - direct).max() / np.abs(direct).max())
     elapsed = time.perf_counter() - started
@@ -91,20 +90,22 @@ def test_criterion_2_shift_invariance():
     for trial in range(20):
         p = make_params(AttentionVariant.GAUSSIAN, 4, 4, 4, 2000 + trial)
         x = rng.normal(size=(8, 4))
-        base = attn_gaussian(x, p.w_s).data
+        base = attention_weights(x, p, AttentionVariant.GAUSSIAN).data
         for _ in range(5):
             c = rng.normal(size=(1, 4))
-            worst = max(worst, np.abs(attn_gaussian(x + c, p.w_s).data - base).max())
+            shifted = attention_weights(x + c, p, AttentionVariant.GAUSSIAN).data
+            worst = max(worst, np.abs(shifted - base).max())
     assert worst <= 1e-10
 
     hits = 0
     for trial in range(100):
         p = make_params(AttentionVariant.STANDARD, 4, 4, 4, 3000 + trial)
         x = rng.normal(size=(6, 4))
-        base = attn_standard(x, p.w_q, p.w_k_x).data
+        base = attention_weights(x, p, AttentionVariant.STANDARD).data
         for _ in range(10):
             c = rng.normal(size=(1, 4))
-            if np.abs(attn_standard(x + c, p.w_q, p.w_k_x).data - base).max() > 1e-3:
+            if np.abs(attention_weights(x + c, p, AttentionVariant.STANDARD).data
+                      - base).max() > 1e-3:
                 hits += 1
                 break
     elapsed = time.perf_counter() - started

@@ -8,30 +8,26 @@ import pytest
 
 from longattn.attention import (
     AttentionVariant,
-    apply_soft_mask,
     attention_weights,
-    attn_gaussian,
     attn_kernel_form,
-    attn_relative,
-    attn_shared_qk,
-    attn_soft_mask,
-    attn_standard,
-    export_attn_csv,
-    frame_index_augment,
     init_attention_params,
     kernel_form_factors,
     multi_head_attention,
-    scores_relative,
     sigma_inverse,
     signed_sinusoid_table,
     sinusoid_encoding,
     soft_mask_matrix,
 )
+from longattn.attention.encodings import frame_index_column
 from longattn.attention.params import AttentionParams
-from longattn.attention.variants import soft_mask_tensor
+from longattn.attention.variants import (
+    dot_product_pair_stage,
+    qk_projections,
+    relative_terms,
+    soft_mask_tensor,
+)
 from longattn.errors import ConfigError
 from longattn.numerics import const, param
-from longattn.numerics.linalg import softmax_rows
 
 
 def rel_diff(a, b):
@@ -41,6 +37,23 @@ def rel_diff(a, b):
 def make_params(variant, d_model, d_k, d_v, seed, alpha=100.0):
     rng = np.random.default_rng(seed)
     return init_attention_params(variant, d_model, d_k, d_v, alpha, rng)
+
+
+def weights(x, variant, **params):
+    """One head's attention matrix through ``attention_weights``."""
+    return attention_weights(x, AttentionParams(**params), variant).data
+
+
+def standard(x, w_q, w_k):
+    return weights(x, AttentionVariant.STANDARD, w_q=w_q, w_k_x=w_k)
+
+
+def gaussian(x, w_s):
+    return weights(x, AttentionVariant.GAUSSIAN, w_s=w_s)
+
+
+def shared_qk(x, w_s):
+    return weights(x, AttentionVariant.SHARED_QK, w_s=w_s)
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +116,29 @@ def test_soft_mask_rejects_bad_sigma():
         soft_mask_matrix(4, 0.0)
 
 
+def masked_pair_stage(q, k, mask):
+    return dot_product_pair_stage(const(q), const(k), mask=const(mask)).data
+
+
 def test_apply_soft_mask_zero_is_identity():
     rng = np.random.default_rng(0)
-    scores = rng.normal(size=(4, 4))
-    npt.assert_array_equal(apply_soft_mask(scores, np.zeros((4, 4))), scores)
+    q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    plain = dot_product_pair_stage(const(q), const(k)).data
+    npt.assert_array_equal(masked_pair_stage(q, k, np.zeros((4, 4))), plain)
 
 
 def test_apply_soft_mask_neg_inf_surrogate():
-    scores = np.zeros((2, 2))
     mask = np.zeros((2, 2))
     mask[0, 1] = -1e30
-    p = softmax_rows(apply_soft_mask(scores, mask))
+    p = masked_pair_stage(np.zeros((2, 1)), np.zeros((2, 1)), mask)
     assert p[0, 1] < 1e-300
 
 
 def test_huge_sigma_equals_unmasked():
     rng = np.random.default_rng(1)
-    scores = rng.normal(size=(8, 8))
-    masked = softmax_rows(apply_soft_mask(scores, soft_mask_matrix(8, 1e8)))
-    plain = softmax_rows(scores)
+    q, k = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+    masked = masked_pair_stage(q, k, soft_mask_matrix(8, 1e8))
+    plain = dot_product_pair_stage(const(q), const(k)).data
     assert np.abs(masked - plain).max() <= 1e-10
 
 
@@ -150,14 +167,13 @@ def oracle_standard(x, w_q, w_k):
 
 def test_attn_standard_singleton():
     p = make_params(AttentionVariant.STANDARD, 3, 4, 3, 0)
-    out = attn_standard(np.zeros((1, 3)), p.w_q, p.w_k_x)
-    npt.assert_array_equal(out.data, [[1.0]])
+    npt.assert_array_equal(standard(np.zeros((1, 3)), p.w_q, p.w_k_x), [[1.0]])
 
 
 def test_attn_standard_identical_frames_uniform():
     p = make_params(AttentionVariant.STANDARD, 3, 4, 3, 1)
     x = np.tile(np.array([[0.4, -1.0, 2.0]]), (5, 1))
-    npt.assert_allclose(attn_standard(x, p.w_q, p.w_k_x).data, np.full((5, 5), 0.2),
+    npt.assert_allclose(standard(x, p.w_q, p.w_k_x), np.full((5, 5), 0.2),
                         atol=1e-12)
 
 
@@ -165,17 +181,17 @@ def test_attn_standard_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
     p = make_params(AttentionVariant.STANDARD, 4, 5, 4, 3)
     x = rng.normal(size=(6, 4))
-    out = attn_standard(x, p.w_q, p.w_k_x).data
+    out = standard(x, p.w_q, p.w_k_x)
     npt.assert_allclose(out, oracle_standard(x, p.w_q.data, p.w_k_x.data), atol=1e-12)
 
 
 def test_attn_shared_qk_singleton_and_equivalence():
     p = make_params(AttentionVariant.SHARED_QK, 4, 4, 4, 4)
-    npt.assert_array_equal(attn_shared_qk(np.zeros((1, 4)), p.w_s).data, [[1.0]])
+    npt.assert_array_equal(shared_qk(np.zeros((1, 4)), p.w_s), [[1.0]])
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 4))
-    via_standard = attn_standard(x, p.w_s, p.w_s).data
-    assert np.abs(attn_shared_qk(x, p.w_s).data - via_standard).max() <= 1e-15
+    via_standard = standard(x, p.w_s, p.w_s)
+    assert np.abs(shared_qk(x, p.w_s) - via_standard).max() <= 1e-15
 
 
 def test_shared_qk_presoftmax_scores_symmetric():
@@ -201,7 +217,7 @@ def test_kernel_form_identity_100_random_instances():
         d_k = int(rng.integers(1, 9))
         x = rng.normal(size=(L, D))
         w_s = rng.normal(scale=1.0 / math.sqrt(D + 1), size=(d_k, D + 1))
-        direct = attn_shared_qk(x, const(w_s)).data
+        direct = shared_qk(x, const(w_s))
         rewritten = attn_kernel_form(x, w_s)
         assert rel_diff(rewritten, direct) <= 1e-10
 
@@ -253,14 +269,14 @@ def oracle_gaussian(x, w_s):
 def test_attn_gaussian_identical_frames_uniform():
     p = make_params(AttentionVariant.GAUSSIAN, 3, 4, 3, 11)
     x = np.tile(np.array([[1.0, 2.0, -0.5]]), (6, 1))
-    npt.assert_allclose(attn_gaussian(x, p.w_s).data, np.full((6, 6), 1 / 6), atol=1e-12)
+    npt.assert_allclose(gaussian(x, p.w_s), np.full((6, 6), 1 / 6), atol=1e-12)
 
 
 def test_attn_gaussian_matches_mahalanobis_oracle():
     rng = np.random.default_rng(12)
     p = make_params(AttentionVariant.GAUSSIAN, 5, 3, 5, 13)
     x = rng.normal(size=(7, 5))
-    npt.assert_allclose(attn_gaussian(x, p.w_s).data,
+    npt.assert_allclose(gaussian(x, p.w_s),
                         oracle_gaussian(x, p.w_s.data), atol=1e-12)
 
 
@@ -276,10 +292,10 @@ def test_gaussian_shift_invariance():
     rng = np.random.default_rng(14)
     p = make_params(AttentionVariant.GAUSSIAN, 4, 4, 4, 15)
     x = rng.normal(size=(8, 4))
-    base = attn_gaussian(x, p.w_s).data
+    base = gaussian(x, p.w_s)
     for _ in range(5):
         c = rng.normal(size=(1, 4))
-        shifted = attn_gaussian(x + c, p.w_s).data
+        shifted = gaussian(x + c, p.w_s)
         assert np.abs(shifted - base).max() <= 1e-10
 
 
@@ -289,11 +305,11 @@ def test_standard_attention_shift_witness():
     for trial in range(100):
         p = make_params(AttentionVariant.STANDARD, 4, 4, 4, 1000 + trial)
         x = rng.normal(size=(6, 4))
-        base = attn_standard(x, p.w_q, p.w_k_x).data
+        base = standard(x, p.w_q, p.w_k_x)
         found = False
         for _ in range(10):
             c = rng.normal(size=(1, 4))
-            if np.abs(attn_standard(x + c, p.w_q, p.w_k_x).data - base).max() > 1e-3:
+            if np.abs(standard(x + c, p.w_q, p.w_k_x) - base).max() > 1e-3:
                 found = True
                 break
         hits += found
@@ -314,22 +330,22 @@ def test_gaussian_scores_symmetric():
 
 
 def test_frame_index_values():
-    x = np.zeros((300, 2))
-    aug = frame_index_augment(x, start_index=0, alpha=100.0)
-    assert aug[0, -1] == 0.0
-    assert aug[250, -1] == 2.5
-    assert aug.shape == (300, 3)
+    col = frame_index_column(300, start_index=0, alpha=100.0)
+    assert col[0, 0] == 0.0
+    assert col[250, 0] == 2.5
+    assert col.shape == (300, 1)
 
 
 def test_frame_index_difference_vector():
-    aug = frame_index_augment(np.zeros((20, 2)), start_index=7, alpha=100.0)
+    col = frame_index_column(20, start_index=7, alpha=100.0)
     for i, j in [(0, 5), (13, 2), (19, 19)]:
-        assert abs((aug[i, -1] - aug[j, -1]) - (i - j) / 100.0) < 1e-15
+        assert abs((col[i, 0] - col[j, 0]) - (i - j) / 100.0) < 1e-15
 
 
 def test_frame_index_rejects_bad_alpha():
+    p = make_params(AttentionVariant.GAUSSIAN_FRAME_INDEX, 2, 3, 2, 0)
     with pytest.raises(ConfigError):
-        frame_index_augment(np.zeros((3, 2)), 0, 0.0)
+        attention_weights(np.zeros((3, 2)), p, AttentionVariant.GAUSSIAN_FRAME_INDEX, alpha=0.0)
 
 
 def test_gaussian_frame_index_translation_invariance():
@@ -380,13 +396,20 @@ def oracle_relative(x, w_q, w_k_x, w_k_r, u, v, table):
     return scores
 
 
+def relative_scores(x, w_q, w_k_x, w_k_r, u, v):
+    """Unscaled four-term scores over the signed sinusoid table for ``x``."""
+    q, kx = qk_projections(x, w_q, w_k_x)
+    table = const(signed_sinusoid_table(x.shape[0], w_k_r.data.shape[1]))
+    return relative_terms(q, kx, w_k_r, u, v, table).data
+
+
 def test_scores_relative_reduces_to_standard_qk():
     rng = np.random.default_rng(20)
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 21)
     x = rng.normal(size=(5, 4))
     zero_like = lambda t: const(np.zeros_like(t.data))
-    got = scores_relative(x, p.w_q, p.w_k_x, zero_like(p.w_k_r),
-                          zero_like(p.u), zero_like(p.v)).data
+    got = relative_scores(x, p.w_q, p.w_k_x, zero_like(p.w_k_r),
+                          zero_like(p.u), zero_like(p.v))
     xa = np.concatenate([x, np.ones((5, 1))], axis=1)
     expected = (xa @ p.w_q.data.T) @ (xa @ p.w_k_x.data.T).T
     npt.assert_allclose(got, expected, atol=1e-12)
@@ -396,7 +419,7 @@ def test_scores_relative_depends_only_on_offset():
     # constant features isolate the positional terms: scores must be Toeplitz
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 22)
     x = np.tile(np.array([[0.3, -1.2, 0.7, 0.1]]), (7, 1))
-    s = scores_relative(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v).data
+    s = relative_scores(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v)
     for i in range(6):
         for j in range(6):
             assert abs(s[i, j] - s[i + 1, j + 1]) <= 1e-12
@@ -407,7 +430,7 @@ def test_scores_relative_matches_four_term_oracle():
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 24)
     x = rng.normal(size=(5, 4))
     table = signed_sinusoid_table(5, p.w_k_r.data.shape[1])
-    got = scores_relative(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v, const(table)).data
+    got = relative_scores(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v)
     expected = oracle_relative(x, p.w_q.data, p.w_k_x.data, p.w_k_r.data,
                                p.u.data[0], p.v.data[0], table)
     npt.assert_allclose(got, expected, atol=1e-12)
@@ -417,7 +440,7 @@ def test_attn_relative_rows_stochastic():
     rng = np.random.default_rng(25)
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 4, 4, 26)
     x = rng.normal(size=(6, 4))
-    out = attn_relative(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v).data
+    out = attention_weights(x, p, AttentionVariant.RELATIVE_PE).data
     npt.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-12)
 
 
@@ -466,7 +489,7 @@ def test_multi_head_matches_manual_two_slice():
     xa = np.concatenate([x, np.ones((5, 1))], axis=1)
     slices = []
     for head in heads:
-        attn = attn_gaussian(x, head.w_s).data
+        attn = gaussian(x, head.w_s)
         slices.append(attn @ (xa @ head.w_v.data.T))
     manual = np.concatenate(slices + [np.ones((5, 1))], axis=1) @ w_o.T
     npt.assert_allclose(out, manual, atol=1e-12)
@@ -489,15 +512,6 @@ def test_all_variants_row_stochastic(variant):
         w = attention_weights(x, p, variant, alpha=100.0).data
         npt.assert_allclose(w.sum(axis=1), np.ones(L), atol=1e-12)
         assert np.all(w > 0)
-
-
-def test_export_attn_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(33)
-    w = softmax_rows(rng.normal(size=(4, 4)))
-    path = tmp_path / "attn.csv"
-    export_attn_csv(w, path)
-    back = np.loadtxt(path, delimiter=",")
-    npt.assert_array_equal(back, w)
 
 
 def test_attention_params_named_only_present_fields():

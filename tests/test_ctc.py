@@ -17,11 +17,9 @@ from longattn.ctc import (
     greedy_decode,
     min_frames_required,
     token_error_rate,
-    validate_lattice,
 )
 from longattn.errors import (
     ConfigError,
-    DimensionError,
     InfeasibleAlignmentError,
     SizeError,
     UndefinedRateError,
@@ -149,13 +147,6 @@ def test_labels_validated_against_blank():
         ctc_loss(lat, [0])
     with pytest.raises(ConfigError):
         ctc_loss(lat, [3])
-
-
-def test_validate_lattice():
-    rng = np.random.default_rng(6)
-    validate_lattice(random_lattice(rng, 4, 3))
-    with pytest.raises(DimensionError):
-        validate_lattice(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -149,12 +149,12 @@ def test_encoder_identity_at_initialization():
     full = encoder_forward(feats, params, cfg).data
 
     from longattn.attention import sinusoid_encoding
-    from longattn.numerics.tensor import add, append_ones, layer_norm_rows, matmul, transpose
+    from longattn.numerics.tensor import add, append_const_col, layer_norm_rows, matmul, transpose
 
     x = subsample(feats, cfg.subsample_factor, params.subsample_proj)
     x = add(x, const(sinusoid_encoding(x.data.shape[0], cfg.d_model)))
     x = layer_norm_rows(x, params.final_gain, params.final_bias)
-    direct = matmul(append_ones(x), transpose(params.w_out)).data
+    direct = matmul(append_const_col(x), transpose(params.w_out)).data
     npt.assert_allclose(full, direct, atol=1e-12)
 
 
@@ -285,6 +285,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def test_container_rejects_every_truncation_and_trailing_byte(tmp_path):
+    from longattn.container import read_container, write_container
+
+    path = tmp_path / "small.bin"
+    write_container(path, {"k": [1, "v"]}, [("a", np.arange(6.0).reshape(2, 3)),
+                                             ("b", np.array([[7]], dtype=np.int64))])
+    data = path.read_bytes()
+    meta, arrays = read_container(path)
+    assert meta == {"k": [1, "v"]} and sorted(arrays) == ["a", "b"]
+    bad = tmp_path / "bad.bin"
+    for blob in [data[:n] for n in range(len(data))] + [data + b"\0"]:
+        bad.write_bytes(blob)
+        with pytest.raises(ConfigError) as info:
+            read_container(bad)
+        assert "\n" not in str(info.value), len(blob)
 
 
 def test_parameter_count_positive():

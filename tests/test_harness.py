@@ -27,7 +27,6 @@ from longattn.harness import (
     overall_error,
     run_length_sweep,
     save_dataset,
-    sweep_mean,
     token_prototypes,
     train_model,
 )
@@ -208,15 +207,6 @@ def test_evaluate_buckets_partition_and_reproducible():
         assert sum(r.edit_distance for r in bucket_rows) == all_row.edit_distance
 
 
-def test_evaluate_parallel_matches_serial():
-    task = small_task()
-    model = trained_tiny(task, steps=60)
-    held = gen_dataset(heldout_task(task, seed=11, n_utterances=8))
-    serial = evaluate(model, {"e": held}, workers=1)
-    threaded = evaluate(model, {"e": held}, workers=4)
-    assert [r.__dict__ for r in serial.rows] == [r.__dict__ for r in threaded.rows]
-
-
 def test_evaluate_vocab_mismatch():
     task = small_task()
     model = trained_tiny(task, steps=10)
@@ -255,7 +245,8 @@ def test_run_length_sweep_shape_and_k1_consistency():
     direct = evaluate(model, {"sweep": concat_eval(held, 1, seed=0)})
     k1_row = next(r for r in result.rows if r.k == 1 and r.seed == "0")
     assert k1_row.token_error_rate == overall_error(direct, "sweep")
-    assert sweep_mean(result, "gaussian_frame_index", 3) >= 0.0
+    k3_mean = next(r for r in result.rows if r.k == 3 and r.seed == "mean")
+    assert k3_mean.token_error_rate >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +299,11 @@ def test_dump_heatmap_range_errors(tmp_path):
 
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
 def test_memory_measured_within_tolerance(variant):
+    # each registry count must state exactly what the pairwise stage allocates
     cfg = EncoderConfig()
-    for length in (16, 64):
+    for length in (1, 7, 64):
         fp = memory_footprint_estimate(variant, length, cfg)
-        assert abs(fp.measured - fp.analytic) <= 0.2 * fp.analytic, fp
+        assert fp.measured == fp.analytic, fp
 
 
 def test_memory_quadratic_law():
@@ -437,6 +429,22 @@ def test_cli_exit_code_config_error(tmp_path):
                    "--lengths", "1", "--seeds", "0",
                    "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+
+
+def test_cli_exit_code_corrupt_checkpoint_and_removed_key(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert cli_main(["train", "--out", str(ckpt), *CLI_SETS]) == 0
+    data = ckpt.read_bytes()
+    report = str(tmp_path / "r.csv")
+    for blob in (data[:len(data) // 2], data + b"x"):
+        ckpt.write_bytes(blob)
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    # the evaluation thread pool and its key are gone
+    assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS,
+                     "--set", "eval.workers=2"]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

@@ -1,4 +1,4 @@
-"""Substrate tests: linear algebra contracts, autodiff, optimizer."""
+"""Substrate tests: tape op contracts, autodiff, optimizer."""
 
 import numpy as np
 import numpy.testing as npt
@@ -20,14 +20,22 @@ from longattn.numerics import tensor as T
 GRAD_TOL = 1e-5
 
 
+def matmul(a, b) -> np.ndarray:
+    return T.matmul(const(a), const(b)).data
+
+
+def layer_norm(x, gain, bias) -> np.ndarray:
+    return T.layer_norm_rows(const(x), const(gain), const(bias)).data
+
+
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(2, 2))
-    npt.assert_array_equal(linalg.matmul(np.eye(2), m), m)
+    npt.assert_array_equal(matmul(np.eye(2), m), m)
 
 
 def test_matmul_hand_case():
-    out = linalg.matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
+    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
     npt.assert_array_equal(out, [[2.0], [4.0]])
 
 
@@ -40,12 +48,12 @@ def test_matmul_against_triple_loop():
         for j in range(3):
             for k in range(4):
                 ref[i, j] += a[i, k] * b[k, j]
-    npt.assert_allclose(linalg.matmul(a, b), ref, atol=1e-12)
+    npt.assert_allclose(matmul(a, b), ref, atol=1e-12)
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 def test_matmul_associativity():
@@ -54,8 +62,8 @@ def test_matmul_associativity():
         a = rng.normal(size=(4, 6))
         b = rng.normal(size=(6, 5))
         c = rng.normal(size=(5, 3))
-        left = linalg.matmul(linalg.matmul(a, b), c)
-        right = linalg.matmul(a, linalg.matmul(b, c))
+        left = matmul(matmul(a, b), c)
+        right = matmul(a, matmul(b, c))
         scale = np.abs(left).max()
         assert np.abs(left - right).max() <= 1e-9 * max(scale, 1.0)
 
@@ -95,26 +103,26 @@ def test_softmax_no_overflow_at_1e4_range():
 
 
 def test_layer_norm_constant_vector_is_zero():
-    out = linalg.layer_norm([[5.0] * 4], np.ones((1, 4)), np.zeros((1, 4)))
+    out = layer_norm([[5.0] * 4], np.ones((1, 4)), np.zeros((1, 4)))
     npt.assert_allclose(out, np.zeros((1, 4)), atol=1e-6)
 
 
 def test_layer_norm_fixed_point():
-    out = linalg.layer_norm([[1.0, -1.0]], np.ones((1, 2)), np.zeros((1, 2)))
+    out = layer_norm([[1.0, -1.0]], np.ones((1, 2)), np.zeros((1, 2)))
     npt.assert_allclose(out, [[1.0, -1.0]], atol=1e-9)
 
 
 def test_layer_norm_statistics():
     rng = np.random.default_rng(4)
     x = rng.normal(loc=3.0, scale=2.5, size=(1, 8))
-    out = linalg.layer_norm(x, np.ones((1, 8)), np.zeros((1, 8)))
+    out = layer_norm(x, np.ones((1, 8)), np.zeros((1, 8)))
     assert abs(out.mean()) <= 1e-10
     assert abs(out.var() - 1.0) <= 1e-6
 
 
 def test_layer_norm_length_mismatch():
     with pytest.raises(DimensionError):
-        linalg.layer_norm(np.zeros((1, 4)), np.ones((1, 3)), np.zeros((1, 4)))
+        layer_norm(np.zeros((1, 4)), np.ones((1, 3)), np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +179,17 @@ def test_primitive_op_gradients(seed):
     g = param(rng.normal(size=(1, 4)) * 0.3 + 1.0)
     bias = param(rng.normal(size=(1, 4)) * 0.3)
     s = param(rng.normal(size=(1, 1)))
-    col = param(rng.normal(size=(3, 1)))
     probe = const(rng.normal(size=(3, 4)))
     probe5 = const(rng.normal(size=(3, 5)))
+    ones = const(np.ones((3, 4)))
+    twos = const(np.full((2, 8), 2.0))
 
     cases = {
         "add": (lambda: T.sum_all(T.mul(probe, T.add(a, b))), [("a", a), ("b", b)]),
-        "sub": (lambda: T.sum_all(T.mul(probe, T.sub(a, b))), [("a", a), ("b", b)]),
         "mul": (lambda: T.sum_all(T.mul(probe, T.mul(a, b))), [("a", a), ("b", b)]),
-        "neg": (lambda: T.sum_all(T.mul(probe, T.neg(a))), [("a", a)]),
         "mul_scalar": (lambda: T.sum_all(T.mul(probe, T.mul_scalar(a, 1.7))), [("a", a)]),
-        "add_scalar": (lambda: T.sum_all(T.mul(probe, T.add_scalar(a, 0.3))), [("a", a)]),
         "pow_scalar": (
-            lambda: T.sum_all(T.pow_scalar(T.add_scalar(T.mul(a, a), 1.0), 1.5)),
+            lambda: T.sum_all(T.pow_scalar(T.add(T.mul(a, a), ones), 1.5)),
             [("a", a)],
         ),
         "exp": (lambda: T.sum_all(T.mul(probe, T.exp(a))), [("a", a)]),
@@ -197,21 +203,18 @@ def test_primitive_op_gradients(seed):
             lambda: T.sum_all(T.mul(probe, T.mul_scalar_tensor(a, s))),
             [("a", a), ("s", s)],
         ),
-        "row_sums": (lambda: T.sum_all(T.mul(col, T.row_sums(a))), [("a", a)]),
-        "col_sums": (lambda: T.sum_all(T.mul(g, T.col_sums(a))), [("a", a)]),
         "tile_rows": (lambda: T.sum_all(T.mul(probe, T.tile_rows(g, 3))), [("g", g)]),
-        "tile_cols": (lambda: T.sum_all(T.mul(probe5, T.tile_cols(col, 5))), [("col", col)]),
-        "append_ones": (
-            lambda: T.sum_all(T.mul(probe5, T.append_ones(a))),
+        "append_const_col": (
+            lambda: T.sum_all(T.mul(probe5, T.append_const_col(a))),
             [("a", a)],
         ),
-        "slice_cols": (lambda: T.sum_all(T.slice_cols(T.mul(a, a), 1, 3)), [("a", a)]),
         "concat_cols": (
             lambda: T.sum_all(T.matmul(T.concat_cols([a, b]), T.transpose(T.concat_cols([a, b])))),
             [("a", a), ("b", b)],
         ),
         "frame_stack": (
-            lambda: T.sum_all(T.mul_scalar(T.pow_scalar(T.add_scalar(T.frame_stack(a, 2), 2.0), 2.0), 0.5)),
+            lambda: T.sum_all(
+                T.mul_scalar(T.pow_scalar(T.add(T.frame_stack(a, 2), twos), 2.0), 0.5)),
             [("a", a)],
         ),
         "softmax_rows": (lambda: T.sum_all(T.mul(probe, T.softmax_rows(a))), [("a", a)]),
@@ -309,8 +312,8 @@ def test_optimizer_state_shapes_and_grads_untouched():
     backward(T.sum_all(T.mul(p, p)))
     g = p.grad.copy()
     opt.step()
-    assert opt.state.step_count == 1
-    assert opt.state.first[0].shape == p.data.shape
+    assert opt.step_count == 1
+    assert opt.first[0].shape == p.data.shape
     npt.assert_array_equal(p.grad, g)
 
 
