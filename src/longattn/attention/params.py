@@ -185,10 +185,11 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     AttentionVariant.RELATIVE_PE: replace(
         _STANDARD,
         pair=lambda qk, p: relative_pair_stage(*qk, p.w_k_r, p.u, p.v),
-        # four term matrices, three sums, scaled scores, attention, plus the
-        # offset tables (sinusoids, their key projection, position bias) and
-        # the content-bias column
-        pair_elements=lambda n, d_model, d_k: 9 * n * n + (2 * n - 1) * (d_model + d_k + 1) + n,
+        # content scores, all-offset position scores (L x 2L-1), their shift,
+        # the sum, scaled scores, attention; the offset tables (sinusoids and
+        # their key projection); q + u and q + v with their tiled biases
+        pair_elements=lambda n, d_model, d_k: (
+            5 * n * n + n * (2 * n - 1) + (2 * n - 1) * (d_model + d_k) + 4 * n * d_k),
         init_scores=lambda rng, score_in, d_model, d_k, alpha: {
             **_init_qk(rng, score_in, d_model, d_k, alpha),
             "w_k_r": param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model))),

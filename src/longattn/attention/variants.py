@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..errors import InternalError
+from ..errors import DimensionError, InternalError
 from ..numerics.linalg import as_matrix
 from ..numerics.tensor import (
     Tensor,
@@ -62,51 +62,28 @@ def pairwise_sqdist_scores(a: Tensor) -> Tensor:
     return make_op(scores, (a,), grad_fn)
 
 
-def _offset_index(length: int, table_rows: int) -> np.ndarray:
-    idx = np.arange(length)
-    offsets = idx[:, None] - idx[None, :] + length - 1
-    if table_rows != 2 * length - 1 or offsets.min() < 0 or offsets.max() >= table_rows:
-        raise InternalError(
-            f"relative-offset table has {table_rows} rows, needs {2 * length - 1} "
-            f"for length {length}"
-        )
-    return offsets
+def relative_shift(p: Tensor) -> Tensor:
+    """S[i, j] = P[i, i - j + L - 1] for an (L, 2L - 1) matrix of all offsets.
 
+    Row i of S is row i of P read backwards from column i + L - 1: a strided
+    skew view (Transformer-XL's relative shift) plus one copy.
+    """
+    length = p.data.shape[0]
+    if p.data.shape[1] != 2 * length - 1:
+        raise DimensionError(f"relative_shift: needs an (L, 2L-1) matrix, got {p.data.shape}")
 
-def offset_dot(q: Tensor, table: Tensor) -> Tensor:
-    """S[i, j] = q_i . table[i - j + L - 1] for an offset-indexed table."""
-    length = q.data.shape[0]
-    offsets = _offset_index(length, table.data.shape[0])
-    scores = np.empty((length, length))
-    for i in range(length):
-        scores[i] = table.data[offsets[i]] @ q.data[i]
+    def skew(full: np.ndarray) -> np.ndarray:
+        s0, s1 = full.strides
+        return np.lib.stride_tricks.as_strided(
+            full[:, length - 1:], shape=(length, length), strides=(s0 + s1, -s1))
 
     def grad_fn(u: np.ndarray) -> None:
-        dq = np.empty_like(q.data)
-        dtable = np.zeros_like(table.data)
-        for i in range(length):
-            rows = table.data[offsets[i]]
-            dq[i] = u[i] @ rows
-            # offsets within one row are distinct, so fancy += is safe
-            dtable[offsets[i]] += u[i][:, None] * q.data[i][None, :]
-        accumulate_grad(q, dq)
-        accumulate_grad(table, dtable)
+        # each (i, j) lands on a distinct entry of row i, so assignment is exact
+        dp = np.zeros((length, 2 * length - 1))
+        skew(dp)[...] = u
+        accumulate_grad(p, dp)
 
-    return make_op(scores, (q, table), grad_fn)
-
-
-def offset_gather(col: Tensor, length: int) -> Tensor:
-    """S[i, j] = col[i - j + L - 1] for an offset-indexed column vector."""
-    offsets = _offset_index(length, col.data.shape[0])
-    scores = col.data[offsets, 0]
-
-    def grad_fn(u: np.ndarray) -> None:
-        dcol = np.zeros_like(col.data)
-        for i in range(length):
-            dcol[offsets[i], 0] += u[i]
-        accumulate_grad(col, dcol)
-
-    return make_op(scores, (col,), grad_fn)
+    return make_op(skew(np.ascontiguousarray(p.data)).copy(), (p,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +168,19 @@ def attn_kernel_form(x, w_s) -> np.ndarray:
 def relative_terms(
     q: Tensor, kx: Tensor, w_k_r: Tensor, u: Tensor, v: Tensor, r_table: Tensor
 ) -> Tensor:
-    """Four-term pre-softmax scores: content, content-position, and two biases."""
+    """Pre-softmax scores (q_i + u).kx_j + (q_i + v).kr[i - j + L - 1], with kr the
+    key projection of ``r_table``: content, content-position and both bias
+    terms, grouped as in Transformer-XL."""
     length = q.data.shape[0]
+    if r_table.data.shape[0] != 2 * length - 1:
+        raise InternalError(
+            f"relative-offset table has {r_table.data.shape[0]} rows, needs "
+            f"{2 * length - 1} for length {length}"
+        )
     kr = matmul(r_table, transpose(w_k_r))
-    t_content = matmul(q, transpose(kx))
-    t_position = offset_dot(q, kr)
-    t_content_bias = tile_rows(transpose(matmul(kx, transpose(u))), length)
-    t_position_bias = offset_gather(matmul(kr, transpose(v)), length)
-    return add(add(t_content, t_position), add(t_content_bias, t_position_bias))
+    content = matmul(add(q, tile_rows(u, length)), transpose(kx))
+    position = matmul(add(q, tile_rows(v, length)), transpose(kr))
+    return add(content, relative_shift(position))
 
 
 def relative_pair_stage(

@@ -19,6 +19,7 @@ contract for checkpoints and datasets rests on.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from typing import Iterable
@@ -95,3 +96,21 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     if pos != len(raw):
         raise ConfigError(f"{path}: {len(raw) - pos} trailing byte(s) after the last array")
     return meta, arrays
+
+
+def metadata_section(path, meta: dict, key: str, cls):
+    """Build the dataclass ``cls`` from the JSON object ``meta[key]``.
+
+    A missing or non-object section, an unknown key, or a value the
+    dataclass rejects is a ConfigError.
+    """
+    section = meta.get(key)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: metadata {key!r} is not a JSON object")
+    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{path}: unknown {key} keys in metadata: {unknown}")
+    try:
+        return cls.from_dict(section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad {key} metadata: {exc}") from None

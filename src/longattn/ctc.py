@@ -167,16 +167,22 @@ def greedy_decode(lattice) -> list[int]:
 
 
 def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
-    """Levenshtein distance with unit substitution/deletion/insertion costs."""
-    m, n = len(hyp), len(ref)
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + (hyp[i - 1] != ref[j - 1])
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[n]
+    """Levenshtein distance with unit substitution/deletion/insertion costs.
+
+    Row DP vectorized over the longer sequence: substitution and deletion
+    are elementwise; the insertion chain cur[j] = min_k<=j (cur[k] + j - k)
+    is one running minimum of cur - j.
+    """
+    short, long_ = (hyp, ref) if len(hyp) <= len(ref) else (ref, hyp)
+    seq = np.asarray(long_, dtype=np.int64)
+    cols = np.arange(len(seq) + 1)
+    prev = cols
+    cur = np.empty_like(cols)
+    for i, token in enumerate(short, start=1):
+        cur[0] = i
+        np.minimum(prev[:-1] + (seq != token), prev[1:] + 1, out=cur[1:])
+        prev = np.minimum.accumulate(cur - cols) + cols
+    return int(prev[-1])
 
 
 def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:

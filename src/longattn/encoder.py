@@ -17,7 +17,7 @@ import numpy as np
 from .attention.encodings import DEFAULT_ALPHA, sinusoid_encoding
 from .attention.multihead import multi_head_attention
 from .attention.params import AttentionParams, AttentionVariant, init_attention_params
-from .container import read_container, write_container
+from .container import metadata_section, read_container, write_container
 from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
@@ -50,7 +50,7 @@ class EncoderConfig:
     use_abs_pe: bool | None = None  # None: variant default
 
     def __post_init__(self):
-        if isinstance(self.variant, str):
+        if not isinstance(self.variant, AttentionVariant):
             self.variant = AttentionVariant.parse(self.variant)
         self.validate()
 
@@ -256,7 +256,7 @@ def load_checkpoint(path) -> TrainedModel:
     meta, arrays = read_container(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    cfg = EncoderConfig.from_dict(meta["encoder"])
+    cfg = metadata_section(path, meta, "encoder", EncoderConfig)
     params = init_model(cfg, seed=0)
     named = dict(params.named())
     if set(named) != set(arrays):

@@ -11,6 +11,7 @@ import numpy as np
 from ..ctc import edit_distance, greedy_decode
 from ..encoder import TrainedModel, encoder_forward
 from ..errors import ConfigError
+from ..numerics.tensor import no_grad
 from .synth import Dataset, concat_eval
 
 log = logging.getLogger("longattn")
@@ -42,7 +43,7 @@ def decode_utterance(model: TrainedModel, features: np.ndarray,
     """Greedy-decode one utterance, splitting in half above the frame budget.
 
     Split points land on subsampling boundaries so the halves decode exactly
-    as their frames would; each split is logged.
+    as their frames would; each split is logged. The forward records no tape.
     """
     factor = model.config.subsample_factor
     t = features.shape[0]
@@ -53,7 +54,8 @@ def decode_utterance(model: TrainedModel, features: np.ndarray,
                  t, mid, max_frames)
         return (decode_utterance(model, features[:mid], max_frames)
                 + decode_utterance(model, features[mid:], max_frames))
-    logits = encoder_forward(features, model.params, model.config)
+    with no_grad():
+        logits = encoder_forward(features, model.params, model.config)
     return greedy_decode(logits.data)
 
 

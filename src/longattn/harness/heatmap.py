@@ -6,6 +6,7 @@ import numpy as np
 
 from ..encoder import TrainedModel, encoder_forward
 from ..errors import ConfigError
+from ..numerics.tensor import no_grad
 
 
 def write_pgm(path, matrix: np.ndarray) -> None:
@@ -38,7 +39,8 @@ def dump_heatmap(
     if not (0 <= head < cfg.n_heads):
         raise ConfigError(f"head {head} out of range [0, {cfg.n_heads})")
     capture: list[list[np.ndarray]] = []
-    encoder_forward(features, model.params, cfg, capture=capture)
+    with no_grad():
+        encoder_forward(features, model.params, cfg, capture=capture)
     attn = capture[layer][head]
     with open(f"{out_prefix}.csv", "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={config_hash} layer={layer} head={head}\n")

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..container import read_container, write_container
+from ..container import metadata_section, read_container, write_container
 from ..errors import ConfigError
 
 DATASET_FORMAT = "longattn-dataset-v1"
@@ -181,10 +181,15 @@ def load_dataset(path) -> Dataset:
     meta, arrays = read_container(path)
     if meta.get("format") != DATASET_FORMAT:
         raise ConfigError(f"{path}: not a {DATASET_FORMAT} file")
-    task = SyntheticTaskConfig.from_dict(meta["task"]) if meta.get("task") else None
+    task = (None if meta.get("task") is None
+            else metadata_section(path, meta, "task", SyntheticTaskConfig))
+    if "prototypes" not in arrays:
+        raise ConfigError(f"{path}: dataset has no prototypes array")
     utterances = []
     i = 0
     while f"u{i:05d}.features" in arrays:
+        if f"u{i:05d}.labels" not in arrays:
+            raise ConfigError(f"{path}: utterance {i} has features but no labels")
         labels = [int(t) for t in arrays[f"u{i:05d}.labels"][0]]
         utterances.append(Utterance(features=arrays[f"u{i:05d}.features"], labels=labels))
         i += 1

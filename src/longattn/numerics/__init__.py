@@ -3,7 +3,7 @@
 from . import linalg, tensor
 from .gradcheck import check_gradients, finite_diff_grad, max_relative_error
 from .optim import Adam
-from .tensor import AllocationMeter, Tensor, backward, const, count_allocations, param
+from .tensor import AllocationMeter, Tensor, backward, const, count_allocations, no_grad, param
 
 __all__ = [
     "Adam",
@@ -16,6 +16,7 @@ __all__ = [
     "finite_diff_grad",
     "linalg",
     "max_relative_error",
+    "no_grad",
     "param",
     "tensor",
 ]

@@ -7,8 +7,9 @@ exact analytic backward on a tape; ``backward(loss)`` accumulates (sums)
 gradients into every reachable tensor with ``requires_grad``.
 
 All functions are pure and reentrant on disjoint tensors. The only shared
-state is the optional allocation meter used by the memory-footprint tool,
-which is not thread-safe while active.
+state is two module flags, neither thread-safe while set: the optional
+allocation meter used by the memory-footprint tool, and the ``no_grad``
+switch, under which ops record nothing on the tape.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..errors import DimensionError, StateError
 from .linalg import softmax_rows as _softmax
 
 _meter: "AllocationMeter | None" = None
+_grad_enabled = True
 
 
 class AllocationMeter:
@@ -41,6 +43,19 @@ def count_allocations() -> Iterator[AllocationMeter]:
         yield meter
     finally:
         _meter = previous
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block: every result is a constant, so each
+    intermediate is freed as soon as nothing refers to it. Not thread-safe."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -105,9 +120,10 @@ def make_op(
     """Record one differentiable operation on the tape.
 
     ``grad_fn`` receives the upstream gradient and must accumulate into the
-    parents via ``accumulate_grad``. The graph is pruned below constants.
+    parents via ``accumulate_grad``. The graph is pruned below constants, and
+    nothing is recorded inside ``no_grad``.
     """
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents),
                       grad_fn=grad_fn, allocates=allocates)
     return Tensor(data, allocates=allocates)

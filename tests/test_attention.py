@@ -23,6 +23,7 @@ from longattn.attention.params import AttentionParams
 from longattn.attention.variants import (
     dot_product_pair_stage,
     qk_projections,
+    relative_shift,
     relative_terms,
     soft_mask_tensor,
 )
@@ -530,12 +531,20 @@ def test_soft_mask_sigma_positive_and_matches_init():
     assert p.sigma_mask > 0.0
 
 
-def test_offset_table_span_is_checked():
-    from longattn.attention.variants import offset_dot
-    from longattn.errors import InternalError
-    from longattn.numerics import const
+@pytest.mark.parametrize("length", [1, 2, 7, 64])
+def test_relative_shift_equals_explicit_gather(length):
+    rng = np.random.default_rng(53 + length)
+    offsets = rng.normal(size=(length, 2 * length - 1))
+    idx = np.arange(length)
+    expected = offsets[idx[:, None], idx[:, None] - idx[None, :] + length - 1]
+    npt.assert_array_equal(relative_shift(const(offsets)).data, expected)
 
-    q = const(np.zeros((4, 3)))
-    bad_table = const(np.zeros((5, 3)))  # needs 2*4-1 = 7 rows
+
+def test_offset_table_span_is_checked():
+    from longattn.errors import InternalError
+
+    p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 54)
+    q, kx = qk_projections(np.zeros((4, 4)), p.w_q, p.w_k_x)
+    bad_table = const(np.zeros((5, 4)))  # needs 2*4-1 = 7 rows
     with pytest.raises(InternalError):
-        offset_dot(q, bad_table)
+        relative_terms(q, kx, p.w_k_r, p.u, p.v, bad_table)

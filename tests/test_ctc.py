@@ -208,6 +208,33 @@ def oracle_edit_distance(a, b):
     return go(len(a), len(b))
 
 
+def row_dp_edit_distance(hyp, ref):
+    """The plain quadratic row DP, one cell at a time."""
+    m, n = len(hyp), len(ref)
+    prev = list(range(n + 1))
+    for i in range(1, m + 1):
+        cur = [i] + [0] * n
+        for j in range(1, n + 1):
+            sub = prev[j - 1] + (hyp[i - 1] != ref[j - 1])
+            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[n]
+
+
+def test_edit_distance_matches_row_dp_on_long_and_empty_pairs():
+    rng = np.random.default_rng(8)
+    sizes = [0, 1, 2, 5, 40, 151, 184, 230]
+    for trial in range(120):
+        vocab = int(rng.integers(2, 12))
+        hyp = [int(t) for t in rng.integers(1, vocab, size=sizes[trial % len(sizes)])]
+        ref = [int(t) for t in rng.integers(1, vocab, size=rng.choice(sizes))]
+        expected = row_dp_edit_distance(hyp, ref)
+        assert edit_distance(hyp, ref) == expected
+        assert edit_distance(ref, hyp) == expected
+    assert edit_distance([], []) == 0
+    assert edit_distance([3] * 160, []) == 160
+
+
 def test_edit_distance_matches_recursive_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -1,6 +1,7 @@
 """Encoder: subsampling, block structure, shape laws, gradients, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +20,7 @@ from longattn.encoder import (
     subsample,
 )
 from longattn.errors import ConfigError, ShortInputError
-from longattn.numerics import check_gradients, const, param
+from longattn.numerics import check_gradients, const, no_grad, param
 from longattn.numerics import tensor as T
 
 TINY = dict(feat_dim=3, d_model=8, n_layers=2, n_heads=2, d_k=4, d_ff=16,
@@ -229,6 +230,41 @@ def test_capture_collects_attention_per_block_and_head():
         for attn in layer:
             assert attn.shape == (3, 3)
             npt.assert_allclose(attn.sum(axis=1), np.ones(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_no_grad_forward_is_bit_identical(variant):
+    cfg = tiny_cfg(variant)
+    params = init_model(cfg, seed=15, zero_residual=False)
+    feats = np.random.default_rng(16).normal(size=(37, cfg.feat_dim))
+    taped = encoder_forward(feats, params, cfg)
+    with no_grad():
+        free = encoder_forward(feats, params, cfg)
+    assert taped.requires_grad and not free.requires_grad
+    assert free._parents == ()
+    npt.assert_array_equal(free.data, taped.data)
+
+
+def forward_peak_bytes(cfg, feats) -> int:
+    params = init_model(cfg, seed=17, zero_residual=False)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            encoder_forward(feats, params, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", [AttentionVariant.GAUSSIAN_FRAME_INDEX,
+                                     AttentionVariant.RELATIVE_PE], ids=lambda v: v.value)
+def test_no_grad_forward_memory_does_not_grow_with_depth(variant):
+    # a k=16 concatenation is about 1864 frames; without a tape each block's
+    # intermediates die before the next block runs
+    feats = np.random.default_rng(18).normal(size=(1864, 8))
+    shallow = forward_peak_bytes(EncoderConfig(variant=variant, n_layers=1), feats)
+    deep = forward_peak_bytes(EncoderConfig(variant=variant, n_layers=4), feats)
+    assert deep <= 1.2 * shallow, (deep, shallow)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,36 @@ def test_cli_exit_code_corrupt_checkpoint_and_removed_key(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
+    from longattn.container import write_container
+
+    bad = tmp_path / "bad.bin"
+    report = str(tmp_path / "r.csv")
+    checkpoints = [
+        {"format": "longattn-checkpoint-v1"},
+        {"format": "longattn-checkpoint-v1", "encoder": [64]},
+        {"format": "longattn-checkpoint-v1", "encoder": {"d_model": 16, "n_blocks": 2}},
+    ]
+    for meta in checkpoints:
+        write_container(bad, meta, [])
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", str(bad), "--out", report, *CLI_SETS]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    datasets = [
+        ({"format": "longattn-dataset-v1", "task": "default"}, [("prototypes", np.eye(2))]),
+        ({"format": "longattn-dataset-v1", "task": {"speakers": 3}}, [("prototypes", np.eye(2))]),
+        ({"format": "longattn-dataset-v1", "task": None}, []),
+        ({"format": "longattn-dataset-v1", "task": None},
+         [("prototypes", np.eye(2)), ("u00000.features", np.zeros((3, 8)))]),
+    ]
+    for meta, arrays in datasets:
+        write_container(bad, meta, arrays)
+        capsys.readouterr()
+        assert cli_main(["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"),
+                         *CLI_SETS]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_cli_exit_code_runtime_error(tmp_path):
     # overflow-inducing learning rate diverges -> runtime error contract
     with np.errstate(all="ignore"):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from longattn.attention.variants import relative_shift
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
     Adam,
@@ -13,6 +14,7 @@ from longattn.numerics import (
     finite_diff_grad,
     linalg,
     max_relative_error,
+    no_grad,
     param,
 )
 from longattn.numerics import tensor as T
@@ -155,6 +157,27 @@ def test_backward_requires_scalar():
         backward(T.add(x, x))
 
 
+def test_no_grad_result_is_a_constant():
+    w = param(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    x = const(np.array([[1.0], [-1.0]]))
+    with no_grad():
+        loss = T.sum_all(T.matmul(w, x))
+    assert not loss.requires_grad and loss._parents == () and loss._grad_fn is None
+    assert loss.item() == -2.0
+    with pytest.raises(StateError):
+        backward(loss)
+    # outside the block the tape records again
+    assert T.sum_all(T.matmul(w, x)).requires_grad
+
+
+def test_no_grad_restores_the_flag_when_the_block_raises():
+    w = param(np.ones((2, 2)))
+    with pytest.raises(DimensionError):
+        with no_grad():
+            T.add(w, const(np.ones((3, 3))))
+    assert T.add(w, w).requires_grad
+
+
 def test_grad_accumulates_across_backward_calls():
     x = param([[1.0, 2.0]])
     for _ in range(2):
@@ -183,6 +206,8 @@ def test_primitive_op_gradients(seed):
     probe5 = const(rng.normal(size=(3, 5)))
     ones = const(np.ones((3, 4)))
     twos = const(np.full((2, 8), 2.0))
+    offsets = param(rng.normal(size=(3, 5)))  # all 2L-1 offsets for L = 3
+    probe3 = const(rng.normal(size=(3, 3)))
 
     cases = {
         "add": (lambda: T.sum_all(T.mul(probe, T.add(a, b))), [("a", a), ("b", b)]),
@@ -225,6 +250,10 @@ def test_primitive_op_gradients(seed):
         "layer_norm_rows": (
             lambda: T.sum_all(T.mul(probe, T.layer_norm_rows(a, g, bias))),
             [("a", a), ("g", g), ("bias", bias)],
+        ),
+        "relative_shift": (
+            lambda: T.sum_all(T.mul(probe3, relative_shift(offsets))),
+            [("offsets", offsets)],
         ),
     }
     for name, (f, params) in cases.items():
