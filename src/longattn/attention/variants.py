@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ..errors import DimensionError, InternalError
-from ..numerics.linalg import as_matrix
+from ..numerics.linalg import as_matrix, row_chunks
 from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
@@ -49,10 +49,19 @@ def _as_tensor(x) -> Tensor:
 
 
 def pairwise_sqdist_scores(a: Tensor) -> Tensor:
-    """S[i, j] = -||a_i - a_j||^2 / 2 for the rows of ``a``."""
+    """S[i, j] = -||a_i - a_j||^2 / 2 for the rows of ``a``.
+
+    The Gram product is the score buffer; -(g_i + g_j) / 2 is added into it
+    one row chunk at a time, element for element the sum of the whole-matrix
+    expression ``-0.5 * (g[:, None] + g[None, :]) + gram``.
+    """
     g = np.einsum("ij,ij->i", a.data, a.data)
-    gram = a.data @ a.data.T
-    scores = -0.5 * (g[:, None] + g[None, :]) + gram
+    scores = a.data @ a.data.T
+    for rows in row_chunks(*scores.shape):
+        block = scores[rows]
+        norms = np.add(g[rows, None], g)
+        norms *= -0.5
+        block += norms
 
     def grad_fn(u: np.ndarray) -> None:
         r = u.sum(axis=1)

@@ -71,6 +71,10 @@ def cmd_train(args) -> int:
         dataset = load_dataset(args.data)
         if dataset.task is not None and dataset.task.to_dict() != cfg.task.to_dict():
             raise ConfigError(f"dataset {args.data} was generated from a different task config")
+        width = dataset.prototypes.shape[1]
+        if width != cfg.model.feat_dim:
+            raise ConfigError(f"dataset {args.data} has {width}-wide features, "
+                              f"but model.feat_dim is {cfg.model.feat_dim}")
     result = train_model(cfg.model, cfg.task, cfg.train.steps, cfg.train.lr,
                          cfg.train.seed, dataset=dataset)
     result.model.meta["config_hash"] = digest

@@ -185,15 +185,22 @@ def load_dataset(path) -> Dataset:
             else metadata_section(path, meta, "task", SyntheticTaskConfig))
     if "prototypes" not in arrays:
         raise ConfigError(f"{path}: dataset has no prototypes array")
+    prototypes = arrays["prototypes"]
     utterances = []
     i = 0
     while f"u{i:05d}.features" in arrays:
         if f"u{i:05d}.labels" not in arrays:
             raise ConfigError(f"{path}: utterance {i} has features but no labels")
-        labels = [int(t) for t in arrays[f"u{i:05d}.labels"][0]]
-        utterances.append(Utterance(features=arrays[f"u{i:05d}.features"], labels=labels))
+        features, labels = arrays[f"u{i:05d}.features"], arrays[f"u{i:05d}.labels"]
+        if features.shape[1:] != prototypes.shape[1:]:
+            raise ConfigError(f"{path}: utterance {i} features have shape {features.shape}, "
+                              f"but the prototypes are {prototypes.shape[1]} wide")
+        if labels.shape[0] != 1:
+            raise ConfigError(f"{path}: utterance {i} labels must be one row, "
+                              f"got shape {labels.shape}")
+        utterances.append(Utterance(features=features, labels=[int(t) for t in labels[0]]))
         i += 1
-    return Dataset(utterances=utterances, prototypes=arrays["prototypes"], task=task)
+    return Dataset(utterances=utterances, prototypes=prototypes, task=task)
 
 
 def heldout_task(cfg: SyntheticTaskConfig, seed: int, n_utterances: int) -> SyntheticTaskConfig:

@@ -477,6 +477,37 @@ def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def _train_on(tmp_path, arrays) -> int:
+    from longattn.container import write_container
+
+    data = tmp_path / "data.bin"
+    write_container(data, {"format": "longattn-dataset-v1", "task": None}, arrays)
+    return cli_main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"), *CLI_SETS])
+
+
+def test_cli_exit_code_labels_without_rows(tmp_path, capsys):
+    arrays = [("prototypes", np.eye(11, 8)), ("u00000.features", np.zeros((30, 8))),
+              ("u00000.labels", np.zeros((0, 1), dtype=np.int64))]
+    assert _train_on(tmp_path, arrays) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "labels must be one row" in err[0]
+
+
+def test_cli_exit_code_feature_width_differs_from_model(tmp_path, capsys):
+    labels = np.array([[1, 2, 3]], dtype=np.int64)
+    narrow = [("prototypes", np.eye(11, 3)), ("u00000.features", np.zeros((30, 3))),
+              ("u00000.labels", labels)]
+    assert _train_on(tmp_path, narrow) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "3-wide" in err[0] and "feat_dim is 8" in err[0]
+    # features narrower than the dataset's own prototypes fail at load time
+    mixed = [("prototypes", np.eye(11, 8)), ("u00000.features", np.zeros((30, 3))),
+             ("u00000.labels", labels)]
+    assert _train_on(tmp_path, mixed) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "prototypes are 8 wide" in err[0]
+
+
 def test_cli_exit_code_runtime_error(tmp_path):
     # overflow-inducing learning rate diverges -> runtime error contract
     with np.errstate(all="ignore"):

@@ -1,10 +1,12 @@
 """Substrate tests: tape op contracts, autodiff, optimizer."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from longattn.attention.variants import relative_shift
+from longattn.attention.variants import pairwise_sqdist_scores, relative_shift
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
     Adam,
@@ -102,6 +104,93 @@ def test_softmax_no_overflow_at_1e4_range():
     p = linalg.softmax_rows([[1e4, -1e4, 0.0]])
     assert np.all(np.isfinite(p))
     npt.assert_allclose(p.sum(), 1.0, atol=1e-12)
+
+
+def plain_softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Whole-matrix softmax: the oracle for the chunked ``linalg.softmax_rows``."""
+    shifted = m - m.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def hard_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
+    """Rows mixing ordinary scores with shifted values where exp underflows to
+    +0.0 (below -746), where it is subnormal ([-745.2, -708.4]) and -inf; every
+    fifth row is constant."""
+    m = rng.normal(size=(n_rows, n_cols))
+    band = rng.integers(0, 5, size=m.shape)
+    m[band == 1] = rng.uniform(-3000.0, -746.0, size=(band == 1).sum())
+    m[band == 2] = rng.uniform(-745.2, -708.4, size=(band == 2).sum())
+    m[band == 3] = -np.inf
+    m[:, 0] = 0.0  # the row maximum, so the planted values are already shifted
+    m[::5] = 1.5
+    return m + rng.integers(-40, 40, size=(n_rows, 1))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (1, 1), (31, 31), (1000, 200), (3, 2**16 + 5)])
+def test_softmax_rows_is_bit_identical_to_the_whole_matrix_oracle(shape):
+    # (1000, 200) spans 327-row chunks with a ragged last one; 2**16 + 5
+    # columns make every chunk a single row
+    rng = np.random.default_rng(shape[0])
+    for m in (rng.normal(scale=5.0, size=shape), hard_rows(rng, *shape)):
+        before = m.copy()
+        got = linalg.softmax_rows(m)
+        npt.assert_array_equal(got.view(np.int64), plain_softmax_rows(m).view(np.int64))
+        npt.assert_array_equal(m, before)  # the input is not modified
+
+
+def test_row_chunks_cover_every_row_once():
+    for shape in [(1, 1), (31, 31), (1000, 200), (3, 2**16 + 5)]:
+        rows = np.concatenate([np.arange(shape[0])[c] for c in linalg.row_chunks(*shape)])
+        npt.assert_array_equal(rows, np.arange(shape[0]))
+    # the shapes the oracle test relies on: three 327-row chunks and a 19-row
+    # tail, and one row per chunk
+    assert len(linalg.row_chunks(1000, 200)) == 4
+    assert len(linalg.row_chunks(3, 2**16 + 5)) == 3
+
+
+def test_softmax_rows_hard_rows_hit_every_band():
+    m = hard_rows(np.random.default_rng(0), 40, 300)
+    shifted = m - m.max(axis=1, keepdims=True)
+    assert (shifted < linalg.EXP_UNDERFLOW).any() and np.isneginf(shifted).any()
+    assert ((shifted >= -745.2) & (shifted <= -708.4)).any()
+    assert (np.ptp(m, axis=1) == 0).any()
+    p = linalg.softmax_rows(m)
+    assert (p[shifted < linalg.EXP_UNDERFLOW] == 0.0).all() and not np.signbit(p).any()
+    assert ((p > 0) & (p < np.finfo(np.float64).tiny)).any()  # subnormal results kept
+
+
+@pytest.mark.parametrize("length", [1, 7, 300, 2100])
+def test_pairwise_sqdist_scores_is_bit_identical_to_the_whole_matrix_sum(length):
+    a = np.random.default_rng(length).normal(scale=3.0, size=(length, 16))
+    g = np.einsum("ij,ij->i", a, a)
+    expected = -0.5 * (g[:, None] + g[None, :]) + a @ a.T
+    got = pairwise_sqdist_scores(const(a)).data
+    npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def traced_peak(fn) -> tuple[int, np.ndarray]:
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_softmax_rows_peak_memory_is_the_output_plus_chunks():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(2048, 2048))
+    m[1024:] *= 400.0  # the lower half underflows, so both chunk paths run
+    peak, out = traced_peak(lambda: linalg.softmax_rows(m))
+    assert peak <= out.nbytes + 4 * linalg.CHUNK_ELEMENTS * 8
+
+
+def test_pairwise_sqdist_scores_peak_memory_is_the_output_plus_chunks():
+    a = const(np.random.default_rng(6).normal(size=(2048, 16)))
+    with no_grad():
+        peak, out = traced_peak(lambda: pairwise_sqdist_scores(a).data)
+    assert peak <= out.nbytes + 4 * linalg.CHUNK_ELEMENTS * 8
 
 
 def test_layer_norm_constant_vector_is_zero():
