@@ -6,6 +6,8 @@ reuse the same formulas through autodiff ops.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -13,16 +15,24 @@ from ..errors import ConfigError
 DEFAULT_ALPHA = 100.0
 
 
+# A forward asks for the same table in every layer and head, so a few cached
+# (length, dim) entries serve it; cached tables are returned read-only.
+@lru_cache(maxsize=4)
 def sinusoid_encoding(length: int, dim: int) -> np.ndarray:
     """Absolute sinusoid encoding: row i holds sin/cos of i at geometric frequencies.
 
     Column 2k is sin(i / 10000^(2k/dim)), column 2k+1 the matching cos.
+    The array is shared between calls, so it is read-only.
     """
     return _sinusoid_at(np.arange(length, dtype=np.float64), dim)
 
 
+@lru_cache(maxsize=4)
 def signed_sinusoid_table(length: int, dim: int) -> np.ndarray:
-    """Sinusoid rows for every signed offset -(L-1)..(L-1); row index = offset + L - 1."""
+    """Sinusoid rows for every signed offset -(L-1)..(L-1); row index = offset + L - 1.
+
+    The array is shared between calls, so it is read-only.
+    """
     return _sinusoid_at(np.arange(-(length - 1), length, dtype=np.float64), dim)
 
 
@@ -35,13 +45,14 @@ def _sinusoid_at(positions: np.ndarray, dim: int) -> np.ndarray:
     out = np.empty((positions.shape[0], dim))
     out[:, 0::2] = np.sin(args)
     out[:, 1::2] = np.cos(args)
+    out.flags.writeable = False
     return out
 
 
-def squared_offset_matrix(length: int) -> np.ndarray:
-    """(i - j)^2 for all frame pairs."""
+def squared_offset_matrix(length: int, rows: slice = slice(None)) -> np.ndarray:
+    """(i - j)^2 for query frames i in ``rows`` and all key frames j."""
     idx = np.arange(length, dtype=np.float64)
-    diff = idx[:, None] - idx[None, :]
+    diff = idx[rows, None] - idx[None, :]
     return diff * diff
 
 
@@ -54,6 +65,6 @@ def soft_mask_matrix(length: int, sigma: float) -> np.ndarray:
 
 def frame_index_column(length: int, start_index: int, alpha: float) -> np.ndarray:
     """Scaled frame indices (start_index + i) / alpha as an Lx1 column."""
-    if alpha <= 0:
-        raise ConfigError(f"frame-index scale alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:  # NaN fails too
+        raise ConfigError(f"frame-index scale alpha must be positive and finite, got {alpha}")
     return ((np.arange(length, dtype=np.float64) + start_index) / alpha).reshape(-1, 1)

@@ -21,6 +21,7 @@ from .variants import (
     gaussian_projection,
     qk_projections,
     relative_pair_stage,
+    relative_projections,
     shared_projection,
     soft_mask_tensor,
 )
@@ -102,12 +103,13 @@ class AttentionParams:
 @dataclass(frozen=True)
 class VariantSpec:
     """Everything one attention variant means: ``project`` is the per-frame stage,
-    ``pair`` the pairwise stage ending in ``softmax_rows``, ``pair_elements(length,
-    d_model, d_k)`` the closed-form element count of one head's pairwise stage, and
+    ``pair(projected, params, rows)`` the pairwise stage of the query rows ``rows``,
+    ending in ``softmax_rows``, ``pair_elements(length, d_model, d_k)`` the
+    closed-form element count of one head's pairwise stage over all rows, and
     ``init_scores(rng, score_in, d_model, d_k, alpha)`` draws the score weights."""
 
     project: Callable[[Tensor, AttentionParams], Any]
-    pair: Callable[[Any, AttentionParams], Tensor]
+    pair: Callable[[Any, AttentionParams, slice], Tensor]
     pair_elements: Callable[[int, int, int], int]
     init_scores: Callable[..., dict[str, Tensor]]
     frame_indexed: bool = False
@@ -147,14 +149,14 @@ def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> dict[str, 
 
 _STANDARD = VariantSpec(
     project=lambda x, p: qk_projections(x, p.w_q, p.w_k_x),
-    pair=lambda qk, p: dot_product_pair_stage(*qk),
+    pair=lambda qk, p, rows: dot_product_pair_stage(*qk, rows=rows),
     pair_elements=lambda n, d_model, d_k: 3 * n * n,  # raw, scaled scores; attention
     init_scores=_init_qk,
     default_abs_pe=True,
 )
 _GAUSSIAN = VariantSpec(
     project=lambda x, p: gaussian_projection(x, p.w_s),
-    pair=lambda a, p: gaussian_pair_stage(a),
+    pair=lambda a, p, rows: gaussian_pair_stage(a, rows),
     pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
     init_scores=_init_gaussian,
     shares_qk=True,
@@ -165,8 +167,8 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     AttentionVariant.STANDARD_FRAME_INDEX: replace(_STANDARD, frame_indexed=True),
     AttentionVariant.SOFT_MASK: replace(
         _STANDARD,
-        pair=lambda qk, p: dot_product_pair_stage(
-            *qk, mask=soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask)),
+        pair=lambda qk, p, rows: dot_product_pair_stage(
+            *qk, mask=soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask, rows), rows=rows),
         # standard plus offset template, mask, masked scores, and 2 width scalars
         pair_elements=lambda n, d_model, d_k: 6 * n * n + 2,
         init_scores=lambda *dims: {
@@ -175,7 +177,7 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     AttentionVariant.SHARED_QK: replace(
         _STANDARD,
         project=lambda x, p: shared_projection(x, p.w_s),
-        pair=lambda q, p: dot_product_pair_stage(q, q),
+        pair=lambda q, p, rows: dot_product_pair_stage(q, q, rows=rows),
         init_scores=_init_shared,
         shares_qk=True,
     ),
@@ -184,12 +186,12 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         _GAUSSIAN, init_scores=_init_gaussian_frame_index, frame_indexed=True),
     AttentionVariant.RELATIVE_PE: replace(
         _STANDARD,
-        pair=lambda qk, p: relative_pair_stage(*qk, p.w_k_r, p.u, p.v),
+        # the offset table's key projection is per-frame work, done once per head
+        project=lambda x, p: relative_projections(x, p.w_q, p.w_k_x, p.w_k_r),
+        pair=lambda qkr, p, rows: relative_pair_stage(*qkr, p.u, p.v, rows),
         # content scores, all-offset position scores (L x 2L-1), their shift,
-        # the sum, scaled scores, attention; the offset tables (sinusoids and
-        # their key projection); q + u and q + v with their tiled biases
-        pair_elements=lambda n, d_model, d_k: (
-            5 * n * n + n * (2 * n - 1) + (2 * n - 1) * (d_model + d_k) + 4 * n * d_k),
+        # the sum, scaled scores, attention; q + u and q + v with their tiled biases
+        pair_elements=lambda n, d_model, d_k: 5 * n * n + n * (2 * n - 1) + 4 * n * d_k,
         init_scores=lambda rng, score_in, d_model, d_k, alpha: {
             **_init_qk(rng, score_in, d_model, d_k, alpha),
             "w_k_r": param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model))),

@@ -2,8 +2,10 @@
 
 Each variant is split into a projection stage (per-frame linear maps) and a
 pairwise stage (everything whose footprint grows with the squared sequence
-length); the memory-footprint tool measures the pairwise stage. All paths
-end in a row softmax, so every returned matrix is row-stochastic.
+length); the memory-footprint tool measures the pairwise stage. A pairwise
+stage scores the query frames in ``rows`` against every key, so a caller can
+work through the queries one block at a time; the default is all of them.
+All paths end in a row softmax, so every returned matrix is row-stochastic.
 ``params.VARIANTS`` wires each variant to its two stages.
 
 ``attn_kernel_form`` is the plain-array oracle for the algebraic identity
@@ -32,6 +34,7 @@ from ..numerics.tensor import (
     mul_scalar,
     mul_scalar_tensor,
     pow_scalar,
+    slice_rows,
     softmax_rows,
     tile_rows,
     transpose,
@@ -48,47 +51,59 @@ def _as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_sqdist_scores(a: Tensor) -> Tensor:
-    """S[i, j] = -||a_i - a_j||^2 / 2 for the rows of ``a``.
+def pairwise_sqdist_scores(a: Tensor, rows: slice = slice(None)) -> Tensor:
+    """S[i, j] = -||a_i - a_j||^2 / 2 for the rows i in ``rows`` and all rows j of ``a``.
 
-    The Gram product is the score buffer; -(g_i + g_j) / 2 is added into it
-    one row chunk at a time, element for element the sum of the whole-matrix
-    expression ``-0.5 * (g[:, None] + g[None, :]) + gram``.
+    The Gram product ``a[rows] @ a.T`` is the score buffer; -(g_i + g_j) / 2 is
+    added into it one row chunk at a time, element for element the sum of the
+    whole-matrix expression ``-0.5 * (g[rows, None] + g[None, :]) + gram``.
     """
+    n = a.data.shape[0]
+    every_row = rows.indices(n) == (0, n, 1)
+    a_rows = a.data if every_row else a.data[rows]
     g = np.einsum("ij,ij->i", a.data, a.data)
-    scores = a.data @ a.data.T
-    for rows in row_chunks(*scores.shape):
-        block = scores[rows]
-        norms = np.add(g[rows, None], g)
+    g_rows = g[rows]
+    scores = a_rows @ a.data.T
+    for chunk in row_chunks(*scores.shape):
+        block = scores[chunk]
+        norms = np.add(g_rows[chunk, None], g)
         norms *= -0.5
         block += norms
 
     def grad_fn(u: np.ndarray) -> None:
         r = u.sum(axis=1)
         c = u.sum(axis=0)
-        accumulate_grad(a, u @ a.data + u.T @ a.data - (r + c)[:, None] * a.data)
+        if every_row:
+            accumulate_grad(a, u @ a.data + u.T @ a.data - (r + c)[:, None] * a.data)
+            return
+        da = u.T @ a_rows - c[:, None] * a.data
+        da[rows] += u @ a.data - r[:, None] * a_rows
+        accumulate_grad(a, da)
 
     return make_op(scores, (a,), grad_fn)
 
 
 def relative_shift(p: Tensor) -> Tensor:
-    """S[i, j] = P[i, i - j + L - 1] for an (L, 2L - 1) matrix of all offsets.
+    """S[i, j] = P[i, i - j + L - 1] for a (c, L + c - 1) block of offset scores.
 
-    Row i of S is row i of P read backwards from column i + L - 1: a strided
-    skew view (Transformer-XL's relative shift) plus one copy.
+    Column m of P holds offset m - (L - 1) relative to the block's first query,
+    so row i of S is row i of P read backwards from column i + L - 1: a strided
+    skew view (Transformer-XL's relative shift) plus one copy. A whole matrix
+    is the block c = L, with all 2L - 1 offsets.
     """
-    length = p.data.shape[0]
-    if p.data.shape[1] != 2 * length - 1:
-        raise DimensionError(f"relative_shift: needs an (L, 2L-1) matrix, got {p.data.shape}")
+    n_rows, n_cols = p.data.shape
+    length = n_cols - n_rows + 1
+    if n_rows < 1 or length < 1:
+        raise DimensionError(f"relative_shift: needs a (c, L+c-1) matrix, got {p.data.shape}")
 
     def skew(full: np.ndarray) -> np.ndarray:
         s0, s1 = full.strides
         return np.lib.stride_tricks.as_strided(
-            full[:, length - 1:], shape=(length, length), strides=(s0 + s1, -s1))
+            full[:, length - 1:], shape=(n_rows, length), strides=(s0 + s1, -s1))
 
     def grad_fn(u: np.ndarray) -> None:
         # each (i, j) lands on a distinct entry of row i, so assignment is exact
-        dp = np.zeros((length, 2 * length - 1))
+        dp = np.zeros((n_rows, n_cols))
         skew(dp)[...] = u
         accumulate_grad(p, dp)
 
@@ -105,17 +120,21 @@ def qk_projections(x, w_q, w_k) -> tuple[Tensor, Tensor]:
     return matmul(xa, transpose(w_q)), matmul(xa, transpose(w_k))
 
 
-def dot_product_pair_stage(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tensor:
+def dot_product_pair_stage(
+    q: Tensor, k: Tensor, mask: Tensor | None = None, rows: slice = slice(None)
+) -> Tensor:
+    """Attention of the queries in ``rows`` over all keys; ``mask`` covers the same rows."""
     d_k = q.data.shape[1]
-    scores = mul_scalar(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = mul_scalar(matmul(slice_rows(q, rows), transpose(k)), 1.0 / math.sqrt(d_k))
     if mask is not None:
         scores = add(scores, mask)
     return softmax_rows(scores)
 
 
-def soft_mask_tensor(length: int, log_sigma: Tensor) -> Tensor:
-    """Trainable-width Gaussian window as an additive pre-softmax penalty."""
-    base = const(-0.5 * squared_offset_matrix(length))
+def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
+    """Trainable-width Gaussian window as an additive pre-softmax penalty, for
+    the query frames in ``rows``."""
+    base = const(-0.5 * squared_offset_matrix(length, rows))
     inv_sigma_sq = pow_scalar(exp(log_sigma), -2.0)
     return mul_scalar_tensor(base, inv_sigma_sq)
 
@@ -134,9 +153,9 @@ def gaussian_projection(x, w_s: Tensor) -> Tensor:
     return mul_scalar(shared_projection(x, w_s), d_k**-0.25)
 
 
-def gaussian_pair_stage(a: Tensor) -> Tensor:
+def gaussian_pair_stage(a: Tensor, rows: slice = slice(None)) -> Tensor:
     """Row-normalized Gaussian kernel; it sees only row differences, so it is shift-invariant."""
-    return softmax_rows(pairwise_sqdist_scores(a))
+    return softmax_rows(pairwise_sqdist_scores(a, rows))
 
 
 def sigma_inverse(w_s) -> np.ndarray:
@@ -174,28 +193,37 @@ def attn_kernel_form(x, w_s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def relative_projections(x, w_q, w_k_x, w_k_r) -> tuple[Tensor, Tensor, Tensor]:
+    """Queries, content keys, and ``kr``: the key projection of the signed
+    sinusoid table, one row per offset -(L-1)..(L-1)."""
+    q, kx = qk_projections(x, w_q, w_k_x)
+    r_table = const(signed_sinusoid_table(q.data.shape[0], w_k_r.data.shape[1]))
+    return q, kx, matmul(r_table, transpose(w_k_r))
+
+
 def relative_terms(
-    q: Tensor, kx: Tensor, w_k_r: Tensor, u: Tensor, v: Tensor, r_table: Tensor
+    q: Tensor, kx: Tensor, kr: Tensor, u: Tensor, v: Tensor, rows: slice = slice(None)
 ) -> Tensor:
-    """Pre-softmax scores (q_i + u).kx_j + (q_i + v).kr[i - j + L - 1], with kr the
-    key projection of ``r_table``: content, content-position and both bias
-    terms, grouped as in Transformer-XL."""
+    """Pre-softmax scores (q_i + u).kx_j + (q_i + v).kr[i - j + L - 1] for the
+    queries i in ``rows``: content, content-position and both bias terms,
+    grouped as in Transformer-XL. A block of c queries reads c + L - 1 offsets."""
     length = q.data.shape[0]
-    if r_table.data.shape[0] != 2 * length - 1:
+    if kr.data.shape[0] != 2 * length - 1:
         raise InternalError(
-            f"relative-offset table has {r_table.data.shape[0]} rows, needs "
+            f"relative-offset table has {kr.data.shape[0]} rows, needs "
             f"{2 * length - 1} for length {length}"
         )
-    kr = matmul(r_table, transpose(w_k_r))
-    content = matmul(add(q, tile_rows(u, length)), transpose(kx))
-    position = matmul(add(q, tile_rows(v, length)), transpose(kr))
+    start, stop, _ = rows.indices(length)
+    q_rows = slice_rows(q, rows)
+    content = matmul(add(q_rows, tile_rows(u, stop - start)), transpose(kx))
+    offsets = slice_rows(kr, slice(start, stop + length - 1))
+    position = matmul(add(q_rows, tile_rows(v, stop - start)), transpose(offsets))
     return add(content, relative_shift(position))
 
 
 def relative_pair_stage(
-    q: Tensor, kx: Tensor, w_k_r: Tensor, u: Tensor, v: Tensor
+    q: Tensor, kx: Tensor, kr: Tensor, u: Tensor, v: Tensor, rows: slice = slice(None)
 ) -> Tensor:
-    r_table = const(signed_sinusoid_table(q.data.shape[0], w_k_r.data.shape[1]))
-    scores = relative_terms(q, kx, w_k_r, u, v, r_table)
+    scores = relative_terms(q, kx, kr, u, v, rows)
     d_k = q.data.shape[1]
     return softmax_rows(mul_scalar(scores, 1.0 / math.sqrt(d_k)))

@@ -41,6 +41,10 @@ def canonical_json(obj) -> str:
 def write_container(path, meta: dict, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
     arrays = list(arrays)
     meta_bytes = canonical_json(meta).encode("utf-8")
+    names = [name for name, _ in arrays]
+    if len(set(names)) != len(names):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise ConfigError(f"{path}: duplicate array name(s): {repeated}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(meta_bytes)))
@@ -61,7 +65,8 @@ def write_container(path, meta: dict, arrays: Iterable[tuple[str, np.ndarray]]) 
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a container; a short read, bad text, or a trailing byte is a ConfigError."""
+    """Parse a container; a short read, bad text, a repeated array name, or a
+    trailing byte is a ConfigError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:len(MAGIC)] != MAGIC:
@@ -87,9 +92,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             if code not in _DTYPES:
                 raise ConfigError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = _DTYPES[code]
+            if name in arrays:
+                raise ConfigError(f"{path}: duplicate array name {name!r}")
             values = take(rows * cols * dtype.itemsize, f"values of {name!r}")
             arrays[name] = np.frombuffer(values, dtype=dtype).reshape(rows, cols).copy()
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, JSON nested too deep
         raise ConfigError(f"{path}: corrupt container: {exc}") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: container metadata is not a JSON object")

@@ -55,6 +55,9 @@ class EncoderConfig:
         self.validate()
 
     def validate(self) -> None:
+        if min(self.feat_dim, self.d_model, self.n_heads, self.d_k, self.d_ff,
+               self.n_layers) < 1:
+            raise ConfigError("feat_dim, d_model, n_heads, d_k, d_ff, n_layers must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}"
@@ -63,10 +66,8 @@ class EncoderConfig:
             raise ConfigError(f"subsample_factor must be >= 1, got {self.subsample_factor}")
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2 (blank + tokens), got {self.vocab_size}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if min(self.feat_dim, self.d_model, self.d_k, self.d_ff, self.n_layers) < 1:
-            raise ConfigError("feat_dim, d_model, d_k, d_ff, n_layers must be positive")
+        if not 0 < self.alpha < math.inf:  # NaN fails too
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if self.abs_pe_enabled and self.d_model % 2 != 0:
             raise ConfigError(
                 f"absolute positional encoding needs an even d_model, got {self.d_model}"

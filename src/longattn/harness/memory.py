@@ -1,11 +1,13 @@
 """Element-count accounting for the attention pairwise stage.
 
-Counts cover the pairwise-interaction intermediates of one head: score,
-mask, and normalization matrices, plus the relative-offset tables. Per-frame
-projections (linear in sequence length) and parameters are excluded; they
-are the same for every variant and do not drive the long-sequence memory
-behaviour. The measured number comes from the allocation meter in the
-numerics substrate while the pairwise stage runs.
+Counts cover the pairwise-interaction intermediates of one head, over all
+query rows at once: score, mask, and normalization matrices, plus
+relative_pe's per-block query-bias sums. Per-frame projections (linear in
+sequence length) and parameters are excluded; they do not drive the
+long-sequence memory behaviour. relative_pe's (2L-1)-row offset table and its
+key projection are per-head projection work, so they are excluded too. The
+measured number comes from the allocation meter in the numerics substrate
+while the pairwise stage runs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
     x = const(rng.normal(size=(length, cfg.d_model)))
     projected = spec.projections(x, params, cfg.alpha, start_index=0)
     with count_allocations() as meter:
-        spec.pair(projected, params)
+        spec.pair(projected, params, slice(None))
     return meter.elements
 
 

@@ -133,8 +133,11 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # copy, never alias: ``add`` hands the same ``u`` to both parents
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -323,6 +326,39 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             accumulate_grad(p, u[:, j0:j1])
 
     return make_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), grad_fn)
+
+
+def slice_rows(x: Tensor, rows: slice) -> Tensor:
+    """Rows ``rows`` of ``x`` (a view); ``x`` itself when they are all of its rows."""
+    n = x.data.shape[0]
+    if rows.indices(n) == (0, n, 1):
+        return x
+
+    def grad_fn(u: np.ndarray) -> None:
+        dx = np.zeros_like(x.data)
+        dx[rows] = u
+        accumulate_grad(x, dx)
+
+    return make_op(x.data[rows], (x,), grad_fn, allocates=False)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack ``parts`` top to bottom; a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    cols = parts[0].data.shape[1]
+    for p in parts:
+        if p.data.shape[1] != cols:
+            raise DimensionError(
+                f"concat_rows: column counts differ: {[q.data.shape for q in parts]}"
+            )
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def grad_fn(u: np.ndarray) -> None:
+        for p, i0, i1 in zip(parts, offsets[:-1], offsets[1:]):
+            accumulate_grad(p, u[i0:i1])
+
+    return make_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), grad_fn)
 
 
 def frame_stack(x: Tensor, factor: int) -> Tensor:

@@ -23,6 +23,7 @@ from longattn.attention.params import AttentionParams
 from longattn.attention.variants import (
     dot_product_pair_stage,
     qk_projections,
+    relative_projections,
     relative_shift,
     relative_terms,
     soft_mask_tensor,
@@ -81,6 +82,14 @@ def test_sinusoid_pointwise_oracle():
             arg = i / 10000.0 ** (k2 / dim)
             expected = math.sin(arg) if d % 2 == 0 else math.cos(arg)
             assert abs(enc[i, d] - expected) < 1e-12
+
+
+def test_sinusoid_tables_are_cached_and_read_only():
+    for table in (sinusoid_encoding(9, 6), signed_sinusoid_table(9, 6)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert sinusoid_encoding(9, 6) is sinusoid_encoding(9, 6)
+    assert signed_sinusoid_table(9, 6) is signed_sinusoid_table(9, 6)
 
 
 def test_sinusoid_rejects_odd_dim():
@@ -345,8 +354,10 @@ def test_frame_index_difference_vector():
 
 def test_frame_index_rejects_bad_alpha():
     p = make_params(AttentionVariant.GAUSSIAN_FRAME_INDEX, 2, 3, 2, 0)
-    with pytest.raises(ConfigError):
-        attention_weights(np.zeros((3, 2)), p, AttentionVariant.GAUSSIAN_FRAME_INDEX, alpha=0.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            attention_weights(np.zeros((3, 2)), p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
+                              alpha=alpha)
 
 
 def test_gaussian_frame_index_translation_invariance():
@@ -399,9 +410,8 @@ def oracle_relative(x, w_q, w_k_x, w_k_r, u, v, table):
 
 def relative_scores(x, w_q, w_k_x, w_k_r, u, v):
     """Unscaled four-term scores over the signed sinusoid table for ``x``."""
-    q, kx = qk_projections(x, w_q, w_k_x)
-    table = const(signed_sinusoid_table(x.shape[0], w_k_r.data.shape[1]))
-    return relative_terms(q, kx, w_k_r, u, v, table).data
+    q, kx, kr = relative_projections(x, w_q, w_k_x, w_k_r)
+    return relative_terms(q, kx, kr, u, v).data
 
 
 def test_scores_relative_reduces_to_standard_qk():
@@ -540,11 +550,58 @@ def test_relative_shift_equals_explicit_gather(length):
     npt.assert_array_equal(relative_shift(const(offsets)).data, expected)
 
 
+@pytest.mark.parametrize("rows,length", [(1, 1), (1, 5), (3, 7), (7, 7), (65, 300)])
+def test_relative_shift_block_equals_explicit_gather(rows, length):
+    # a block of c query rows reads the c + L - 1 offsets starting at its first row
+    rng = np.random.default_rng(rows + length)
+    offsets = rng.normal(size=(rows, length + rows - 1))
+    i, j = np.arange(rows)[:, None], np.arange(length)[None, :]
+    expected = offsets[i, i - j + length - 1]
+    npt.assert_array_equal(relative_shift(const(offsets)).data, expected)
+
+
 def test_offset_table_span_is_checked():
     from longattn.errors import InternalError
 
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 54)
     q, kx = qk_projections(np.zeros((4, 4)), p.w_q, p.w_k_x)
-    bad_table = const(np.zeros((5, 4)))  # needs 2*4-1 = 7 rows
+    bad_kr = const(np.zeros((5, 3)))  # needs 2*4-1 = 7 rows
     with pytest.raises(InternalError):
-        relative_terms(q, kx, p.w_k_r, p.u, p.v, bad_table)
+        relative_terms(q, kx, bad_kr, p.u, p.v)
+
+
+# ---------------------------------------------------------------------------
+# row-blocked multi-head attention
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [300, 1000])
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+def test_blocked_forward_matches_one_block(variant, length, monkeypatch):
+    from longattn.numerics import linalg, no_grad
+
+    rng = np.random.default_rng(length)
+    d_model = 16
+    heads = [make_params(variant, d_model, 8, 8, 60 + i) for i in range(2)]
+    w_o = const(rng.normal(size=(d_model, 17)))
+    x = rng.normal(size=(length, d_model))
+
+    def forward():
+        capture: list = []
+        with no_grad():
+            out = multi_head_attention(x, heads, w_o, variant, start_index=3,
+                                       capture=capture).data
+        return out, capture
+
+    assert len(linalg.row_chunks(length, length)) >= 2
+    blocked, blocked_maps = forward()
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "CHUNK_ELEMENTS", length * length)
+        assert len(linalg.row_chunks(length, length)) == 1
+        whole, whole_maps = forward()
+    assert rel_diff(blocked, whole) <= 1e-12
+    for head, stacked, one in zip(heads, blocked_maps, whole_maps):
+        full = attention_weights(x, head, variant, start_index=3).data
+        npt.assert_array_equal(one, full)
+        assert stacked.shape == (length, length)
+        assert rel_diff(stacked, full) <= 1e-12

@@ -58,3 +58,28 @@ def test_multi_head_gradients(seed):
     errors = check_gradients(f, named)
     worst = max(errors.values())
     assert worst <= GRAD_TOL, errors
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_multi_head_gradients_through_row_blocks(variant, monkeypatch):
+    from longattn.numerics import linalg
+
+    monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 16)  # L = 7 runs in blocks of 2 rows
+    rng = np.random.default_rng(9000)
+    d_model, d_k, d_v, L = 4, 3, 2, 7
+    assert len(linalg.row_chunks(L, L)) >= 3
+    heads = [init_attention_params(variant, d_model, d_k, d_v, 100.0, rng) for _ in range(2)]
+    w_o = param(rng.normal(size=(d_model, 2 * d_v + 1)))
+    x = param(rng.normal(size=(L, d_model)))
+    probe = const(rng.normal(size=(L, d_model)))
+
+    def f():
+        out = multi_head_attention(x, heads, w_o, variant, alpha=100.0, start_index=2)
+        return T.sum_all(T.mul(probe, out))
+
+    named = [("x", x), ("w_o", w_o)]
+    for i, h in enumerate(heads):
+        named += h.named(f"h{i}.")
+    errors = check_gradients(f, named)
+    worst = max(errors.values())
+    assert worst <= GRAD_TOL, errors

@@ -1,6 +1,7 @@
 """Encoder: subsampling, block structure, shape laws, gradients, checkpoints."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,19 @@ def test_no_grad_forward_memory_does_not_grow_with_depth(variant):
     assert deep <= 1.2 * shallow, (deep, shallow)
 
 
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_no_grad_forward_never_holds_a_full_attention_matrix(variant):
+    # T = 4000 subsamples to L = 1000; attention runs in blocks of query rows,
+    # so the peak stays below a single L x L float64 matrix
+    from longattn.attention.encodings import signed_sinusoid_table, sinusoid_encoding
+
+    sinusoid_encoding.cache_clear()  # a cached table would escape the count
+    signed_sinusoid_table.cache_clear()
+    feats = np.random.default_rng(19).normal(size=(4000, 8))
+    peak = forward_peak_bytes(EncoderConfig(variant=variant), feats)
+    assert peak < 1000 * 1000 * 8, peak
+
+
 # ---------------------------------------------------------------------------
 # config validation and checkpoints
 # ---------------------------------------------------------------------------
@@ -275,6 +289,14 @@ def test_no_grad_forward_memory_does_not_grow_with_depth(variant):
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
         tiny_cfg(AttentionVariant.STANDARD, d_model=9, n_heads=2)
+
+
+@pytest.mark.parametrize("bad", [dict(n_heads=0), dict(alpha=math.nan), dict(alpha=math.inf),
+                                 dict(alpha=0.0)], ids=str)
+def test_config_rejects_zero_heads_and_non_finite_alpha(bad):
+    # a checkpoint's metadata reaches here unchecked; JSON allows NaN and Infinity
+    with pytest.raises(ConfigError):
+        tiny_cfg(AttentionVariant.GAUSSIAN_FRAME_INDEX, **bad)
 
 
 def test_config_rejects_small_vocab():
@@ -338,6 +360,115 @@ def test_container_rejects_every_truncation_and_trailing_byte(tmp_path):
         with pytest.raises(ConfigError) as info:
             read_container(bad)
         assert "\n" not in str(info.value), len(blob)
+
+
+def test_container_rejects_repeated_array_names(tmp_path):
+    from longattn.container import read_container, write_container
+
+    one = np.zeros((1, 1))
+    with pytest.raises(ConfigError, match="duplicate"):
+        write_container(tmp_path / "w.bin", {}, [("a", one), ("b", one), ("a", one)])
+    assert not (tmp_path / "w.bin").exists()
+    entry = struct.pack("<H", 1) + b"a" + struct.pack("<BII", 0, 1, 1) + one.tobytes()
+    path = tmp_path / "r.bin"
+    path.write_bytes(b"LATNBIN1" + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2) + 2 * entry)
+    with pytest.raises(ConfigError, match="duplicate array name 'a'"):
+        read_container(path)
+
+
+def _hostile_container(fields: dict) -> bytes:
+    """Container bytes from raw header fields, none of them checked."""
+    out = b"LATNBIN1" + struct.pack("<I", fields["meta_len"]) + fields["meta"]
+    out += struct.pack("<I", fields["n_arrays"])
+    for name, code, rows, cols, payload in fields["arrays"]:
+        out += struct.pack("<H", fields.get("name_len", len(name))) + name
+        out += struct.pack("<BII", code, rows, cols) + payload
+    return out
+
+
+def _truncations_and_bit_flips(data: bytes):
+    from hypothesis import strategies as st
+
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.integers(0, 8 * len(data) - 1).map(lambda bit: _flip(data, bit)),
+    )
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    return data[:bit // 8] + bytes([data[bit // 8] ^ (1 << bit % 8)]) + data[bit // 8 + 1:]
+
+
+def _container_mutations():
+    """Truncations, single-bit flips, and hostile length, shape, dtype and name fields."""
+    from hypothesis import strategies as st
+
+    meta = b'{"format":"longattn-checkpoint-v1"}'
+    arrays = [(b"a", 0, 2, 3, np.arange(6.0).tobytes()), (b"b", 1, 1, 1, bytes(8))]
+    base = {"meta_len": len(meta), "meta": meta, "n_arrays": 2, "arrays": arrays}
+    u32 = st.sampled_from([0, 1, 2, 3, 6, 7, 2**16, 2**31 - 1, 2**31, 2**32 - 1])
+    names = st.sampled_from([b"a", b"", b"\xff\xfe", b"\n", "\u00e9".encode(), b"a" * 300])
+    metas = st.sampled_from([b"", b"[]", b"null", b"{", b"\xff", b"[" * 5000 + b"]" * 5000,
+                             b'{"n":' + b"9" * 5000 + b"}", b'{"a":NaN}'])
+    hostile = st.one_of(
+        u32.map(lambda n: {**base, "meta_len": n}),
+        metas.map(lambda m: {**base, "meta_len": len(m), "meta": m}),
+        u32.map(lambda n: {**base, "n_arrays": n}),
+        st.integers(0, 2**16 - 1).map(lambda n: {**base, "name_len": n}),
+        names.map(lambda nm: {**base, "arrays": [(nm, *arrays[0][1:]), arrays[1]]}),
+        st.integers(0, 255).map(lambda c: {**base, "arrays": [(b"a", c, 2, 3, arrays[0][4])]}),
+        st.tuples(u32, u32).map(lambda rc: {**base, "arrays": [(b"a", 0, *rc, arrays[0][4])]}),
+    ).map(_hostile_container)
+    return st.one_of(_truncations_and_bit_flips(_hostile_container(base)), hostile)
+
+
+def test_container_fuzz_raises_only_config_error(tmp_path):
+    from hypothesis import HealthCheck, given, settings
+
+    from longattn.container import read_container
+
+    path = tmp_path / "fuzz.bin"
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_container_mutations())
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            read_container(path)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+
+    check()
+
+
+def test_checkpoint_fuzz_raises_only_config_error(tmp_path):
+    from hypothesis import HealthCheck, given, settings
+
+    path = tmp_path / "m.ckpt"
+    cfg = tiny_cfg(AttentionVariant.SOFT_MASK)
+    save_checkpoint(path, TrainedModel(cfg, init_model(cfg, seed=19), {"seed": 19}))
+    data = path.read_bytes()
+
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+
+    # every single-bit flip of the metadata: n_heads 2 -> 0 is one of them
+    header_bits = 8 * (12 + int.from_bytes(data[8:12], "little"))
+    for bit in range(header_bits):
+        check(_flip(data, bit))
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_truncations_and_bit_flips(data))
+    def fuzz(blob):
+        check(blob)
+
+    fuzz()
 
 
 def test_parameter_count_positive():

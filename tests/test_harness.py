@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -475,6 +476,18 @@ def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
         assert cli_main(["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"),
                          *CLI_SETS]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_cli_exit_code_repeated_array_name(tmp_path, capsys):
+    meta = b'{"format":"longattn-checkpoint-v1"}'
+    entry = struct.pack("<H", 5) + b"w_out" + struct.pack("<BII", 0, 1, 1) + bytes(8)
+    ckpt = tmp_path / "twice.ckpt"
+    ckpt.write_bytes(b"LATNBIN1" + struct.pack("<I", len(meta)) + meta
+                     + struct.pack("<I", 2) + 2 * entry)
+    report = str(tmp_path / "r.csv")
+    assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "duplicate array name 'w_out'" in err[0]
 
 
 def _train_on(tmp_path, arrays) -> int:

@@ -169,6 +169,15 @@ def test_pairwise_sqdist_scores_is_bit_identical_to_the_whole_matrix_sum(length)
     npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("rows", [slice(0, 1), slice(65, 130), slice(280, 300)])
+def test_pairwise_sqdist_scores_block_is_bit_identical_to_its_expression(rows):
+    a = np.random.default_rng(rows.start).normal(scale=3.0, size=(300, 16))
+    g = np.einsum("ij,ij->i", a, a)
+    expected = -0.5 * (g[rows, None] + g[None, :]) + a[rows] @ a.T
+    got = pairwise_sqdist_scores(const(a), rows).data
+    npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def traced_peak(fn) -> tuple[int, np.ndarray]:
     tracemalloc.start()
     try:
@@ -297,6 +306,10 @@ def test_primitive_op_gradients(seed):
     twos = const(np.full((2, 8), 2.0))
     offsets = param(rng.normal(size=(3, 5)))  # all 2L-1 offsets for L = 3
     probe3 = const(rng.normal(size=(3, 3)))
+    block_offsets = param(rng.normal(size=(2, 4)))  # offsets of a 2-row block, L = 3
+    probe23 = const(rng.normal(size=(2, 3)))
+    probe24 = const(rng.normal(size=(2, 4)))
+    probe54 = const(rng.normal(size=(5, 4)))
 
     cases = {
         "add": (lambda: T.sum_all(T.mul(probe, T.add(a, b))), [("a", a), ("b", b)]),
@@ -344,11 +357,34 @@ def test_primitive_op_gradients(seed):
             lambda: T.sum_all(T.mul(probe3, relative_shift(offsets))),
             [("offsets", offsets)],
         ),
+        "relative_shift_block": (
+            lambda: T.sum_all(T.mul(probe23, relative_shift(block_offsets))),
+            [("block_offsets", block_offsets)],
+        ),
+        "slice_rows": (
+            lambda: T.sum_all(T.mul(probe24, T.slice_rows(a, slice(1, 3)))),
+            [("a", a)],
+        ),
+        "concat_rows": (
+            lambda: T.sum_all(T.mul(probe54, T.concat_rows([T.slice_rows(a, slice(1, 3)), b]))),
+            [("a", a), ("b", b)],
+        ),
     }
     for name, (f, params) in cases.items():
         errors = check_gradients(f, params)
         worst = max(errors.values())
         assert worst <= GRAD_TOL, f"{name}: rel err {worst:.2e} {errors}"
+
+
+def test_slice_and_concat_rows_pass_whole_tensors_through():
+    a = param(np.arange(6.0).reshape(3, 2))
+    assert T.slice_rows(a, slice(None)) is a
+    assert T.slice_rows(a, slice(0, 5)) is a
+    assert T.concat_rows([a]) is a
+    parts = [T.slice_rows(a, rows) for rows in (slice(0, 1), slice(1, 3))]
+    npt.assert_array_equal(T.concat_rows(parts).data, a.data)
+    with pytest.raises(DimensionError):
+        T.concat_rows([a, param(np.zeros((1, 3)))])
 
 
 def test_determinism_forward_and_gradients():
