@@ -33,7 +33,8 @@ def attention_weights(
     over every frame, for one head under the given variant.
 
     ``projected`` is the output of the variant's projection stage for ``x``;
-    when given, it is used instead of projecting ``x`` again.
+    when given, it is used instead of projecting ``x`` again, and ``x``,
+    ``alpha`` and ``start_index`` are not used.
     """
     spec = VARIANTS[variant]
     if projected is None:

@@ -58,9 +58,7 @@ def pairwise_sqdist_scores(a: Tensor, rows: slice = slice(None)) -> Tensor:
     added into it one row chunk at a time, element for element the sum of the
     whole-matrix expression ``-0.5 * (g[rows, None] + g[None, :]) + gram``.
     """
-    n = a.data.shape[0]
-    every_row = rows.indices(n) == (0, n, 1)
-    a_rows = a.data if every_row else a.data[rows]
+    a_rows = a.data[rows]
     g = np.einsum("ij,ij->i", a.data, a.data)
     g_rows = g[rows]
     scores = a_rows @ a.data.T
@@ -71,13 +69,12 @@ def pairwise_sqdist_scores(a: Tensor, rows: slice = slice(None)) -> Tensor:
         block += norms
 
     def grad_fn(u: np.ndarray) -> None:
-        r = u.sum(axis=1)
-        c = u.sum(axis=0)
-        if every_row:
-            accumulate_grad(a, u @ a.data + u.T @ a.data - (r + c)[:, None] * a.data)
-            return
-        da = u.T @ a_rows - c[:, None] * a.data
-        da[rows] += u @ a.data - r[:, None] * a_rows
+        # for every row this is u @ a + u.T @ a - (r + c) * a, operation for operation
+        da = u.T @ a_rows
+        da[rows] += u @ a.data
+        rc = u.sum(axis=0)
+        rc[rows] += u.sum(axis=1)
+        da -= rc[:, None] * a.data
         accumulate_grad(a, da)
 
     return make_op(scores, (a,), grad_fn)

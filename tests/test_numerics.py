@@ -361,6 +361,14 @@ def test_primitive_op_gradients(seed):
             lambda: T.sum_all(T.mul(probe23, relative_shift(block_offsets))),
             [("block_offsets", block_offsets)],
         ),
+        "pairwise_sqdist_scores": (
+            lambda: T.sum_all(T.mul(probe3, pairwise_sqdist_scores(a))),
+            [("a", a)],
+        ),
+        "pairwise_sqdist_scores_block": (
+            lambda: T.sum_all(T.mul(probe23, pairwise_sqdist_scores(a, slice(1, 3)))),
+            [("a", a)],
+        ),
         "slice_rows": (
             lambda: T.sum_all(T.mul(probe24, T.slice_rows(a, slice(1, 3)))),
             [("a", a)],
