@@ -46,14 +46,6 @@ class AttentionVariant(Enum):
     STANDARD_FRAME_INDEX = "standard_frame_index"
 
     @property
-    def frame_indexed(self) -> bool:
-        return VARIANTS[self].frame_indexed
-
-    @property
-    def shares_qk(self) -> bool:
-        return VARIANTS[self].shares_qk
-
-    @property
     def default_abs_pe(self) -> bool:
         """Whether absolute positional encoding is added by default."""
         return VARIANTS[self].default_abs_pe
@@ -93,12 +85,6 @@ class AttentionParams:
                 out.append((f"{prefix}{field}", t))
         return out
 
-    @property
-    def sigma_mask(self) -> float:
-        if self.log_sigma_mask is None:
-            raise ConfigError("this head has no soft-mask parameter")
-        return math.exp(self.log_sigma_mask.data[0, 0])
-
 
 @dataclass(frozen=True)
 class VariantSpec:
@@ -113,7 +99,6 @@ class VariantSpec:
     pair_elements: Callable[[int, int, int], int]
     init_scores: Callable[..., dict[str, Tensor]]
     frame_indexed: bool = False
-    shares_qk: bool = False
     default_abs_pe: bool = False
 
     def projections(self, x: Tensor, params: AttentionParams, alpha: float, start_index: int):
@@ -159,7 +144,6 @@ _GAUSSIAN = VariantSpec(
     pair=lambda a, p, rows: gaussian_pair_stage(a, rows),
     pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
     init_scores=_init_gaussian,
-    shares_qk=True,
 )
 
 VARIANTS: dict[AttentionVariant, VariantSpec] = {
@@ -179,7 +163,6 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         project=lambda x, p: shared_projection(x, p.w_s),
         pair=lambda q, p, rows: dot_product_pair_stage(q, q, rows=rows),
         init_scores=_init_shared,
-        shares_qk=True,
     ),
     AttentionVariant.GAUSSIAN: _GAUSSIAN,
     AttentionVariant.GAUSSIAN_FRAME_INDEX: replace(

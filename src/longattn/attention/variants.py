@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..errors import DimensionError, InternalError
-from ..numerics.linalg import as_matrix, row_chunks
+from ..numerics.linalg import as_matrix
 from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
@@ -54,19 +54,14 @@ def _as_tensor(x) -> Tensor:
 def pairwise_sqdist_scores(a: Tensor, rows: slice = slice(None)) -> Tensor:
     """S[i, j] = -||a_i - a_j||^2 / 2 for the rows i in ``rows`` and all rows j of ``a``.
 
-    The Gram product ``a[rows] @ a.T`` is the score buffer; -(g_i + g_j) / 2 is
-    added into it one row chunk at a time, element for element the sum of the
-    whole-matrix expression ``-0.5 * (g[rows, None] + g[None, :]) + gram``.
+    Computed as ``-0.5 * (g[rows, None] + g[None, :]) + a[rows] @ a.T`` with
+    g_i = ||a_i||^2, added into the Gram product in place. Attention passes
+    one block of query rows at a time, so the temporaries are block-sized.
     """
     a_rows = a.data[rows]
     g = np.einsum("ij,ij->i", a.data, a.data)
-    g_rows = g[rows]
     scores = a_rows @ a.data.T
-    for chunk in row_chunks(*scores.shape):
-        block = scores[chunk]
-        norms = np.add(g_rows[chunk, None], g)
-        norms *= -0.5
-        block += norms
+    scores += -0.5 * (g[rows, None] + g[None, :])
 
     def grad_fn(u: np.ndarray) -> None:
         # for every row this is u @ a + u.T @ a - (r + c) * a, operation for operation

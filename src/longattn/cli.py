@@ -101,8 +101,7 @@ def cmd_eval(args) -> int:
     eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
     report = evaluate(model, {f"concat{args.concat_k}": eval_set},
                       config_hash=digest, checkpoint=str(args.checkpoint),
-                      seed=args.eval_seed, bucket_edges=cfg.eval.bucket_edges,
-                      max_frames=cfg.eval.max_frames)
+                      seed=args.eval_seed, bucket_edges=cfg.eval.bucket_edges)
     write_report_csv(report, args.out)
     for row in report.rows:
         log.info("%s %s: %d utts, error %.4f", row.eval_set, row.bucket,
@@ -131,8 +130,7 @@ def cmd_sweep(args) -> int:
         models[name] = model
     heldout = _heldout_dataset(cfg)
     result = run_length_sweep(models, heldout, _int_list(args.lengths),
-                              _int_list(args.seeds), config_hash=digest,
-                              max_frames=cfg.eval.max_frames)
+                              _int_list(args.seeds), config_hash=digest)
     write_sweep_csv(result, args.out)
     log.info("sweep -> %s", args.out)
     return 0

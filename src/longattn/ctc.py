@@ -1,5 +1,5 @@
 """CTC loss (log-space forward-backward), brute-force oracle, greedy decoding,
-and token error metrics.
+and edit distance.
 
 Token id 0 is the blank everywhere. ``ctc_loss`` treats the lattice entries
 as free log-scores: the analytic gradient is exact for the unnormalized
@@ -13,12 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InfeasibleAlignmentError,
-    SizeError,
-    UndefinedRateError,
-)
+from .errors import ConfigError, InfeasibleAlignmentError, SizeError
 from .numerics.linalg import as_matrix
 from .numerics.tensor import Tensor, accumulate_grad, make_op
 
@@ -183,10 +178,3 @@ def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
         np.minimum(prev[:-1] + (seq != token), prev[1:] + 1, out=cur[1:])
         prev = np.minimum.accumulate(cur - cols) + cols
     return int(prev[-1])
-
-
-def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:
-    """(substitutions + deletions + insertions) / |ref|."""
-    if len(ref) == 0:
-        raise UndefinedRateError("token error rate is undefined for an empty reference")
-    return edit_distance(hyp, ref) / len(ref)

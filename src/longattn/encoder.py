@@ -272,7 +272,3 @@ def load_checkpoint(path) -> TrainedModel:
         tensor.data[...] = arrays[name]
         tensor.zero_grad()
     return TrainedModel(config=cfg, params=params, meta=meta.get("training", {}))
-
-
-def parameter_count(params: ModelParams) -> int:
-    return sum(t.data.size for t in params.tensors())

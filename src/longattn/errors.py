@@ -46,7 +46,3 @@ class InfeasibleAlignmentError(LongattnError, ValueError):
         super().__init__(
             f"label sequence needs at least {required} frames, lattice has {available}"
         )
-
-
-class UndefinedRateError(LongattnError, ZeroDivisionError):
-    """Error rate requested against an empty reference."""

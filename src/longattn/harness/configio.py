@@ -19,7 +19,6 @@ class EvalSettings:
     n_utterances: int = 200
     seed: int = 99
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES
-    max_frames: int | None = None
 
     def __post_init__(self):
         self.bucket_edges = tuple(self.bucket_edges)

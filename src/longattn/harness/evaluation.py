@@ -38,22 +38,8 @@ class ExperimentReport:
     wall_clock_s: float = 0.0  # informational; kept out of the CSV artifact
 
 
-def decode_utterance(model: TrainedModel, features: np.ndarray,
-                     max_frames: int | None = None) -> list[int]:
-    """Greedy-decode one utterance, splitting in half above the frame budget.
-
-    Split points land on subsampling boundaries so the halves decode exactly
-    as their frames would; each split is logged. The forward records no tape.
-    """
-    factor = model.config.subsample_factor
-    t = features.shape[0]
-    if max_frames is not None and t > max_frames and t >= 2 * factor:
-        # both halves keep at least ``factor`` frames because t >= 2 * factor
-        mid = (t // 2) // factor * factor
-        log.info("splitting %d-frame utterance at frame %d (budget %d)",
-                 t, mid, max_frames)
-        return (decode_utterance(model, features[:mid], max_frames)
-                + decode_utterance(model, features[mid:], max_frames))
+def decode_utterance(model: TrainedModel, features: np.ndarray) -> list[int]:
+    """Greedy-decode one whole utterance; the forward records no tape."""
     with no_grad():
         logits = encoder_forward(features, model.params, model.config)
     return greedy_decode(logits.data)
@@ -72,7 +58,6 @@ def evaluate(
     checkpoint: str = "",
     seed: int | None = None,
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES,
-    max_frames: int | None = None,
 ) -> ExperimentReport:
     """Greedy-decode every utterance; aggregate corpus-level error per length bucket."""
     started = time.perf_counter()
@@ -86,7 +71,7 @@ def evaluate(
                         f"eval set {name!r} has token {t} outside the checkpoint "
                         f"vocabulary [1, {vocab - 1}]"
                     )
-        hyps = [decode_utterance(model, u.features, max_frames) for u in dataset]
+        hyps = [decode_utterance(model, u.features) for u in dataset]
         # ordered reduction into buckets keyed by raw feature length
         n_buckets = len(bucket_edges)
         counts = [0] * n_buckets
@@ -158,7 +143,6 @@ def run_length_sweep(
     lengths: list[int],
     seeds: list[int],
     config_hash: str = "",
-    max_frames: int | None = None,
 ) -> SweepResult:
     """Error rate per (variant, concatenation factor), averaged over eval seeds."""
     result = SweepResult(config_hash=config_hash)
@@ -168,7 +152,7 @@ def run_length_sweep(
             for seed in seeds:
                 eval_set = concat_eval(heldout, k, seed=seed)
                 report = evaluate(model, {"sweep": eval_set}, config_hash=config_hash,
-                                  seed=seed, max_frames=max_frames)
+                                  seed=seed)
                 ter = overall_error(report, "sweep")
                 result.rows.append(SweepRow(variant, k, str(seed), len(eval_set), ter))
                 per_seed.append(ter)

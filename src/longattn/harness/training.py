@@ -11,7 +11,7 @@ import numpy as np
 
 from ..ctc import ctc_loss_op
 from ..encoder import EncoderConfig, TrainedModel, encoder_forward, init_model
-from ..errors import DivergenceError
+from ..errors import ConfigError, DivergenceError
 from ..numerics.optim import Adam
 from ..numerics.tensor import backward, log_softmax_rows
 from .synth import Dataset, SyntheticTaskConfig, gen_dataset
@@ -24,6 +24,14 @@ class TrainSettings:
     steps: int = 12000
     lr: float = 2e-3
     seed: int = 1
+
+    def __post_init__(self):
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"train {name} must be a non-negative integer, got {value!r}")
+        if type(self.lr) not in (int, float) or not math.isfinite(self.lr) or self.lr <= 0:
+            raise ConfigError(f"train lr must be a positive finite number, got {self.lr!r}")
 
 
 @dataclass

@@ -4,10 +4,10 @@ These functions operate on plain float64 ndarrays; ``softmax_rows`` is the
 forward definition the autodiff op in ``tensor`` builds on. No broadcasting:
 mismatched shapes raise ``DimensionError``.
 
-The L x L kernels stream through row chunks of about ``CHUNK_ELEMENTS``
-elements (``row_chunks``), so each elementwise pass reads cache rather than
-memory, and the output is their only full-size allocation. Per element the
-arithmetic is the same as one whole-matrix pass, so results are bit-identical.
+Attention works through blocks of query rows from ``row_chunks``, each of
+about ``CHUNK_ELEMENTS`` elements, so the elementwise passes of
+``softmax_rows`` over a block read cache rather than memory. That is the one
+level of blocking: ``softmax_rows`` itself is a whole-matrix expression.
 """
 
 from __future__ import annotations
@@ -43,27 +43,21 @@ def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max subtraction; each row sums to 1.
 
-    Computed chunk by chunk in the output buffer; the input is not modified.
-    Shifted scores below ``EXP_UNDERFLOW`` become +0.0 without an ``exp`` call.
+    The input is not modified. Shifted scores below ``EXP_UNDERFLOW`` become
+    +0.0 without an ``exp`` call.
     """
     m = as_matrix(m)
     out = np.empty(m.shape)
-    if 0 < m.size <= CHUNK_ELEMENTS:  # one chunk: skip the slicing
-        _softmax_chunk(m, out)
-    else:
-        for rows in row_chunks(*m.shape):
-            _softmax_chunk(m[rows], out[rows])
-    return out
-
-
-def _softmax_chunk(src: np.ndarray, dst: np.ndarray) -> None:
-    np.subtract(src, src.max(axis=1, keepdims=True), out=dst)
-    if dst.min() < EXP_UNDERFLOW:
-        shifted = dst.copy()
+    if m.size == 0:
+        return out
+    np.subtract(m, m.max(axis=1, keepdims=True), out=out)
+    if out.min() < EXP_UNDERFLOW:
+        shifted = out.copy()
         keep = np.less(shifted, EXP_UNDERFLOW)
         np.logical_not(keep, out=keep)  # NaN stays in, so it propagates
-        dst.fill(0.0)
-        np.exp(shifted, out=dst, where=keep)
+        out.fill(0.0)
+        np.exp(shifted, out=out, where=keep)
     else:
-        np.exp(dst, out=dst)
-    dst /= dst.sum(axis=1, keepdims=True)
+        np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out

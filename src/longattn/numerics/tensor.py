@@ -187,16 +187,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_op(a.data + b.data, (a, b), grad_fn)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u * b.data)
-        accumulate_grad(b, u * a.data)
-
-    return make_op(a.data * b.data, (a, b), grad_fn)
-
-
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
         accumulate_grad(a, u * c)
@@ -266,13 +256,6 @@ def transpose(a: Tensor) -> Tensor:
         accumulate_grad(a, u.T)
 
     return make_op(a.data.T, (a,), grad_fn, allocates=False)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, np.full_like(a.data, u[0, 0]))
-
-    return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:

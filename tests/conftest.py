@@ -1,8 +1,14 @@
 """Shared helpers for the test suite."""
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 import longattn.encoder as encoder_module
+from longattn.ctc import edit_distance
+from longattn.errors import LongattnError
+from longattn.numerics.tensor import Tensor, accumulate_grad, make_op
 
 RELU_GAP_THRESHOLD = 3e-3
 
@@ -37,3 +43,46 @@ def screen_seed(make_case, base_seed: int, attempts: int = 20) -> int:
         if min_relu_gap(f) > RELU_GAP_THRESHOLD:
             return seed
     raise AssertionError(f"no kink-free seed found starting from {base_seed}")
+
+
+# ---------------------------------------------------------------------------
+# tape ops and metrics that only tests use
+# ---------------------------------------------------------------------------
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; with ``sum_all`` it turns an output into a scalar probe loss."""
+    assert a.data.shape == b.data.shape, (a.data.shape, b.data.shape)
+
+    def grad_fn(u: np.ndarray) -> None:
+        accumulate_grad(a, u * b.data)
+        accumulate_grad(b, u * a.data)
+
+    return make_op(a.data * b.data, (a, b), grad_fn)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    def grad_fn(u: np.ndarray) -> None:
+        accumulate_grad(a, np.full_like(a.data, u[0, 0]))
+
+    return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
+
+
+def parameter_count(params) -> int:
+    return sum(t.data.size for t in params.tensors())
+
+
+class UndefinedRateError(LongattnError, ZeroDivisionError):
+    """Error rate requested against an empty reference."""
+
+
+def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:
+    """(substitutions + deletions + insertions) / |ref|."""
+    if len(ref) == 0:
+        raise UndefinedRateError("token error rate is undefined for an empty reference")
+    return edit_distance(hyp, ref) / len(ref)
+
+
+def sigma_mask(head) -> float:
+    """Soft-mask width of one head, from its log-parameter."""
+    return math.exp(head.log_sigma_mask.data[0, 0])

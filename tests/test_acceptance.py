@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import screen_seed
+from conftest import mul, screen_seed, sum_all
 from longattn.attention import (
     AttentionParams,
     AttentionVariant,
@@ -37,7 +37,6 @@ from longattn.harness import (
 )
 from longattn.harness.configio import resolve_config
 from longattn.numerics import check_gradients, const, param
-from longattn.numerics import tensor as T
 
 GRAD_TOL = 1e-5
 SEEDS = range(5)
@@ -165,7 +164,7 @@ def test_criterion_4_gradient_suite():
 
             def f():
                 attn = attention_weights(x, params, variant, alpha=100.0, start_index=2)
-                return T.sum_all(T.mul(probe, attn))
+                return sum_all(mul(probe, attn))
 
             named = [("x", x)] + [(n, t) for n, t in params.named() if n != "w_v"]
             errors = check_gradients(f, named)
@@ -187,7 +186,7 @@ def test_criterion_4_gradient_suite():
             probe = const(rng.normal(size=(6, enc_cfg.vocab_size)))
 
             def f():
-                return T.sum_all(T.mul(probe, encoder_forward(feats, params, enc_cfg)))
+                return sum_all(mul(probe, encoder_forward(feats, params, enc_cfg)))
 
             state["f"], state["params"] = f, params
             return f

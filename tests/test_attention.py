@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import sigma_mask
 from longattn.attention import (
     AttentionVariant,
     attention_weights,
@@ -536,9 +537,9 @@ def test_attention_params_named_only_present_fields():
 
 def test_soft_mask_sigma_positive_and_matches_init():
     p = make_params(AttentionVariant.SOFT_MASK, 4, 3, 4, 52)
-    assert abs(p.sigma_mask - 10.0) < 1e-12
+    assert abs(sigma_mask(p) - 10.0) < 1e-12
     p.log_sigma_mask.data[0, 0] = -40.0
-    assert p.sigma_mask > 0.0
+    assert sigma_mask(p) > 0.0
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 64])

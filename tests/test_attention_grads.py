@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import mul, sum_all
 from longattn.attention import AttentionVariant, attention_weights, init_attention_params
 from longattn.attention.multihead import multi_head_attention
 from longattn.numerics import check_gradients, const, param
-from longattn.numerics import tensor as T
 
 GRAD_TOL = 1e-5
 SEEDS = range(5)
@@ -21,7 +21,7 @@ def variant_case(variant, seed):
 
     def f():
         attn = attention_weights(x, params, variant, alpha=100.0, start_index=2)
-        return T.sum_all(T.mul(probe, attn))
+        return sum_all(mul(probe, attn))
 
     named = [("x", x)] + params.named()
     named = [(n, t) for n, t in named if n != "w_v"]  # values unused by the weights
@@ -50,7 +50,7 @@ def test_multi_head_gradients(seed):
     def f():
         out = multi_head_attention(x, heads, w_o, AttentionVariant.GAUSSIAN_FRAME_INDEX,
                                    alpha=100.0, start_index=1)
-        return T.sum_all(T.mul(probe, out))
+        return sum_all(mul(probe, out))
 
     named = [("x", x), ("w_o", w_o)]
     for i, h in enumerate(heads):
@@ -75,7 +75,7 @@ def test_multi_head_gradients_through_row_blocks(variant, monkeypatch):
 
     def f():
         out = multi_head_attention(x, heads, w_o, variant, alpha=100.0, start_index=2)
-        return T.sum_all(T.mul(probe, out))
+        return sum_all(mul(probe, out))
 
     named = [("x", x), ("w_o", w_o)]
     for i, h in enumerate(heads):

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import UndefinedRateError, token_error_rate
 from longattn.ctc import (
     collapse_frames,
     ctc_brute_force,
@@ -16,14 +17,8 @@ from longattn.ctc import (
     edit_distance,
     greedy_decode,
     min_frames_required,
-    token_error_rate,
 )
-from longattn.errors import (
-    ConfigError,
-    InfeasibleAlignmentError,
-    SizeError,
-    UndefinedRateError,
-)
+from longattn.errors import ConfigError, InfeasibleAlignmentError, SizeError
 from longattn.numerics import check_gradients, param
 from longattn.numerics.tensor import log_softmax_rows
 

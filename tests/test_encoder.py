@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import mul, parameter_count, sum_all
 from longattn.attention import AttentionVariant
 from longattn.encoder import (
     EncoderConfig,
@@ -15,14 +16,12 @@ from longattn.encoder import (
     encoder_forward,
     init_model,
     load_checkpoint,
-    parameter_count,
     sa_block_forward,
     save_checkpoint,
     subsample,
 )
 from longattn.errors import ConfigError, ShortInputError
 from longattn.numerics import check_gradients, const, no_grad, param
-from longattn.numerics import tensor as T
 
 TINY = dict(feat_dim=3, d_model=8, n_layers=2, n_heads=2, d_k=4, d_ff=16,
             subsample_factor=4, vocab_size=4)
@@ -107,7 +106,7 @@ def test_gradient_through_two_stacked_blocks(seed):
         def f():
             h = sa_block_forward(x, params.blocks[0], cfg)
             h = sa_block_forward(h, params.blocks[1], cfg)
-            return T.sum_all(T.mul(probe, h))
+            return sum_all(mul(probe, h))
 
         state["named"] = ([("x", x)] + params.blocks[0].named("b0.")
                           + params.blocks[1].named("b1."))
@@ -183,7 +182,7 @@ def test_end_to_end_gradient_check(seed):
         probe = const(rng.normal(size=(6, cfg.vocab_size)))
 
         def f():
-            return T.sum_all(T.mul(probe, encoder_forward(feats, params, cfg)))
+            return sum_all(mul(probe, encoder_forward(feats, params, cfg)))
 
         state["f"], state["params"] = f, params
         return f
@@ -279,6 +278,41 @@ def test_no_grad_forward_never_holds_a_full_attention_matrix(variant):
     feats = np.random.default_rng(19).normal(size=(4000, 8))
     peak = forward_peak_bytes(EncoderConfig(variant=variant), feats)
     assert peak < 1000 * 1000 * 8, peak
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypatch):
+    # softmax_rows and pairwise_sqdist_scores are whole-matrix expressions; a
+    # long decode stays cache-sized because attention calls them per row block
+    from longattn.attention import variants
+    from longattn.numerics import linalg
+    from longattn.numerics import tensor as tensor_module
+
+    softmax_sizes, sqdist_sizes = [], []
+    softmax, sqdist = tensor_module._softmax, variants.pairwise_sqdist_scores
+
+    def counted_softmax(m):
+        softmax_sizes.append(m.size)
+        return softmax(m)
+
+    def counted_sqdist(a, rows=slice(None)):
+        out = sqdist(a, rows)
+        sqdist_sizes.append(out.data.size)
+        return out
+
+    monkeypatch.setattr(tensor_module, "_softmax", counted_softmax)
+    monkeypatch.setattr(variants, "pairwise_sqdist_scores", counted_sqdist)
+    cfg = EncoderConfig(variant=variant)
+    feats = np.random.default_rng(20).normal(size=(4000, 8))
+    with no_grad():
+        encoder_forward(feats, init_model(cfg, seed=17), cfg)
+    # L = 1000: 16 blocks per head and layer, each at most CHUNK_ELEMENTS
+    blocks = 16 * cfg.n_layers * cfg.n_heads
+    assert len(softmax_sizes) == blocks
+    assert max(softmax_sizes) <= linalg.CHUNK_ELEMENTS
+    gaussian = variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX)
+    assert len(sqdist_sizes) == (blocks if gaussian else 0)
+    assert max(sqdist_sizes, default=0) <= linalg.CHUNK_ELEMENTS
 
 
 # ---------------------------------------------------------------------------

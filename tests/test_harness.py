@@ -16,7 +16,6 @@ from longattn.harness import (
     SyntheticTaskConfig,
     concat_eval,
     config_hash,
-    decode_utterance,
     dump_heatmap,
     evaluate,
     gen_dataset,
@@ -216,25 +215,6 @@ def test_evaluate_vocab_mismatch():
         evaluate(model, {"bad": gen_dataset(bad_task)})
 
 
-def test_decode_utterance_split_budget_matches_decomposition(caplog):
-    import logging
-
-    task = small_task()
-    model = trained_tiny(task, steps=60)
-    held = gen_dataset(heldout_task(task, seed=13, n_utterances=4))
-    long_utt = concat_eval(held, 4, seed=0).utterances[0]
-    with caplog.at_level(logging.INFO, logger="longattn"):
-        split_hyp = decode_utterance(model, long_utt.features,
-                                     max_frames=long_utt.features.shape[0] // 2)
-    assert any("splitting" in rec.message for rec in caplog.records)
-    factor = model.config.subsample_factor
-    t = long_utt.features.shape[0]
-    mid = (t // 2) // factor * factor
-    manual = (decode_utterance(model, long_utt.features[:mid])
-              + decode_utterance(model, long_utt.features[mid:]))
-    assert split_hyp == manual
-
-
 def test_run_length_sweep_shape_and_k1_consistency():
     task = small_task()
     model = trained_tiny(task, steps=60)
@@ -420,11 +400,18 @@ def test_cli_full_pipeline(tmp_path):
     assert mem.read_text().count("\n") == 2 + 4
 
 
-def test_cli_exit_code_config_error(tmp_path):
+def test_cli_exit_code_config_error(tmp_path, capsys):
     # invalid variant value inside the config system
     rc = cli_main(["train", "--out", str(tmp_path / "x.ckpt"),
                    "--set", "model.variant=bogus", "--set", "train.steps=1"])
     assert rc == 2
+    # training settings are checked before anything runs
+    for bad in ["train.lr=nan", 'train.lr="abc"', "train.lr=NaN", "train.lr=Infinity",
+                "train.lr=0", "train.lr=-1e-3", "train.lr=true", "train.seed=-1",
+                "train.seed=1.5", 'train.seed="7"', "train.steps=-3", "train.steps=2.0"]:
+        capsys.readouterr()
+        assert cli_main(["train", "--out", str(tmp_path / "x.ckpt"), "--set", bad]) == 2, bad
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, bad
     # missing checkpoint listed explicitly
     rc = cli_main(["sweep", "--checkpoint", f"standard={tmp_path}/none.ckpt",
                    "--lengths", "1", "--seeds", "0",
@@ -442,10 +429,11 @@ def test_cli_exit_code_corrupt_checkpoint_and_removed_key(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
-    # the evaluation thread pool and its key are gone
-    assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS,
-                     "--set", "eval.workers=2"]) == 2
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    # the evaluation thread pool, the split-in-half frame budget and their keys are gone
+    for removed in ("eval.workers=2", "eval.max_frames=64"):
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS,
+                         "--set", removed]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
@@ -548,7 +536,7 @@ def test_evaluate_overfit_model_near_zero_on_training_data():
 
 
 def test_concat_per_segment_hypotheses_are_exact():
-    from longattn.ctc import token_error_rate
+    from conftest import token_error_rate
 
     ds = gen_dataset(small_task())
     k = 3

@@ -1,11 +1,10 @@
 """Substrate tests: tape op contracts, autodiff, optimizer."""
 
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import mul, sum_all
 from longattn.attention.variants import pairwise_sqdist_scores, relative_shift
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
@@ -129,8 +128,8 @@ def hard_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
 
 @pytest.mark.parametrize("shape", [(0, 5), (1, 1), (31, 31), (1000, 200), (3, 2**16 + 5)])
 def test_softmax_rows_is_bit_identical_to_the_whole_matrix_oracle(shape):
-    # (1000, 200) spans 327-row chunks with a ragged last one; 2**16 + 5
-    # columns make every chunk a single row
+    # (1000, 200) is larger than one row block, and 2**16 + 5 columns are
+    # wider than a block: whole-matrix calls, as the memory tool makes
     rng = np.random.default_rng(shape[0])
     for m in (rng.normal(scale=5.0, size=shape), hard_rows(rng, *shape)):
         before = m.copy()
@@ -143,8 +142,8 @@ def test_row_chunks_cover_every_row_once():
     for shape in [(1, 1), (31, 31), (1000, 200), (3, 2**16 + 5)]:
         rows = np.concatenate([np.arange(shape[0])[c] for c in linalg.row_chunks(*shape)])
         npt.assert_array_equal(rows, np.arange(shape[0]))
-    # the shapes the oracle test relies on: three 327-row chunks and a 19-row
-    # tail, and one row per chunk
+    # three 327-row chunks and a 19-row tail, and one row per chunk when a
+    # row is wider than CHUNK_ELEMENTS
     assert len(linalg.row_chunks(1000, 200)) == 4
     assert len(linalg.row_chunks(3, 2**16 + 5)) == 3
 
@@ -176,30 +175,6 @@ def test_pairwise_sqdist_scores_block_is_bit_identical_to_its_expression(rows):
     expected = -0.5 * (g[rows, None] + g[None, :]) + a[rows] @ a.T
     got = pairwise_sqdist_scores(const(a), rows).data
     npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-
-
-def traced_peak(fn) -> tuple[int, np.ndarray]:
-    tracemalloc.start()
-    try:
-        out = fn()
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
-
-
-def test_softmax_rows_peak_memory_is_the_output_plus_chunks():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(2048, 2048))
-    m[1024:] *= 400.0  # the lower half underflows, so both chunk paths run
-    peak, out = traced_peak(lambda: linalg.softmax_rows(m))
-    assert peak <= out.nbytes + 4 * linalg.CHUNK_ELEMENTS * 8
-
-
-def test_pairwise_sqdist_scores_peak_memory_is_the_output_plus_chunks():
-    a = const(np.random.default_rng(6).normal(size=(2048, 16)))
-    with no_grad():
-        peak, out = traced_peak(lambda: pairwise_sqdist_scores(a).data)
-    assert peak <= out.nbytes + 4 * linalg.CHUNK_ELEMENTS * 8
 
 
 def test_layer_norm_constant_vector_is_zero():
@@ -234,13 +209,13 @@ def test_backward_linear_case():
     rng = np.random.default_rng(5)
     w = param(rng.normal(size=(3, 4)))
     x = const(rng.normal(size=(4, 1)))
-    backward(T.sum_all(T.matmul(w, x)))
+    backward(sum_all(T.matmul(w, x)))
     npt.assert_allclose(w.grad, np.outer(np.ones(3), x.data[:, 0]), atol=1e-12)
 
 
 def test_backward_softmax_singleton_is_constant():
     x = param([[2.5]])
-    backward(T.sum_all(T.softmax_rows(x)))
+    backward(sum_all(T.softmax_rows(x)))
     npt.assert_array_equal(x.grad, [[0.0]])
 
 
@@ -259,13 +234,13 @@ def test_no_grad_result_is_a_constant():
     w = param(np.array([[1.0, 2.0], [3.0, 4.0]]))
     x = const(np.array([[1.0], [-1.0]]))
     with no_grad():
-        loss = T.sum_all(T.matmul(w, x))
+        loss = sum_all(T.matmul(w, x))
     assert not loss.requires_grad and loss._parents == () and loss._grad_fn is None
     assert loss.item() == -2.0
     with pytest.raises(StateError):
         backward(loss)
     # outside the block the tape records again
-    assert T.sum_all(T.matmul(w, x)).requires_grad
+    assert sum_all(T.matmul(w, x)).requires_grad
 
 
 def test_no_grad_restores_the_flag_when_the_block_raises():
@@ -279,14 +254,14 @@ def test_no_grad_restores_the_flag_when_the_block_raises():
 def test_grad_accumulates_across_backward_calls():
     x = param([[1.0, 2.0]])
     for _ in range(2):
-        backward(T.sum_all(T.mul(x, x)))
+        backward(sum_all(mul(x, x)))
     npt.assert_allclose(x.grad, [[4.0, 8.0]], atol=1e-12)
 
 
 def test_param_grad_zero_after_reset():
     x = param([[1.0, 2.0]])
     npt.assert_array_equal(x.grad, np.zeros((1, 2)))
-    backward(T.sum_all(T.mul(x, x)))
+    backward(sum_all(mul(x, x)))
     x.zero_grad()
     npt.assert_array_equal(x.grad, np.zeros((1, 2)))
 
@@ -312,69 +287,69 @@ def test_primitive_op_gradients(seed):
     probe54 = const(rng.normal(size=(5, 4)))
 
     cases = {
-        "add": (lambda: T.sum_all(T.mul(probe, T.add(a, b))), [("a", a), ("b", b)]),
-        "mul": (lambda: T.sum_all(T.mul(probe, T.mul(a, b))), [("a", a), ("b", b)]),
-        "mul_scalar": (lambda: T.sum_all(T.mul(probe, T.mul_scalar(a, 1.7))), [("a", a)]),
+        "add": (lambda: sum_all(mul(probe, T.add(a, b))), [("a", a), ("b", b)]),
+        "mul": (lambda: sum_all(mul(probe, mul(a, b))), [("a", a), ("b", b)]),
+        "mul_scalar": (lambda: sum_all(mul(probe, T.mul_scalar(a, 1.7))), [("a", a)]),
         "pow_scalar": (
-            lambda: T.sum_all(T.pow_scalar(T.add(T.mul(a, a), ones), 1.5)),
+            lambda: sum_all(T.pow_scalar(T.add(mul(a, a), ones), 1.5)),
             [("a", a)],
         ),
-        "exp": (lambda: T.sum_all(T.mul(probe, T.exp(a))), [("a", a)]),
-        "relu": (lambda: T.sum_all(T.mul(probe, T.relu(a))), [("a", a)]),
+        "exp": (lambda: sum_all(mul(probe, T.exp(a))), [("a", a)]),
+        "relu": (lambda: sum_all(mul(probe, T.relu(a))), [("a", a)]),
         "matmul": (
-            lambda: T.sum_all(T.mul(probe5, T.matmul(a, w))),
+            lambda: sum_all(mul(probe5, T.matmul(a, w))),
             [("a", a), ("w", w)],
         ),
-        "transpose": (lambda: T.sum_all(T.matmul(T.transpose(a), probe)), [("a", a)]),
+        "transpose": (lambda: sum_all(T.matmul(T.transpose(a), probe)), [("a", a)]),
         "mul_scalar_tensor": (
-            lambda: T.sum_all(T.mul(probe, T.mul_scalar_tensor(a, s))),
+            lambda: sum_all(mul(probe, T.mul_scalar_tensor(a, s))),
             [("a", a), ("s", s)],
         ),
-        "tile_rows": (lambda: T.sum_all(T.mul(probe, T.tile_rows(g, 3))), [("g", g)]),
+        "tile_rows": (lambda: sum_all(mul(probe, T.tile_rows(g, 3))), [("g", g)]),
         "append_const_col": (
-            lambda: T.sum_all(T.mul(probe5, T.append_const_col(a))),
+            lambda: sum_all(mul(probe5, T.append_const_col(a))),
             [("a", a)],
         ),
         "concat_cols": (
-            lambda: T.sum_all(T.matmul(T.concat_cols([a, b]), T.transpose(T.concat_cols([a, b])))),
+            lambda: sum_all(T.matmul(T.concat_cols([a, b]), T.transpose(T.concat_cols([a, b])))),
             [("a", a), ("b", b)],
         ),
         "frame_stack": (
-            lambda: T.sum_all(
+            lambda: sum_all(
                 T.mul_scalar(T.pow_scalar(T.add(T.frame_stack(a, 2), twos), 2.0), 0.5)),
             [("a", a)],
         ),
-        "softmax_rows": (lambda: T.sum_all(T.mul(probe, T.softmax_rows(a))), [("a", a)]),
+        "softmax_rows": (lambda: sum_all(mul(probe, T.softmax_rows(a))), [("a", a)]),
         "log_softmax_rows": (
-            lambda: T.sum_all(T.mul(probe, T.log_softmax_rows(a))),
+            lambda: sum_all(mul(probe, T.log_softmax_rows(a))),
             [("a", a)],
         ),
         "layer_norm_rows": (
-            lambda: T.sum_all(T.mul(probe, T.layer_norm_rows(a, g, bias))),
+            lambda: sum_all(mul(probe, T.layer_norm_rows(a, g, bias))),
             [("a", a), ("g", g), ("bias", bias)],
         ),
         "relative_shift": (
-            lambda: T.sum_all(T.mul(probe3, relative_shift(offsets))),
+            lambda: sum_all(mul(probe3, relative_shift(offsets))),
             [("offsets", offsets)],
         ),
         "relative_shift_block": (
-            lambda: T.sum_all(T.mul(probe23, relative_shift(block_offsets))),
+            lambda: sum_all(mul(probe23, relative_shift(block_offsets))),
             [("block_offsets", block_offsets)],
         ),
         "pairwise_sqdist_scores": (
-            lambda: T.sum_all(T.mul(probe3, pairwise_sqdist_scores(a))),
+            lambda: sum_all(mul(probe3, pairwise_sqdist_scores(a))),
             [("a", a)],
         ),
         "pairwise_sqdist_scores_block": (
-            lambda: T.sum_all(T.mul(probe23, pairwise_sqdist_scores(a, slice(1, 3)))),
+            lambda: sum_all(mul(probe23, pairwise_sqdist_scores(a, slice(1, 3)))),
             [("a", a)],
         ),
         "slice_rows": (
-            lambda: T.sum_all(T.mul(probe24, T.slice_rows(a, slice(1, 3)))),
+            lambda: sum_all(mul(probe24, T.slice_rows(a, slice(1, 3)))),
             [("a", a)],
         ),
         "concat_rows": (
-            lambda: T.sum_all(T.mul(probe54, T.concat_rows([T.slice_rows(a, slice(1, 3)), b]))),
+            lambda: sum_all(mul(probe54, T.concat_rows([T.slice_rows(a, slice(1, 3)), b]))),
             [("a", a), ("b", b)],
         ),
     }
@@ -400,7 +375,7 @@ def test_determinism_forward_and_gradients():
         rng = np.random.default_rng(42)
         a = param(rng.normal(size=(4, 4)))
         out = T.softmax_rows(T.matmul(a, T.transpose(a)))
-        loss = T.sum_all(T.mul(out, out))
+        loss = sum_all(mul(out, out))
         backward(loss)
         return loss.item(), a.grad.copy()
 
@@ -448,7 +423,7 @@ def test_optimizer_zero_gradient_leaves_params():
 def test_optimizer_descends_on_quadratic():
     p = param([[1.0]])
     opt = Adam([p], lr=0.1)
-    backward(T.sum_all(T.mul(p, p)))
+    backward(sum_all(mul(p, p)))
     opt.step()
     assert p.data[0, 0] < 1.0
 
@@ -458,7 +433,7 @@ def test_optimizer_converges_on_2d_quadratic():
     opt = Adam([p], lr=0.05)
     for _ in range(500):
         opt.zero_grad()
-        backward(T.sum_all(T.mul(p, p)))
+        backward(sum_all(mul(p, p)))
         opt.step()
     assert np.abs(p.data).max() < 1e-2
 
@@ -471,7 +446,7 @@ def test_optimizer_rejects_bad_lr():
 def test_optimizer_state_shapes_and_grads_untouched():
     p = param(np.ones((2, 3)))
     opt = Adam([p], lr=0.01)
-    backward(T.sum_all(T.mul(p, p)))
+    backward(sum_all(mul(p, p)))
     g = p.grad.copy()
     opt.step()
     assert opt.step_count == 1

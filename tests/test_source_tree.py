@@ -1,0 +1,36 @@
+"""Source-tree rules that are cheaper to check than to review."""
+
+import ast
+from pathlib import Path
+
+import longattn
+
+# Module-level functions and classes that nothing in src refers to by name.
+# Each one is here for a reason outside src; anything else that src does not
+# use belongs in the tests or nowhere.
+UNREFERENCED_ALLOWED = {
+    # independent oracles that tests compare the program against
+    "attn_kernel_form",
+    "sigma_inverse",
+    "ctc_brute_force",
+    "soft_mask_matrix",
+    "check_gradients",
+    # the benchmark's per-block training check
+    "loss_decreased",
+}
+
+
+def test_every_src_definition_is_used_in_src_or_allowlisted():
+    defined, used = set(), set()
+    for path in Path(longattn.__file__).parent.rglob("*.py"):
+        if path.name == "__init__.py":  # re-exports are not uses
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined - used == UNREFERENCED_ALLOWED
