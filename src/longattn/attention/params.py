@@ -34,7 +34,7 @@ INDEX_WINDOW_INIT = 6.0
 SOFT_MASK_SIGMA_INIT = 10.0
 
 
-class AttentionVariant(Enum):
+class AttentionVariant(str, Enum):
     STANDARD = "standard"
     SOFT_MASK = "soft_mask"
     RELATIVE_PE = "relative_pe"
@@ -44,11 +44,6 @@ class AttentionVariant(Enum):
     # Reproduces the known failure mode: frame indexing on top of attention
     # whose scores are not shift-invariant.
     STANDARD_FRAME_INDEX = "standard_frame_index"
-
-    @property
-    def default_abs_pe(self) -> bool:
-        """Whether absolute positional encoding is added by default."""
-        return VARIANTS[self].default_abs_pe
 
     @classmethod
     def parse(cls, name: str) -> "AttentionVariant":

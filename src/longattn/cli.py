@@ -28,9 +28,12 @@ log = logging.getLogger("longattn")
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"expected a non-empty comma-separated integer list, got {text!r}")
+    return values
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +72,7 @@ def cmd_train(args) -> int:
     dataset = None
     if args.data is not None:
         dataset = load_dataset(args.data)
-        if dataset.task is not None and dataset.task.to_dict() != cfg.task.to_dict():
+        if dataset.task is not None and dataset.task != cfg.task:
             raise ConfigError(f"dataset {args.data} was generated from a different task config")
         width = dataset.prototypes.shape[1]
         if width != cfg.model.feat_dim:
@@ -157,6 +160,8 @@ def cmd_memcheck(args) -> int:
         variants = list(AttentionVariant)
     else:
         variants = [AttentionVariant.parse(v) for v in args.variants.split(",") if v]
+        if not variants:
+            raise ConfigError("--variants needs at least one variant, or 'all'")
     rows = []
     for variant in variants:
         for length in _int_list(args.lengths):

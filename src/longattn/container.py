@@ -20,8 +20,12 @@ contract for checkpoints and datasets rests on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import struct
+import sys
+import typing
+from enum import Enum
 from typing import Iterable
 
 import numpy as np
@@ -107,19 +111,52 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def metadata_section(path, meta: dict, key: str, cls):
-    """Build the dataclass ``cls`` from the JSON object ``meta[key]``.
+_field_types = functools.cache(typing.get_type_hints)  # resolved once per class
 
-    A missing or non-object section, an unknown key, or a value the
-    dataclass rejects is a ConfigError.
-    """
-    section = meta.get(key)
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: metadata {key!r} is not a JSON object")
-    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
+
+def _typed(kind, value):
+    """``value`` as a field annotated ``kind`` stores it; TypeError when it does not fit."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(args[0], value)
+    if typing.get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)):
+            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(_typed(k, v) for k, v in zip(kinds, value))
+    elif issubclass(kind, Enum):
+        return kind.parse(value)
+    elif isinstance(value, bool):
+        if kind is bool:
+            return value
+    elif kind is int and isinstance(value, int):
+        return value
+    elif kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return value  # an int stays an int, so its canonical JSON does not change
+    raise TypeError
+
+
+def check_types(section) -> None:
+    """Check each field of the dataclass ``section`` against its annotation, in place:
+    an int is not a bool, a float is finite, a list becomes a tuple of the declared
+    length, and an enum goes through ``parse``. A misfit is a ConfigError."""
+    hints = _field_types(type(section))
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        try:
+            setattr(section, f.name, _typed(hints[f.name], value))
+        except TypeError:
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r:.60}") from None
+
+
+def build(cls, raw, where: str):
+    """The dataclass ``cls`` from the JSON object ``raw``; errors start with ``where``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: not a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ConfigError(f"{path}: unknown {key} keys in metadata: {unknown}")
+        raise ConfigError(f"{where}: unknown keys {unknown}")
     try:
-        return cls.from_dict(section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad {key} metadata: {exc}") from None
+        return cls(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None

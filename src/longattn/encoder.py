@@ -10,14 +10,15 @@ CPU while keeping the same structure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attention.encodings import DEFAULT_ALPHA, sinusoid_encoding
 from .attention.multihead import multi_head_attention
-from .attention.params import AttentionParams, AttentionVariant, init_attention_params
-from .container import metadata_section, read_container, write_container
+from .attention.params import VARIANTS, AttentionParams, AttentionVariant, init_attention_params
+from .container import build, check_types, read_container, write_container
 from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
@@ -50,11 +51,7 @@ class EncoderConfig:
     use_abs_pe: bool | None = None  # None: variant default
 
     def __post_init__(self):
-        if not isinstance(self.variant, AttentionVariant):
-            self.variant = AttentionVariant.parse(self.variant)
-        self.validate()
-
-    def validate(self) -> None:
+        check_types(self)
         if min(self.feat_dim, self.d_model, self.n_heads, self.d_k, self.d_ff,
                self.n_layers) < 1:
             raise ConfigError("feat_dim, d_model, n_heads, d_k, d_ff, n_layers must be positive")
@@ -66,16 +63,12 @@ class EncoderConfig:
             raise ConfigError(f"subsample_factor must be >= 1, got {self.subsample_factor}")
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2 (blank + tokens), got {self.vocab_size}")
-        if not 0 < self.alpha < math.inf:  # NaN fails too
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.abs_pe_enabled and self.d_model % 2 != 0:
-            raise ConfigError(
-                f"absolute positional encoding needs an even d_model, got {self.d_model}"
-            )
-        if self.variant is AttentionVariant.RELATIVE_PE and self.d_model % 2 != 0:
-            raise ConfigError(
-                f"relative positional encoding needs an even d_model, got {self.d_model}"
-            )
+        if self.alpha < sys.float_info.min:  # a subnormal overflows the frame-index column
+            raise ConfigError(f"alpha must be at least {sys.float_info.min}, got {self.alpha}")
+        sinusoids = self.abs_pe_enabled or self.variant is AttentionVariant.RELATIVE_PE
+        if sinusoids and self.d_model % 2 != 0:
+            raise ConfigError(f"sinusoid positional encoding needs an even d_model, "
+                              f"got {self.d_model}")
 
     @property
     def d_v(self) -> int:
@@ -84,17 +77,8 @@ class EncoderConfig:
     @property
     def abs_pe_enabled(self) -> bool:
         if self.use_abs_pe is None:
-            return self.variant.default_abs_pe
+            return VARIANTS[self.variant].default_abs_pe
         return self.use_abs_pe
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["variant"] = self.variant.value
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -246,7 +230,7 @@ def encoder_forward(
 def save_checkpoint(path, model: TrainedModel) -> None:
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "encoder": model.config.to_dict(),
+        "encoder": asdict(model.config),
         "training": model.meta,
     }
     arrays = [(name, t.data) for name, t in model.params.named()]
@@ -257,7 +241,7 @@ def load_checkpoint(path) -> TrainedModel:
     meta, arrays = read_container(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    cfg = metadata_section(path, meta, "encoder", EncoderConfig)
+    cfg = build(EncoderConfig, meta.get("encoder"), f"{path}: encoder metadata")
     params = init_model(cfg, seed=0)
     named = dict(params.named())
     if set(named) != set(arrays):

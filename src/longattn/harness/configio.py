@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..container import canonical_json
+from ..container import build, canonical_json, check_types
 from ..encoder import EncoderConfig
 from ..errors import ConfigError
 from .evaluation import DEFAULT_BUCKET_EDGES
@@ -21,9 +21,15 @@ class EvalSettings:
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES
 
     def __post_init__(self):
-        self.bucket_edges = tuple(self.bucket_edges)
+        check_types(self)
         if self.n_utterances < 1:
-            raise ConfigError("eval n_utterances must be positive")
+            raise ConfigError("n_utterances must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        edges = self.bucket_edges
+        if not edges or edges[0] < 0 or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ConfigError(f"bucket_edges must be non-empty, start >= 0 and rise "
+                              f"strictly, got {list(edges)}")
 
 
 @dataclass
@@ -32,16 +38,6 @@ class ExperimentConfig:
     model: EncoderConfig = field(default_factory=EncoderConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
-
-    def to_dict(self) -> dict:
-        eval_dict = asdict(self.eval)
-        eval_dict["bucket_edges"] = list(self.eval.bucket_edges)
-        return {
-            "task": self.task.to_dict(),
-            "model": self.model.to_dict(),
-            "train": asdict(self.train),
-            "eval": eval_dict,
-        }
 
 
 def _apply_override(raw: dict, entry: str) -> None:
@@ -53,7 +49,7 @@ def _apply_override(raw: dict, entry: str) -> None:
         raise ConfigError(f"override path needs a section, got {path!r}")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, too long an integer, nested too deep
         value = text
     node = raw
     for key in keys[:-1]:
@@ -64,33 +60,20 @@ def _apply_override(raw: dict, entry: str) -> None:
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
-    known = {"task", "model", "train", "eval"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"task", "model", "train", "eval"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    task_raw = dict(raw.get("task", {}))
-    model_raw = dict(raw.get("model", {}))
-    try:
-        task = SyntheticTaskConfig.from_dict(task_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad task config: {exc}") from None
-    model_raw.setdefault("feat_dim", task.feat_dim)
-    model_raw.setdefault("vocab_size", task.vocab_size)
-    if model_raw["feat_dim"] != task.feat_dim:
-        raise ConfigError(
-            f"model.feat_dim {model_raw['feat_dim']} != task.feat_dim {task.feat_dim}"
-        )
-    if model_raw["vocab_size"] != task.vocab_size:
-        raise ConfigError(
-            f"model.vocab_size {model_raw['vocab_size']} != task.vocab_size {task.vocab_size}"
-        )
-    try:
-        model = EncoderConfig.from_dict(model_raw)
-        train = TrainSettings(**raw.get("train", {}))
-        eval_settings = EvalSettings(**raw.get("eval", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-    return ExperimentConfig(task=task, model=model, train=train, eval=eval_settings)
+    task = build(SyntheticTaskConfig, raw.get("task", {}), "task")
+    model_raw = raw.get("model", {})
+    if isinstance(model_raw, dict):
+        model_raw = {"feat_dim": task.feat_dim, "vocab_size": task.vocab_size, **model_raw}
+    model = build(EncoderConfig, model_raw, "model")
+    for key in ("feat_dim", "vocab_size"):
+        if getattr(model, key) != getattr(task, key):
+            raise ConfigError(f"model.{key} {getattr(model, key)} != task.{key} {getattr(task, key)}")
+    return ExperimentConfig(task=task, model=model,
+                            train=build(TrainSettings, raw.get("train", {}), "train"),
+                            eval=build(EvalSettings, raw.get("eval", {}), "eval"))
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -102,7 +85,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -112,6 +95,6 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    digest = hashlib.sha256(canonical_json(cfg.to_dict()).encode("utf-8"))
+    digest = hashlib.sha256(canonical_json(asdict(cfg)).encode("utf-8"))
     return digest.hexdigest()[:16]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import logging
 import time
 from dataclasses import dataclass, field
@@ -78,12 +79,8 @@ def evaluate(
         tokens = [0] * n_buckets
         dists = [0] * n_buckets
         for utt, hyp in zip(dataset.utterances, hyps):
-            t = utt.features.shape[0]
-            idx = n_buckets - 1
-            for b in range(n_buckets - 1):
-                if bucket_edges[b] <= t < bucket_edges[b + 1]:
-                    idx = b
-                    break
+            # a length below the first edge gives -1, the last bucket
+            idx = bisect.bisect_right(bucket_edges, utt.features.shape[0]) - 1
             counts[idx] += 1
             tokens[idx] += len(utt.labels)
             dists[idx] += edit_distance(hyp, utt.labels)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..container import metadata_section, read_container, write_container
+from ..container import build, check_types, read_container, write_container
 from ..errors import ConfigError
 
 DATASET_FORMAT = "longattn-dataset-v1"
@@ -44,9 +44,7 @@ class SyntheticTaskConfig:
     prototype_seed: int | None = None
 
     def __post_init__(self):
-        self.frames_per_token = tuple(self.frames_per_token)
-        self.tokens_per_utterance = tuple(self.tokens_per_utterance)
-        self.silence_frames = tuple(self.silence_frames)
+        check_types(self)
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.feat_dim < 1 or self.n_utterances < 1:
@@ -60,17 +58,9 @@ class SyntheticTaskConfig:
         s_lo, s_hi = self.silence_frames
         if not (0 <= s_lo <= s_hi):
             raise ConfigError(f"silence_frames range must satisfy 0 <= min <= max, got {s_lo}..{s_hi}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["frames_per_token"] = list(self.frames_per_token)
-        d["tokens_per_utterance"] = list(self.tokens_per_utterance)
-        d["silence_frames"] = list(self.silence_frames)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticTaskConfig":
-        return cls(**d)
+        for seed in (self.seed, self.prototype_seed):
+            if seed is not None and seed < 0:
+                raise ConfigError(f"seed and prototype_seed must be non-negative, got {seed}")
 
 
 @dataclass
@@ -152,6 +142,8 @@ def concat_eval(dataset: Dataset, k: int, seed: int) -> Dataset:
     """
     if k < 1:
         raise ConfigError(f"concatenation factor must be >= 1, got {k}")
+    if seed < 0:
+        raise ConfigError(f"eval seed must be non-negative, got {seed}")
     if k > len(dataset):
         raise ConfigError(
             f"concatenation factor {k} exceeds dataset size {len(dataset)}"
@@ -169,7 +161,7 @@ def concat_eval(dataset: Dataset, k: int, seed: int) -> Dataset:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    meta = {"format": DATASET_FORMAT, "task": dataset.task.to_dict() if dataset.task else None}
+    meta = {"format": DATASET_FORMAT, "task": asdict(dataset.task) if dataset.task else None}
     arrays: list[tuple[str, np.ndarray]] = [("prototypes", dataset.prototypes)]
     for i, utt in enumerate(dataset.utterances):
         arrays.append((f"u{i:05d}.features", utt.features))
@@ -182,7 +174,7 @@ def load_dataset(path) -> Dataset:
     if meta.get("format") != DATASET_FORMAT:
         raise ConfigError(f"{path}: not a {DATASET_FORMAT} file")
     task = (None if meta.get("task") is None
-            else metadata_section(path, meta, "task", SyntheticTaskConfig))
+            else build(SyntheticTaskConfig, meta["task"], f"{path}: task metadata"))
     if "prototypes" not in arrays:
         raise ConfigError(f"{path}: dataset has no prototypes array")
     prototypes = arrays["prototypes"]

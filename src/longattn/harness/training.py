@@ -5,10 +5,11 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..container import check_types
 from ..ctc import ctc_loss_op
 from ..encoder import EncoderConfig, TrainedModel, encoder_forward, init_model
 from ..errors import ConfigError, DivergenceError
@@ -26,12 +27,11 @@ class TrainSettings:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("steps", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ConfigError(f"train {name} must be a non-negative integer, got {value!r}")
-        if type(self.lr) not in (int, float) or not math.isfinite(self.lr) or self.lr <= 0:
-            raise ConfigError(f"train lr must be a positive finite number, got {self.lr!r}")
+        check_types(self)
+        if min(self.steps, self.seed) < 0:
+            raise ConfigError(f"steps and seed must be non-negative, got {self.steps}, {self.seed}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -94,7 +94,7 @@ def train_model(
         "lr": lr,
         "variant": enc_cfg.variant.value,
         "final_loss": curve[-1] if curve else None,
-        "task": task_cfg.to_dict(),
+        "task": asdict(task_cfg),
     }
     return TrainResult(model=TrainedModel(enc_cfg, params, meta), curve=curve,
                        wall_clock_s=wall)

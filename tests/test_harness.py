@@ -144,7 +144,7 @@ def test_dataset_file_round_trip_and_determinism(tmp_path):
     for ua, ub in zip(ds, back):
         npt.assert_array_equal(ua.features, ub.features)
         assert ua.labels == ub.labels
-    assert back.task.to_dict() == ds.task.to_dict()
+    assert back.task == ds.task
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,7 @@ def test_config_overrides(tmp_path):
     assert cfg.model.variant is AttentionVariant.STANDARD
     assert cfg.task.seed == 3
     assert config_hash(cfg) != config_hash(resolve_config({}))
+    assert config_hash(resolve_config({})) == "e816386701f82dcb"
 
 
 def test_config_rejects_mismatched_model_dims(tmp_path):
@@ -346,6 +347,42 @@ def test_config_rejects_mismatched_model_dims(tmp_path):
         resolve_config({"unknown_section": {}})
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.json", [])
+
+
+def test_config_fuzz_raises_only_config_error():
+    # resolve_config runs no command, so a huge but well-typed value starts no huge job
+    from dataclasses import asdict, fields
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from longattn.container import canonical_json
+    from longattn.harness import ExperimentConfig
+
+    keys = [(section.name, f.name) for section in fields(ExperimentConfig)
+            for f in fields(section.default_factory)]
+    scalars = st.one_of(
+        st.integers(-3, 40), st.integers(), st.floats(),
+        st.sampled_from([5e-324, 1e-320, 2**63, 10**400, -(2**70), math.nan, math.inf,
+                         -math.inf, 0.5, "standard", "gaussian", "7", ""]),
+        st.text(max_size=4), st.booleans(), st.none())
+    values = st.one_of(scalars, st.lists(scalars, max_size=4),
+                       st.dictionaries(st.text(max_size=2), scalars, max_size=2))
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(st.dictionaries(st.sampled_from(keys), values, min_size=1, max_size=3))
+    def check(entries):
+        raw: dict = {}
+        for (section, key), value in entries.items():
+            raw.setdefault(section, {})[key] = value
+        try:
+            cfg = resolve_config(raw)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+        else:  # what resolves serialises, and resolves back to itself
+            assert resolve_config(json.loads(canonical_json(asdict(cfg)))) == cfg
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +442,26 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     rc = cli_main(["train", "--out", str(tmp_path / "x.ckpt"),
                    "--set", "model.variant=bogus", "--set", "train.steps=1"])
     assert rc == 2
-    # training settings are checked before anything runs
+    # every config section is checked before anything runs
+    config = tmp_path / "cfg.json"
+    config.write_text('{"model": 3}')
     for bad in ["train.lr=nan", 'train.lr="abc"', "train.lr=NaN", "train.lr=Infinity",
                 "train.lr=0", "train.lr=-1e-3", "train.lr=true", "train.seed=-1",
-                "train.seed=1.5", 'train.seed="7"', "train.steps=-3", "train.steps=2.0"]:
+                "train.seed=1.5", 'train.seed="7"', "train.steps=-3", "train.steps=2.0",
+                'task.seed="abc"', "task.seed=1.5", "task.frames_per_token=[3]",
+                "task.n_utterances=2.5", "model.d_k=2.5", "model.subsample_factor=2.5",
+                "eval.seed=-1", "eval.n_utterances=2.5", 'eval.bucket_edges="ab"',
+                "eval.bucket_edges=[]", "model.alpha=1e-320", "model.n_layers=true",
+                'model.use_abs_pe="yes"', "eval.bucket_edges=[5,1]", "model.d_k=" + "9" * 5000,
+                "model.d_k=" + "[" * 10**5 + "]" * 10**5, f"--config={config}"]:
         capsys.readouterr()
-        assert cli_main(["train", "--out", str(tmp_path / "x.ckpt"), "--set", bad]) == 2, bad
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1, bad
+        flag = [bad] if bad.startswith("--") else ["--set", bad]
+        assert cli_main(["train", "--out", str(tmp_path / "x.ckpt"), *flag]) == 2, bad[:40]
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, bad[:40]
+    # an empty length or variant list is an error, not a run that does nothing
+    for empty in (["--lengths", ""], ["--variants", ""], ["--variants", ","]):
+        assert cli_main(["memcheck", *empty]) == 2, empty
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, empty
     # missing checkpoint listed explicitly
     rc = cli_main(["sweep", "--checkpoint", f"standard={tmp_path}/none.ckpt",
                    "--lengths", "1", "--seeds", "0",
@@ -434,6 +484,15 @@ def test_cli_exit_code_corrupt_checkpoint_and_removed_key(tmp_path, capsys):
         assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", report, *CLI_SETS,
                          "--set", removed]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    # negative eval seeds and empty seed or length lists, on a good checkpoint
+    ckpt.write_bytes(data)
+    sweep = ["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--out", report]
+    for argv in (["eval", "--checkpoint", str(ckpt), "--out", report, "--eval-seed", "-1"],
+                 ["heatmap", "--checkpoint", str(ckpt), "--layer", "0", "--head", "0",
+                  "--out-prefix", str(tmp_path / "hm"), "--eval-seed", "-1"],
+                 [*sweep, "--seeds", "-1"], [*sweep, "--seeds", ""], [*sweep, "--lengths", ""]):
+        assert cli_main([*argv, *CLI_SETS]) == 2, argv
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
 
 
 def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
@@ -445,6 +504,8 @@ def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
         {"format": "longattn-checkpoint-v1"},
         {"format": "longattn-checkpoint-v1", "encoder": [64]},
         {"format": "longattn-checkpoint-v1", "encoder": {"d_model": 16, "n_blocks": 2}},
+        {"format": "longattn-checkpoint-v1", "encoder": {"d_k": 2.5}},
+        {"format": "longattn-checkpoint-v1", "encoder": {"variant": 3}},
     ]
     for meta in checkpoints:
         write_container(bad, meta, [])
@@ -454,6 +515,7 @@ def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
     datasets = [
         ({"format": "longattn-dataset-v1", "task": "default"}, [("prototypes", np.eye(2))]),
         ({"format": "longattn-dataset-v1", "task": {"speakers": 3}}, [("prototypes", np.eye(2))]),
+        ({"format": "longattn-dataset-v1", "task": {"seed": "abc"}}, [("prototypes", np.eye(2))]),
         ({"format": "longattn-dataset-v1", "task": None}, []),
         ({"format": "longattn-dataset-v1", "task": None},
          [("prototypes", np.eye(2)), ("u00000.features", np.zeros((3, 8)))]),
