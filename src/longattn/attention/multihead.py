@@ -8,11 +8,12 @@ import numpy as np
 from ..numerics.linalg import row_chunks
 from ..numerics.tensor import (
     Tensor,
+    affine,
     append_const_col,
     concat_cols,
     concat_rows,
     matmul,
-    transpose,
+    matmul_t,
 )
 from .encodings import DEFAULT_ALPHA
 from .params import VARIANTS, AttentionParams, AttentionVariant
@@ -69,7 +70,7 @@ def multi_head_attention(
     outputs = []
     for head in heads:
         projected = VARIANTS[variant].projections(xt, head, alpha, start_index)
-        values = matmul(xa, transpose(head.w_v))
+        values = matmul_t(xa, head.w_v)
         parts, maps = [], []
         for rows in blocks:
             attn = attention_weights(xt, head, variant, alpha=alpha, start_index=start_index,
@@ -81,4 +82,4 @@ def multi_head_attention(
             capture.append(maps[0] if len(maps) == 1 else np.concatenate(maps))
         outputs.append(concat_rows(parts))
     combined = outputs[0] if len(outputs) == 1 else concat_cols(outputs)
-    return matmul(append_const_col(combined), transpose(w_o))
+    return affine(combined, w_o)

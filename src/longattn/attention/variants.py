@@ -26,18 +26,18 @@ from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
     add,
+    affine,
     append_const_col,
     const,
     exp,
     make_op,
-    matmul,
+    matmul_t,
     mul_scalar,
     mul_scalar_tensor,
     pow_scalar,
     slice_rows,
     softmax_rows,
     tile_rows,
-    transpose,
 )
 from .encodings import signed_sinusoid_table, squared_offset_matrix
 
@@ -109,7 +109,7 @@ def relative_shift(p: Tensor) -> Tensor:
 
 def qk_projections(x, w_q, w_k) -> tuple[Tensor, Tensor]:
     xa = append_const_col(_as_tensor(x))
-    return matmul(xa, transpose(w_q)), matmul(xa, transpose(w_k))
+    return matmul_t(xa, w_q), matmul_t(xa, w_k)
 
 
 def dot_product_pair_stage(
@@ -117,7 +117,7 @@ def dot_product_pair_stage(
 ) -> Tensor:
     """Attention of the queries in ``rows`` over all keys; ``mask`` covers the same rows."""
     d_k = q.data.shape[1]
-    scores = mul_scalar(matmul(slice_rows(q, rows), transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(d_k))
     if mask is not None:
         scores = add(scores, mask)
     return softmax_rows(scores)
@@ -137,7 +137,7 @@ def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) 
 
 
 def shared_projection(x, w_s: Tensor) -> Tensor:
-    return matmul(append_const_col(_as_tensor(x)), transpose(w_s))
+    return affine(_as_tensor(x), w_s)
 
 
 def gaussian_projection(x, w_s: Tensor) -> Tensor:
@@ -190,7 +190,7 @@ def relative_projections(x, w_q, w_k_x, w_k_r) -> tuple[Tensor, Tensor, Tensor]:
     sinusoid table, one row per offset -(L-1)..(L-1)."""
     q, kx = qk_projections(x, w_q, w_k_x)
     r_table = const(signed_sinusoid_table(q.data.shape[0], w_k_r.data.shape[1]))
-    return q, kx, matmul(r_table, transpose(w_k_r))
+    return q, kx, matmul_t(r_table, w_k_r)
 
 
 def relative_terms(
@@ -207,9 +207,9 @@ def relative_terms(
         )
     start, stop, _ = rows.indices(length)
     q_rows = slice_rows(q, rows)
-    content = matmul(add(q_rows, tile_rows(u, stop - start)), transpose(kx))
+    content = matmul_t(add(q_rows, tile_rows(u, stop - start)), kx)
     offsets = slice_rows(kr, slice(start, stop + length - 1))
-    position = matmul(add(q_rows, tile_rows(v, stop - start)), transpose(offsets))
+    position = matmul_t(add(q_rows, tile_rows(v, stop - start)), offsets)
     return add(content, relative_shift(position))
 
 

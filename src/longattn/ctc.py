@@ -70,49 +70,48 @@ def ctc_loss(lattice, labels: Sequence[int]) -> tuple[float, np.ndarray]:
 
     emit = y[:, ext]  # (n_frames, n_states)
 
-    alpha = np.full((n_frames, n_states), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if n_states > 1:
-        alpha[0, 1] = emit[0, 1]
+    # Two -inf pad columns (left of alpha's rows, right of beta's next-frame
+    # row) make the one- and two-state shifts plain views, so a frame costs a
+    # few ``out=`` calls and no allocation. ``where=`` leaves the states
+    # without a skip untouched, as ``np.where(ok, logaddexp(acc, skip), acc)``
+    # would, for every input.
+    alpha_pad = np.full((n_frames, n_states + 2), NEG_INF)
+    alpha = alpha_pad[:, 2:]
+    alpha[0, :2] = emit[0, :2]
     for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        step = np.full(n_states, NEG_INF)
-        step[1:] = prev[:-1]
-        acc = np.logaddexp(prev, step)
-        skip = np.full(n_states, NEG_INF)
-        skip[2:] = prev[:-2]
-        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + emit[t]
+        prev = alpha_pad[t - 1]
+        acc = alpha[t]
+        np.logaddexp(prev[2:], prev[1:-1], out=acc)
+        np.logaddexp(acc, prev[:-2], out=acc, where=skip_ok)
+        acc += emit[t]
 
     if n_states > 1:
         log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
     else:
         log_p = alpha[-1, -1]
 
-    beta = np.full((n_frames, n_states), NEG_INF)
-    beta[-1, -1] = 0.0
-    if n_states > 1:
-        beta[-1, -2] = 0.0
     # transition s -> s+2 allowed iff the skip into state s+2 is allowed
     skip_out_ok = np.zeros(n_states, dtype=bool)
     if n_states > 2:
         skip_out_ok[:-2] = skip_ok[2:]
+    beta = np.full((n_frames, n_states), NEG_INF)
+    beta[-1, -2:] = 0.0
+    nxt_pad = np.full(n_states + 2, NEG_INF)
+    nxt = nxt_pad[:-2]
     for t in range(n_frames - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        step = np.full(n_states, NEG_INF)
-        step[:-1] = nxt[1:]
-        acc = np.logaddexp(nxt, step)
-        skip = np.full(n_states, NEG_INF)
-        if n_states > 2:
-            skip[:-2] = nxt[2:]
-        acc = np.where(skip_out_ok, np.logaddexp(acc, skip), acc)
-        beta[t] = acc
+        np.add(beta[t + 1], emit[t + 1], out=nxt)
+        acc = beta[t]
+        np.logaddexp(nxt, nxt_pad[1:-1], out=acc)
+        np.logaddexp(acc, nxt_pad[2:], out=acc, where=skip_out_ok)
 
     occupancy = alpha + beta  # log joint of passing through (t, s)
     log_gamma = np.full((n_frames, vocab), NEG_INF)
     for s, token in enumerate(ext):
-        log_gamma[:, token] = np.logaddexp(log_gamma[:, token], occupancy[:, s])
-    grad = -np.exp(log_gamma - log_p)
+        column = log_gamma[:, token]
+        np.logaddexp(column, occupancy[:, s], out=column)
+    log_gamma -= log_p
+    grad = np.exp(log_gamma, out=log_gamma)
+    np.negative(grad, out=grad)
     return float(-log_p), grad
 
 

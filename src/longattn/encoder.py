@@ -23,14 +23,12 @@ from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
     add,
-    append_const_col,
+    affine,
     const,
     frame_stack,
     layer_norm_rows,
-    matmul,
     param,
     relu,
-    transpose,
 )
 
 CHECKPOINT_FORMAT = "longattn-checkpoint-v1"
@@ -181,7 +179,7 @@ def subsample(features, factor: int, proj: Tensor) -> Tensor:
             f"need at least {factor} frames to subsample, got {x.data.shape[0]}"
         )
     stacked = frame_stack(x, factor)
-    return matmul(append_const_col(stacked), transpose(proj))
+    return affine(stacked, proj)
 
 
 def sa_block_forward(
@@ -197,8 +195,8 @@ def sa_block_forward(
                                alpha=cfg.alpha, start_index=start_index, capture=capture)
     y = add(x, mha)
     h2 = layer_norm_rows(y, block.ln2_gain, block.ln2_bias)
-    hidden = relu(matmul(append_const_col(h2), transpose(block.ffn_w1)))
-    ffn = matmul(append_const_col(hidden), transpose(block.ffn_w2))
+    hidden = relu(affine(h2, block.ffn_w1))
+    ffn = affine(hidden, block.ffn_w2)
     return add(y, ffn)
 
 
@@ -219,7 +217,7 @@ def encoder_forward(
         if capture is not None:
             capture.append(block_capture)
     x = layer_norm_rows(x, params.final_gain, params.final_bias)
-    return matmul(append_const_col(x), transpose(params.w_out))
+    return affine(x, params.w_out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ class EvalSettings:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         edges = self.bucket_edges
-        if not edges or edges[0] < 0 or any(a >= b for a, b in zip(edges, edges[1:])):
-            raise ConfigError(f"bucket_edges must be non-empty, start >= 0 and rise "
+        # the first bucket starts at 0, so every length falls in some bucket
+        if not edges or edges[0] != 0 or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ConfigError(f"bucket_edges must be non-empty, start at 0 and rise "
                               f"strictly, got {list(edges)}")
 
 

@@ -79,7 +79,6 @@ def evaluate(
         tokens = [0] * n_buckets
         dists = [0] * n_buckets
         for utt, hyp in zip(dataset.utterances, hyps):
-            # a length below the first edge gives -1, the last bucket
             idx = bisect.bisect_right(bucket_edges, utt.features.shape[0]) - 1
             counts[idx] += 1
             tokens[idx] += len(utt.labels)

@@ -251,11 +251,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(a.data @ b.data, (a, b), grad_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u.T)
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b.T`` as one node: the GEMMs of ``matmul(a, transpose(b))``
+    without the transpose node, and no gradient GEMM for a constant ``a``."""
+    if a.data.shape[1] != b.data.shape[1]:
+        raise DimensionError(
+            f"matmul_t: inner dimensions differ: {a.data.shape} x {b.data.shape}.T"
+        )
 
-    return make_op(a.data.T, (a,), grad_fn, allocates=False)
+    def grad_fn(u: np.ndarray) -> None:
+        if a.requires_grad:
+            accumulate_grad(a, u @ b.data)
+        accumulate_grad(b, (a.data.T @ u).T)
+
+    return make_op(a.data @ b.data.T, (a, b), grad_fn)
+
+
+def affine(x: Tensor, w: Tensor) -> Tensor:
+    """The linear map ``[x, 1] @ w.T``, whose last column of ``w`` is the bias.
+
+    One node for ``matmul(append_const_col(x), transpose(w))``, with the same
+    GEMMs on the same arrays forward and backward. It computes no gradient
+    for a constant ``x``.
+    """
+    if x.data.shape[1] + 1 != w.data.shape[1]:
+        raise DimensionError(
+            f"affine: {x.data.shape} input plus a bias column does not match "
+            f"weights {w.data.shape}"
+        )
+    xa = np.concatenate([x.data, np.ones((x.data.shape[0], 1))], axis=1)
+
+    def grad_fn(u: np.ndarray) -> None:
+        if x.requires_grad:
+            accumulate_grad(x, (u @ w.data)[:, :-1])
+        accumulate_grad(w, (xa.T @ u).T)
+
+    return make_op(xa @ w.data.T, (x, w), grad_fn)
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:

@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 
 import longattn.encoder as encoder_module
-from longattn.ctc import edit_distance
+from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
 from longattn.errors import LongattnError
 from longattn.numerics.tensor import Tensor, accumulate_grad, make_op
 
@@ -61,6 +61,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(a.data * b.data, (a, b), grad_fn)
 
 
+def transpose(a: Tensor) -> Tensor:
+    def grad_fn(u: np.ndarray) -> None:
+        accumulate_grad(a, u.T)
+
+    return make_op(a.data.T, (a,), grad_fn, allocates=False)
+
+
 def sum_all(a: Tensor) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
         accumulate_grad(a, np.full_like(a.data, u[0, 0]))
@@ -86,3 +93,88 @@ def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:
 def sigma_mask(head) -> float:
     """Soft-mask width of one head, from its log-parameter."""
     return math.exp(head.log_sigma_mask.data[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# reference oracles for the in-place optimizer and CTC recursion
+# ---------------------------------------------------------------------------
+
+
+class ReferenceAdam:
+    """Per-tensor Adam with whole-array temporaries: the plain expression the
+    grouped in-place ``Adam.step`` must reproduce bit for bit."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params = list(params)
+        self.lr, self.betas, self.eps = lr, betas, eps
+        self.first = [np.zeros_like(p.data) for p in self.params]
+        self.second = [np.zeros_like(p.data) for p in self.params]
+        self.step_count = 0
+
+    def step(self) -> None:
+        b1, b2 = self.betas
+        self.step_count += 1
+        t = self.step_count
+        for p, m, v in zip(self.params, self.first, self.second):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m[:] = b1 * m + (1.0 - b1) * g
+            v[:] = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_ctc_loss(y: np.ndarray, labels: Sequence[int]) -> tuple[float, np.ndarray]:
+    """CTC forward-backward with freshly allocated shift arrays per frame and
+    ``np.where`` for the skip transitions: the plain recursion the in-place
+    ``ctc_loss`` must reproduce bit for bit. Expects a feasible alignment."""
+    n_frames, vocab = y.shape
+    ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+    ext[1::2] = labels
+    n_states = ext.shape[0]
+    skip_ok = np.zeros(n_states, dtype=bool)
+    if n_states > 2:
+        skip_ok[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    emit = y[:, ext]
+
+    alpha = np.full((n_frames, n_states), NEG_INF)
+    alpha[0, 0] = emit[0, 0]
+    if n_states > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        step = np.full(n_states, NEG_INF)
+        step[1:] = prev[:-1]
+        acc = np.logaddexp(prev, step)
+        skip = np.full(n_states, NEG_INF)
+        skip[2:] = prev[:-2]
+        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
+        alpha[t] = acc + emit[t]
+    if n_states > 1:
+        log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    else:
+        log_p = alpha[-1, -1]
+
+    beta = np.full((n_frames, n_states), NEG_INF)
+    beta[-1, -1] = 0.0
+    if n_states > 1:
+        beta[-1, -2] = 0.0
+    skip_out_ok = np.zeros(n_states, dtype=bool)
+    if n_states > 2:
+        skip_out_ok[:-2] = skip_ok[2:]
+    for t in range(n_frames - 2, -1, -1):
+        nxt = beta[t + 1] + emit[t + 1]
+        step = np.full(n_states, NEG_INF)
+        step[:-1] = nxt[1:]
+        acc = np.logaddexp(nxt, step)
+        skip = np.full(n_states, NEG_INF)
+        if n_states > 2:
+            skip[:-2] = nxt[2:]
+        acc = np.where(skip_out_ok, np.logaddexp(acc, skip), acc)
+        beta[t] = acc
+
+    occupancy = alpha + beta
+    log_gamma = np.full((n_frames, vocab), NEG_INF)
+    for s, token in enumerate(ext):
+        log_gamma[:, token] = np.logaddexp(log_gamma[:, token], occupancy[:, s])
+    return float(-log_p), -np.exp(log_gamma - log_p)

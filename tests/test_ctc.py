@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import UndefinedRateError, token_error_rate
+from conftest import UndefinedRateError, reference_ctc_loss, token_error_rate
 from longattn.ctc import (
     collapse_frames,
     ctc_brute_force,
@@ -126,6 +126,32 @@ def test_ctc_gradient_through_log_softmax(seed):
 
     errors = check_gradients(f, [("logits", logits)])
     assert errors["logits"] <= 1e-5
+
+
+def test_ctc_loss_is_bit_identical_to_the_per_frame_recursion():
+    """A derandomized sweep: normalized and free log-scores, -inf entries
+    (some whole columns), empty labels, repeated labels, and lattices of
+    exactly ``min_frames_required`` frames."""
+    rng = np.random.default_rng(20)
+    for case in range(600):
+        vocab = int(rng.integers(2, 7))
+        n_labels = int(rng.integers(0, 6)) if case % 10 else 0
+        labels = list(rng.integers(1, vocab, size=n_labels))
+        if n_labels > 1 and case % 3 == 0:
+            labels[1] = labels[0]
+        n_frames = max(1, min_frames_required(labels)) + int(rng.integers(0, 4)) * (case % 4 > 0)
+        lat = random_lattice(rng, n_frames, vocab)
+        if case % 2:
+            lat = rng.normal(scale=10.0, size=lat.shape)
+        if case % 5 in (1, 2):
+            lat[rng.random(lat.shape) < 0.2] = -np.inf
+        if case % 7 == 3:
+            lat[:, int(rng.integers(vocab))] = -np.inf
+        with np.errstate(invalid="ignore"):  # a lattice with no finite path
+            expected_loss, expected_grad = reference_ctc_loss(lat, labels)
+            loss, grad = ctc_loss(lat, labels)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes(), case
+        assert grad.tobytes() == expected_grad.tobytes(), case
 
 
 def test_infeasible_alignment_is_distinct_error():

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import mul, parameter_count, sum_all
+from conftest import mul, parameter_count, sum_all, transpose
 from longattn.attention import AttentionVariant
 from longattn.encoder import (
     EncoderConfig,
@@ -150,7 +150,7 @@ def test_encoder_identity_at_initialization():
     full = encoder_forward(feats, params, cfg).data
 
     from longattn.attention import sinusoid_encoding
-    from longattn.numerics.tensor import add, append_const_col, layer_norm_rows, matmul, transpose
+    from longattn.numerics.tensor import add, append_const_col, layer_norm_rows, matmul
 
     x = subsample(feats, cfg.subsample_factor, params.subsample_proj)
     x = add(x, const(sinusoid_encoding(x.data.shape[0], cfg.d_model)))

@@ -453,6 +453,7 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                 "eval.seed=-1", "eval.n_utterances=2.5", 'eval.bucket_edges="ab"',
                 "eval.bucket_edges=[]", "model.alpha=1e-320", "model.n_layers=true",
                 'model.use_abs_pe="yes"', "eval.bucket_edges=[5,1]", "model.d_k=" + "9" * 5000,
+                "eval.bucket_edges=[150,200]",
                 "model.d_k=" + "[" * 10**5 + "]" * 10**5, f"--config={config}"]:
         capsys.readouterr()
         flag = [bad] if bad.startswith("--") else ["--set", bad]

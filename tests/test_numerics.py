@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import mul, sum_all
+from conftest import ReferenceAdam, mul, sum_all, transpose
 from longattn.attention.variants import pairwise_sqdist_scores, relative_shift
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
@@ -272,6 +272,7 @@ def test_primitive_op_gradients(seed):
     a = param(rng.normal(size=(3, 4)))
     b = param(rng.normal(size=(3, 4)))
     w = param(rng.normal(size=(4, 5)))
+    w_aff = param(rng.normal(size=(3, 5)))  # 4 inputs plus the bias column
     g = param(rng.normal(size=(1, 4)) * 0.3 + 1.0)
     bias = param(rng.normal(size=(1, 4)) * 0.3)
     s = param(rng.normal(size=(1, 1)))
@@ -300,7 +301,19 @@ def test_primitive_op_gradients(seed):
             lambda: sum_all(mul(probe5, T.matmul(a, w))),
             [("a", a), ("w", w)],
         ),
-        "transpose": (lambda: sum_all(T.matmul(T.transpose(a), probe)), [("a", a)]),
+        "transpose": (lambda: sum_all(T.matmul(transpose(a), probe)), [("a", a)]),
+        "matmul_t": (
+            lambda: sum_all(mul(probe3, T.matmul_t(a, b))),
+            [("a", a), ("b", b)],
+        ),
+        "affine": (
+            lambda: sum_all(mul(probe3, T.affine(a, w_aff))),
+            [("a", a), ("w_aff", w_aff)],
+        ),
+        "affine_const_input": (
+            lambda: sum_all(mul(probe3, T.affine(probe, w_aff))),
+            [("w_aff", w_aff)],
+        ),
         "mul_scalar_tensor": (
             lambda: sum_all(mul(probe, T.mul_scalar_tensor(a, s))),
             [("a", a), ("s", s)],
@@ -311,7 +324,7 @@ def test_primitive_op_gradients(seed):
             [("a", a)],
         ),
         "concat_cols": (
-            lambda: sum_all(T.matmul(T.concat_cols([a, b]), T.transpose(T.concat_cols([a, b])))),
+            lambda: sum_all(T.matmul(T.concat_cols([a, b]), transpose(T.concat_cols([a, b])))),
             [("a", a), ("b", b)],
         ),
         "frame_stack": (
@@ -374,7 +387,7 @@ def test_determinism_forward_and_gradients():
     def run():
         rng = np.random.default_rng(42)
         a = param(rng.normal(size=(4, 4)))
-        out = T.softmax_rows(T.matmul(a, T.transpose(a)))
+        out = T.softmax_rows(T.matmul_t(a, a))
         loss = sum_all(mul(out, out))
         backward(loss)
         return loss.item(), a.grad.copy()
@@ -452,6 +465,49 @@ def test_optimizer_state_shapes_and_grads_untouched():
     assert opt.step_count == 1
     assert opt.first[0].shape == p.data.shape
     npt.assert_array_equal(p.grad, g)
+
+
+def test_adam_matches_the_per_tensor_reference_bit_for_bit():
+    """Grouped flat-moment Adam against the per-tensor expression, over a
+    tensor larger than one group, many tiny tensors sharing groups, and a
+    tensor whose grad is None."""
+    group = linalg.CHUNK_ELEMENTS // 4
+    shapes = ([(1, 1), (2, 3), (1, 7)] * 12 + [(3, group // 3 + 5)] + [(4, 5)] * 9
+              + [(64, 65)] * 5 + [(1, 1)])
+    rng = np.random.default_rng(8)
+    init = [rng.normal(size=shape) for shape in shapes]
+    ours = [param(x) for x in init]
+    theirs = [param(x) for x in init]
+    ungraded = len(shapes) // 2  # a parameter nothing ever backpropagates into
+    for tensors in (ours, theirs):
+        tensors[ungraded].grad = None
+    assert shapes[36][0] * shapes[36][1] > group > sum(r * c for r, c in shapes[:36])
+    opt, ref = Adam(ours, lr=0.01), ReferenceAdam(theirs, lr=0.01)
+
+    for step in range(30):
+        for p, q in zip(ours, theirs):
+            if p.grad is None:
+                continue
+            g = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-6, 4)
+            g[rng.random(g.shape) < 0.1] = 0.0
+            g[rng.random(g.shape) < 0.05] = -0.0
+            p.grad[...] = g
+            q.grad[...] = g
+        opt.step()
+        ref.step()
+        for i, (p, q) in enumerate(zip(ours, theirs)):
+            assert p.data.tobytes() == q.data.tobytes(), (step, i)
+            assert opt.first[i].tobytes() == ref.first[i].tobytes(), (step, i)
+            assert opt.second[i].tobytes() == ref.second[i].tobytes(), (step, i)
+
+    flat = opt.first[0].base
+    for i, p in enumerate(ours):
+        for moments in (opt.first, opt.second):
+            assert moments[i].shape == p.data.shape
+            assert not moments[i].flags.owndata
+        assert np.shares_memory(opt.first[i], flat)
+    assert ours[ungraded].grad is None
+    npt.assert_array_equal(ours[ungraded].data, init[ungraded])
 
 
 def test_max_relative_error_zero_grads():
