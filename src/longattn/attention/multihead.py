@@ -3,6 +3,8 @@ per-head value projections."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..numerics.linalg import row_chunks
@@ -50,15 +52,16 @@ def multi_head_attention(
     variant: AttentionVariant,
     alpha: float = DEFAULT_ALPHA,
     start_index: int = 0,
-    capture: list | None = None,
+    observe: Callable[[int, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
     """Concatenate per-head attention outputs and apply the output linear map.
 
     Each head is projected once; then each block of query rows from
     ``row_chunks`` is scored against every key, normalised and applied to the
     values, and the block outputs are stacked. So no forward holds an L x L
-    matrix once L passes 256 (shorter inputs are one block). ``capture``
-    receives each head's full attention map, stacked from its blocks.
+    matrix once L passes 256 (shorter inputs are one block). ``observe`` is
+    called as ``observe(head, rows, weights)`` for each block, in row order,
+    with the block's weights over every key; it must not modify them.
 
     Values are always projected from the raw input frames; frame indexing only
     ever enters the query/key pathway inside ``attention_weights``.
@@ -68,18 +71,15 @@ def multi_head_attention(
     length = xt.data.shape[0]
     blocks = row_chunks(length, length)
     outputs = []
-    for head in heads:
+    for index, head in enumerate(heads):
         projected = VARIANTS[variant].projections(xt, head, alpha, start_index)
         values = matmul_t(xa, head.w_v)
-        parts, maps = [], []
+        parts = []
         for rows in blocks:
-            attn = attention_weights(xt, head, variant, alpha=alpha, start_index=start_index,
-                                     rows=rows, projected=projected)
-            if capture is not None:
-                maps.append(attn.data)
+            attn = attention_weights(xt, head, variant, rows=rows, projected=projected)
+            if observe is not None:
+                observe(index, rows, attn.data)
             parts.append(matmul(attn, values))
-        if capture is not None:
-            capture.append(maps[0] if len(maps) == 1 else np.concatenate(maps))
         outputs.append(concat_rows(parts))
     combined = outputs[0] if len(outputs) == 1 else concat_cols(outputs)
     return affine(combined, w_o)

@@ -168,8 +168,8 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         project=lambda x, p: relative_projections(x, p.w_q, p.w_k_x, p.w_k_r),
         pair=lambda qkr, p, rows: relative_pair_stage(*qkr, p.u, p.v, rows),
         # content scores, all-offset position scores (L x 2L-1), their shift,
-        # the sum, scaled scores, attention; q + u and q + v with their tiled biases
-        pair_elements=lambda n, d_model, d_k: 5 * n * n + n * (2 * n - 1) + 4 * n * d_k,
+        # the sum, scaled scores, attention; q + u and q + v
+        pair_elements=lambda n, d_model, d_k: 5 * n * n + n * (2 * n - 1) + 2 * n * d_k,
         init_scores=lambda rng, score_in, d_model, d_k, alpha: {
             **_init_qk(rng, score_in, d_model, d_k, alpha),
             "w_k_r": param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model))),

@@ -26,6 +26,7 @@ from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
     add,
+    add_row,
     affine,
     append_const_col,
     const,
@@ -37,7 +38,6 @@ from ..numerics.tensor import (
     pow_scalar,
     slice_rows,
     softmax_rows,
-    tile_rows,
 )
 from .encodings import signed_sinusoid_table, squared_offset_matrix
 
@@ -207,9 +207,9 @@ def relative_terms(
         )
     start, stop, _ = rows.indices(length)
     q_rows = slice_rows(q, rows)
-    content = matmul_t(add(q_rows, tile_rows(u, stop - start)), kx)
+    content = matmul_t(add_row(q_rows, u), kx)
     offsets = slice_rows(kr, slice(start, stop + length - 1))
-    position = matmul_t(add(q_rows, tile_rows(v, stop - start)), offsets)
+    position = matmul_t(add_row(q_rows, v), offsets)
     return add(content, relative_shift(position))
 
 

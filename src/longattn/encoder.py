@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -91,19 +93,12 @@ class SABlockParams:
     ffn_w2: Tensor
 
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
+        """The heads' tensors, then the block's own in field order."""
         out: list[tuple[str, Tensor]] = []
         for i, head in enumerate(self.heads):
             out += head.named(f"{prefix}head{i}.")
-        out += [
-            (f"{prefix}w_o", self.w_o),
-            (f"{prefix}ln1_gain", self.ln1_gain),
-            (f"{prefix}ln1_bias", self.ln1_bias),
-            (f"{prefix}ln2_gain", self.ln2_gain),
-            (f"{prefix}ln2_bias", self.ln2_bias),
-            (f"{prefix}ffn_w1", self.ffn_w1),
-            (f"{prefix}ffn_w2", self.ffn_w2),
-        ]
-        return out
+        return out + [(f"{prefix}{f.name}", getattr(self, f.name))
+                      for f in fields(self) if f.name != "heads"]
 
 
 @dataclass
@@ -186,13 +181,12 @@ def sa_block_forward(
     x: Tensor,
     block: SABlockParams,
     cfg: EncoderConfig,
-    start_index: int = 0,
-    capture: list | None = None,
+    observe: Callable[[int, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
     """Pre-norm residual block: x + MHA(LN(x)), then y + FFN(LN(y))."""
     h = layer_norm_rows(x, block.ln1_gain, block.ln1_bias)
     mha = multi_head_attention(h, block.heads, block.w_o, cfg.variant,
-                               alpha=cfg.alpha, start_index=start_index, capture=capture)
+                               alpha=cfg.alpha, observe=observe)
     y = add(x, mha)
     h2 = layer_norm_rows(y, block.ln2_gain, block.ln2_bias)
     hidden = relu(affine(h2, block.ffn_w1))
@@ -204,18 +198,16 @@ def encoder_forward(
     features,
     params: ModelParams,
     cfg: EncoderConfig,
-    start_index: int = 0,
-    capture: list[list[np.ndarray]] | None = None,
+    observe: Callable[[int, int, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
-    """Features (T, feat_dim) -> token logits (ceil(T/factor), vocab_size)."""
+    """Features (T, feat_dim) -> token logits (ceil(T/factor), vocab_size).
+    ``observe(layer, head, rows, weights)`` sees every attention row block."""
     x = subsample(features, cfg.subsample_factor, params.subsample_proj)
     if cfg.abs_pe_enabled:
         x = add(x, const(sinusoid_encoding(x.data.shape[0], cfg.d_model)))
-    for block in params.blocks:
-        block_capture: list | None = [] if capture is not None else None
-        x = sa_block_forward(x, block, cfg, start_index=start_index, capture=block_capture)
-        if capture is not None:
-            capture.append(block_capture)
+    for layer, block in enumerate(params.blocks):
+        x = sa_block_forward(x, block, cfg,
+                             observe=None if observe is None else partial(observe, layer))
     x = layer_norm_rows(x, params.final_gain, params.final_bias)
     return affine(x, params.w_out)
 

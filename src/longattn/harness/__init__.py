@@ -12,7 +12,7 @@ from .evaluation import (
     write_report_csv,
     write_sweep_csv,
 )
-from .heatmap import dump_heatmap, write_pgm
+from .heatmap import attention_map, dump_heatmap, write_pgm
 from .memory import MemoryFootprint, memory_footprint_estimate, write_memory_csv
 from .synth import (
     Dataset,
@@ -38,6 +38,7 @@ __all__ = [
     "TrainResult",
     "TrainSettings",
     "Utterance",
+    "attention_map",
     "concat_eval",
     "config_hash",
     "decode_utterance",

@@ -12,12 +12,31 @@ from ..numerics.tensor import no_grad
 def write_pgm(path, matrix: np.ndarray) -> None:
     """Binary portable graymap, linear scale, max-normalized per map."""
     peak = matrix.max()
-    scaled = matrix / peak if peak > 0 else matrix
-    pixels = np.rint(scaled * 255.0).astype(np.uint8)
+    scaled = matrix / peak if peak > 0 else matrix.copy()
+    pixels = np.rint(np.multiply(scaled, 255.0, out=scaled), out=scaled).astype(np.uint8)
     rows, cols = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
+
+
+def attention_map(model: TrainedModel, features: np.ndarray, layer: int, head: int) -> np.ndarray:
+    """One head's full attention matrix for one utterance, stacked from its row
+    blocks; the forward records no tape and keeps no other head's weights."""
+    cfg = model.config
+    if not (0 <= layer < cfg.n_layers):
+        raise ConfigError(f"layer {layer} out of range [0, {cfg.n_layers})")
+    if not (0 <= head < cfg.n_heads):
+        raise ConfigError(f"head {head} out of range [0, {cfg.n_heads})")
+    blocks: list[np.ndarray] = []
+
+    def keep(at_layer: int, at_head: int, rows: slice, weights: np.ndarray) -> None:
+        if (at_layer, at_head) == (layer, head):
+            blocks.append(weights)
+
+    with no_grad():
+        encoder_forward(features, model.params, cfg, observe=keep)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def dump_heatmap(
@@ -33,19 +52,10 @@ def dump_heatmap(
     Rows are the source (query) frame index, columns the target frame index.
     Writes ``<prefix>.csv`` with 17 significant digits and ``<prefix>.pgm``.
     """
-    cfg = model.config
-    if not (0 <= layer < cfg.n_layers):
-        raise ConfigError(f"layer {layer} out of range [0, {cfg.n_layers})")
-    if not (0 <= head < cfg.n_heads):
-        raise ConfigError(f"head {head} out of range [0, {cfg.n_heads})")
-    capture: list[list[np.ndarray]] = []
-    with no_grad():
-        encoder_forward(features, model.params, cfg, capture=capture)
-    attn = capture[layer][head]
+    attn = attention_map(model, features, layer, head)
     with open(f"{out_prefix}.csv", "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={config_hash} layer={layer} head={head}\n")
         for row in attn:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     write_pgm(f"{out_prefix}.pgm", attn)
     return attn
-

@@ -21,6 +21,8 @@ from ..encoder import EncoderConfig
 from ..errors import ConfigError
 from ..numerics.tensor import const, count_allocations
 
+MEASURE_SEED = 0  # seeds the head weights and input frames of a measurement
+
 
 @dataclass
 class MemoryFootprint:
@@ -30,15 +32,9 @@ class MemoryFootprint:
     measured: int
 
 
-def analytic_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig) -> int:
-    """Closed-form element count of the pairwise stage for one head."""
-    return VARIANTS[variant].pair_elements(length, cfg.d_model, cfg.d_k)
-
-
-def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig,
-                          seed: int = 0) -> int:
+def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig) -> int:
     """Run one head's pairwise stage under the allocation meter."""
-    rng = np.random.default_rng([seed, 0x6D])
+    rng = np.random.default_rng([MEASURE_SEED, 0x6D])
     params = init_attention_params(variant, cfg.d_model, cfg.d_k, cfg.d_v, cfg.alpha, rng)
     spec = VARIANTS[variant]
     x = const(rng.normal(size=(length, cfg.d_model)))
@@ -58,7 +54,7 @@ def memory_footprint_estimate(variant: AttentionVariant | str, length: int,
     return MemoryFootprint(
         variant=variant.value,
         length=length,
-        analytic=analytic_pair_elements(variant, length, cfg),
+        analytic=VARIANTS[variant].pair_elements(length, cfg.d_model, cfg.d_k),
         measured=measure_pair_elements(variant, length, cfg),
     )
 

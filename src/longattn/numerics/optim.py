@@ -11,6 +11,9 @@ from ..errors import ConfigError
 from . import linalg
 from .tensor import Tensor
 
+# The moments' decay rates, and the term added to sqrt(v) before dividing by it.
+BETAS, EPS = (0.9, 0.999), 1e-8
+
 
 class Adam:
     """Adam over a fixed parameter list.
@@ -23,14 +26,11 @@ class Adam:
     parameter arrays stay owned by their tensors and are updated in place.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         offsets = list(accumulate((p.data.size for p in self.params), initial=0))
         self._m = np.zeros(offsets[-1])
@@ -58,7 +58,7 @@ class Adam:
     def step(self) -> None:
         """One update from the accumulated gradients; grads are left untouched.
         A parameter whose grad is None is updated as if its gradient were zero."""
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - b1**t
@@ -81,7 +81,7 @@ class Adam:
             np.divide(m, c1, out=s)
             np.divide(v, c2, out=g)
             np.sqrt(g, out=g)
-            g += self.eps
+            g += EPS
             s *= self.lr
             s /= g
             for p, a, b in members:

@@ -22,6 +22,8 @@ import numpy as np
 from ..errors import DimensionError, StateError
 from .linalg import softmax_rows as _softmax
 
+LAYER_NORM_EPS = 1e-12  # added to each row's variance in ``layer_norm_rows``
+
 _meter: "AllocationMeter | None" = None
 _grad_enabled = True
 
@@ -167,24 +169,32 @@ def backward(loss: Tensor) -> None:
             node._grad_fn(node.grad)
 
 
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shapes differ: {a.data.shape} vs {b.data.shape}")
-
-
 # ---------------------------------------------------------------------------
 # elementwise and scalar ops
 # ---------------------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shapes differ: {a.data.shape} vs {b.data.shape}")
 
     def grad_fn(u: np.ndarray) -> None:
         accumulate_grad(a, u)
         accumulate_grad(b, u)
 
     return make_op(a.data + b.data, (a, b), grad_fn)
+
+
+def add_row(a: Tensor, v: Tensor) -> Tensor:
+    """Add the 1xC row ``v`` to every row of the c x C matrix ``a``."""
+    if v.data.shape != (1, a.data.shape[1]):
+        raise DimensionError(f"add_row: {v.data.shape} is not a row of {a.data.shape}")
+
+    def grad_fn(u: np.ndarray) -> None:
+        accumulate_grad(a, u)
+        accumulate_grad(v, u.sum(axis=0, keepdims=True))
+
+    return make_op(a.data + v.data, (a, v), grad_fn)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
@@ -287,17 +297,6 @@ def affine(x: Tensor, w: Tensor) -> Tensor:
         accumulate_grad(w, (xa.T @ u).T)
 
     return make_op(xa @ w.data.T, (x, w), grad_fn)
-
-
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Stack ``n`` copies of the 1xC row vector ``v``."""
-    if v.data.shape[0] != 1:
-        raise DimensionError(f"tile_rows: expected 1xC row vector, got {v.data.shape}")
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(v, u.sum(axis=0, keepdims=True))
-
-    return make_op(np.repeat(v.data, n, axis=0), (v,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +418,7 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return make_op(out, (x,), grad_fn)
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then gain and bias.
 
     ``gain`` and ``bias`` are 1xC and apply to every row.
@@ -433,7 +432,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -
     mu = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = xhat * gain.data + bias.data
 

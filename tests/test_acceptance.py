@@ -26,6 +26,7 @@ from longattn.ctc import ctc_brute_force, ctc_loss, ctc_loss_op, min_frames_requ
 from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward, init_model, save_checkpoint
 from longattn.errors import InfeasibleAlignmentError
 from longattn.harness import (
+    attention_map,
     concat_eval,
     evaluate,
     gen_dataset,
@@ -365,10 +366,8 @@ def test_criterion_8b_heatmap_locality(trend_setup):
     cfg, heldout, models, _ = trend_setup
     fi = models["gaussian_frame_index"]
 
-    def capture_first_map(features):
-        cap: list = []
-        encoder_forward(features, fi.params, fi.config, capture=cap)
-        return cap[0][0]
+    def first_map(features):
+        return attention_map(fi, features, layer=0, head=0)
 
     def min_w(attn, target=0.8):
         L = attn.shape[0]
@@ -378,9 +377,9 @@ def test_criterion_8b_heatmap_locality(trend_setup):
         return L
 
     shorts = concat_eval(heldout, 1, seed=0).utterances[:10]
-    width = max(min_w(capture_first_map(u.features)) for u in shorts)
+    width = max(min_w(first_map(u.features)) for u in shorts)
     long_utt = concat_eval(heldout, 10, seed=0).utterances[0]
-    attn = capture_first_map(long_utt.features)
+    attn = first_map(long_utt.features)
     worst = min(attn[i, max(0, i - width):i + width + 1].sum()
                 for i in range(attn.shape[0]))
     assert worst >= 0.8, f"row mass {worst:.3f} within +/-{width} frames"

@@ -588,11 +588,11 @@ def test_blocked_forward_matches_one_block(variant, length, monkeypatch):
     x = rng.normal(size=(length, d_model))
 
     def forward():
-        capture: list = []
+        blocks: list[list] = [[] for _ in heads]
         with no_grad():
             out = multi_head_attention(x, heads, w_o, variant, start_index=3,
-                                       capture=capture).data
-        return out, capture
+                                       observe=lambda h, rows, w: blocks[h].append(w)).data
+        return out, [np.concatenate(head_blocks) for head_blocks in blocks]
 
     assert len(linalg.row_chunks(length, length)) >= 2
     blocked, blocked_maps = forward()

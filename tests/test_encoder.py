@@ -219,17 +219,32 @@ def test_shifted_input_matches_on_overlap():
     assert diff <= 1e-8, diff
 
 
-def test_capture_collects_attention_per_block_and_head():
-    cfg = tiny_cfg(AttentionVariant.GAUSSIAN)
-    params = init_model(cfg, seed=14)
-    capture: list = []
-    encoder_forward(np.ones((12, cfg.feat_dim)), params, cfg, capture=capture)
-    assert len(capture) == cfg.n_layers
-    assert all(len(layer) == cfg.n_heads for layer in capture)
-    for layer in capture:
-        for attn in layer:
-            assert attn.shape == (3, 3)
-            npt.assert_allclose(attn.sum(axis=1), np.ones(3), atol=1e-12)
+def test_observer_sees_each_row_block_once_per_layer_and_head():
+    from longattn.numerics import linalg
+
+    length = 300
+    assert len(linalg.row_chunks(length, length)) >= 2
+    for variant in AttentionVariant:
+        cfg = tiny_cfg(variant)
+        params = init_model(cfg, seed=14, zero_residual=False)
+        feats = np.random.default_rng(17).normal(size=(length * cfg.subsample_factor,
+                                                      cfg.feat_dim))
+        seen: dict[tuple[int, int], list] = {}
+
+        def observe(layer, head, rows, weights):
+            seen.setdefault((layer, head), []).append((rows, weights))
+
+        encoder_forward(feats, params, cfg, observe=observe)
+        assert sorted(seen) == [(i, h) for i in range(cfg.n_layers) for h in range(cfg.n_heads)]
+        for blocks in seen.values():
+            covered = 0
+            for rows, weights in blocks:
+                start, stop, _ = rows.indices(length)
+                assert start == covered and stop > start, (variant, rows)
+                assert weights.shape == (stop - start, length)
+                npt.assert_allclose(weights.sum(axis=1), np.ones(stop - start), atol=1e-12)
+                covered = stop
+            assert covered == length and len(blocks) >= 2
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)

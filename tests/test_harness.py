@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,12 @@ import pytest
 
 from longattn.attention import AttentionVariant
 from longattn.cli import main as cli_main
-from longattn.encoder import EncoderConfig, encoder_forward, load_checkpoint
+from longattn.encoder import (
+    EncoderConfig,
+    TrainedModel,
+    init_model,
+    load_checkpoint,
+)
 from longattn.errors import ConfigError, DivergenceError
 from longattn.harness import (
     SyntheticTaskConfig,
@@ -261,6 +267,23 @@ def test_dump_heatmap_single_frame(tmp_path):
     attn = dump_heatmap(model, feats[:4], layer=0, head=0,
                         out_prefix=str(tmp_path / "one"))
     npt.assert_array_equal(attn, [[1.0]])
+
+
+def test_dump_heatmap_peak_memory_is_under_three_maps(tmp_path):
+    # T = 3904 subsamples to L = 976, several row blocks; only the dumped
+    # head's blocks are kept, not the 8 maps of every layer and head
+    cfg = EncoderConfig()
+    model = TrainedModel(cfg, init_model(cfg, seed=0))
+    feats = np.random.default_rng(21).normal(size=(3904, cfg.feat_dim))
+    tracemalloc.start()
+    try:
+        attn = dump_heatmap(model, feats, layer=1, head=1, out_prefix=str(tmp_path / "big"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = attn.shape[0]
+    assert attn.shape == (976, 976)
+    assert peak < 3 * length * length * 8, peak
 
 
 def test_dump_heatmap_range_errors(tmp_path):

@@ -224,6 +224,22 @@ def test_backward_before_forward_raises():
         backward(const([[1.0]]))
 
 
+def test_add_row_is_the_tiled_add():
+    rng = np.random.default_rng(6)
+    a = param(rng.normal(size=(5, 3)))
+    v = param(rng.normal(size=(1, 3)))
+    out = T.add_row(a, v)
+    npt.assert_array_equal(out.data, a.data + np.repeat(v.data, 5, axis=0))
+    probe = rng.normal(size=(5, 3))
+    backward(sum_all(mul(const(probe), out)))
+    npt.assert_array_equal(a.grad, probe)
+    npt.assert_array_equal(v.grad, probe.sum(axis=0, keepdims=True))
+    with pytest.raises(DimensionError):
+        T.add_row(a, param(np.ones((2, 3))))
+    with pytest.raises(DimensionError):
+        T.add_row(a, param(np.ones((1, 4))))
+
+
 def test_backward_requires_scalar():
     x = param(np.ones((2, 2)))
     with pytest.raises(DimensionError):
@@ -318,7 +334,7 @@ def test_primitive_op_gradients(seed):
             lambda: sum_all(mul(probe, T.mul_scalar_tensor(a, s))),
             [("a", a), ("s", s)],
         ),
-        "tile_rows": (lambda: sum_all(mul(probe, T.tile_rows(g, 3))), [("g", g)]),
+        "add_row": (lambda: sum_all(mul(probe, T.add_row(a, g))), [("a", a), ("g", g)]),
         "append_const_col": (
             lambda: sum_all(mul(probe5, T.append_const_col(a))),
             [("a", a)],
