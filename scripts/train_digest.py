@@ -12,26 +12,38 @@ time (``concat_eval`` with seed 0):
 
     <variant> heatmap k=<k> frames=<L> csv=<sha256> pgm=<sha256>
 
-Two source trees train (and draw heatmaps) bit-identically exactly when their
-outputs are equal:
+With ``--artifacts`` it also runs ``train --curve``, ``eval``, ``sweep``,
+``heatmap`` and ``memcheck`` through ``longattn.cli.main`` (gaussian_frame_index,
+``--steps`` steps, default config) in a temporary directory, with relative
+paths so that the reports' ``checkpoint=`` comment is the same in every run,
+and prints one line per file written:
+
+    artifact <file> sha256=<sha256>
+
+Two source trees train (and write heatmaps and CLI artifacts) bit-identically
+exactly when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/train_digest.py --steps 150 > after.txt
     PYTHONPATH=/path/to/other/src python3 scripts/train_digest.py --steps 150 > before.txt
     diff before.txt after.txt
 
-Only the public harness API is used, so the script runs against older trees.
+Only the public harness API and the CLI entry point are used, so the script
+runs against older trees.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from longattn.attention import AttentionVariant
+from longattn.cli import main as cli_main
 from longattn.encoder import EncoderConfig, TrainedModel
 from longattn.harness import (
     EvalSettings,
@@ -45,6 +57,20 @@ from longattn.harness import (
 )
 
 HEATMAP_KS = (1, 10)
+ARTIFACTS = ("model.ckpt", "curve.csv", "report.csv", "sweep.csv", "hm.csv", "hm.pgm", "mem.csv")
+
+
+def cli_runs(steps: int) -> list[list[str]]:
+    return [
+        ["train", "--variant", "gaussian_frame_index", "--steps", str(steps),
+         "--curve", "curve.csv", "--out", "model.ckpt"],
+        ["eval", "--checkpoint", "model.ckpt", "--concat-k", "2", "--out", "report.csv"],
+        ["sweep", "--checkpoint", "gaussian_frame_index=model.ckpt", "--lengths", "1,2",
+         "--seeds", "0,1", "--out", "sweep.csv"],
+        ["heatmap", "--checkpoint", "model.ckpt", "--layer", "0", "--head", "0",
+         "--concat-k", "10", "--out-prefix", "hm"],
+        ["memcheck", "--lengths", "7,64,300", "--out", "mem.csv"],
+    ]
 
 
 def train(variant: AttentionVariant, steps: int, data, task: SyntheticTaskConfig):
@@ -76,14 +102,32 @@ def heatmap_digests(variant: AttentionVariant, model: TrainedModel, heldout) -> 
     return lines
 
 
+def artifact_digests(steps: int) -> list[str]:
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in cli_runs(steps):
+                if cli_main(argv) != 0:
+                    raise SystemExit(f"longattn {' '.join(argv)} failed")
+            return [f"artifact {name} sha256={hashlib.sha256(Path(name).read_bytes()).hexdigest()}"
+                    for name in ARTIFACTS]
+        finally:
+            os.chdir(previous)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=150, help="training steps per variant")
     parser.add_argument("--heatmap", action="store_true",
                         help="also digest layer 0, head 0 heatmaps at k = 1 and k = 10")
+    parser.add_argument("--artifacts", action="store_true",
+                        help="also digest the files the train, eval, sweep, heatmap and "
+                             "memcheck subcommands write")
     args = parser.parse_args()
     if args.steps < 1:
         parser.error("--steps must be at least 1")
+    logging.basicConfig(level=logging.WARNING)  # keeps the CLI's progress lines quiet
     task = SyntheticTaskConfig()
     data = gen_dataset(task)
     if args.heatmap:
@@ -94,6 +138,8 @@ def main() -> None:
         print(digest(variant, result), flush=True)
         if args.heatmap:
             print("\n".join(heatmap_digests(variant, result.model, heldout)), flush=True)
+    if args.artifacts:
+        print("\n".join(artifact_digests(args.steps)), flush=True)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -73,12 +73,9 @@ class AttentionParams:
     w_v: Tensor | None = None
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = []
-        for field in ("w_q", "w_k_x", "w_s", "log_sigma_mask", "w_k_r", "u", "v", "w_v"):
-            t = getattr(self, field)
-            if t is not None:
-                out.append((f"{prefix}{field}", t))
-        return out
+        """The set tensors in field order."""
+        return [(f"{prefix}{f.name}", t) for f in fields(self)
+                if (t := getattr(self, f.name)) is not None]
 
 
 @dataclass(frozen=True)

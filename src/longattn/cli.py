@@ -12,16 +12,18 @@ import argparse
 import logging
 import sys
 import traceback
+from dataclasses import astuple
 
 from .attention.params import AttentionVariant
+from .container import write_csv
 from .encoder import TrainedModel, load_checkpoint, save_checkpoint
 from .errors import ConfigError, LongattnError
 from .harness.configio import config_hash, load_config
-from .harness.evaluation import evaluate, run_length_sweep, write_report_csv, write_sweep_csv
+from .harness.evaluation import ReportRow, SweepRow, evaluate, run_length_sweep
 from .harness.heatmap import dump_heatmap
-from .harness.memory import memory_footprint_estimate, write_memory_csv
+from .harness.memory import MemoryFootprint, memory_footprint_estimate
 from .harness.synth import concat_eval, gen_dataset, heldout_task, load_dataset, save_dataset
-from .harness.training import train_model, write_curve_csv
+from .harness.training import TrainResult, train_model
 
 log = logging.getLogger("longattn")
 
@@ -83,7 +85,8 @@ def cmd_train(args) -> int:
     result.model.meta["config_hash"] = digest
     save_checkpoint(args.out, result.model)
     if args.curve is not None:
-        write_curve_csv(args.curve, result.curve, digest)
+        write_csv(args.curve, f"config_hash={digest}",
+                  [TrainResult.curve_columns, *enumerate(result.curve)])
     log.info("trained %s for %d steps in %.1fs, final loss %.4f -> %s",
              cfg.model.variant.value, cfg.train.steps, result.wall_clock_s,
              result.curve[-1] if result.curve else float("nan"), args.out)
@@ -103,9 +106,9 @@ def cmd_eval(args) -> int:
     heldout = _heldout_dataset(cfg)
     eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
     report = evaluate(model, {f"concat{args.concat_k}": eval_set},
-                      config_hash=digest, checkpoint=str(args.checkpoint),
-                      seed=args.eval_seed, bucket_edges=cfg.eval.bucket_edges)
-    write_report_csv(report, args.out)
+                      bucket_edges=cfg.eval.bucket_edges)
+    write_csv(args.out, f"config_hash={digest} checkpoint={args.checkpoint} seed={args.eval_seed}",
+              [ReportRow.columns, *map(astuple, report.rows)])
     for row in report.rows:
         log.info("%s %s: %d utts, error %.4f", row.eval_set, row.bucket,
                  row.n_utterances, row.token_error_rate)
@@ -132,9 +135,8 @@ def cmd_sweep(args) -> int:
             )
         models[name] = model
     heldout = _heldout_dataset(cfg)
-    result = run_length_sweep(models, heldout, _int_list(args.lengths),
-                              _int_list(args.seeds), config_hash=digest)
-    write_sweep_csv(result, args.out)
+    rows = run_length_sweep(models, heldout, _int_list(args.lengths), _int_list(args.seeds))
+    write_csv(args.out, f"config_hash={digest}", [SweepRow.columns, *map(astuple, rows)])
     log.info("sweep -> %s", args.out)
     return 0
 
@@ -167,7 +169,8 @@ def cmd_memcheck(args) -> int:
         for length in _int_list(args.lengths):
             rows.append(memory_footprint_estimate(variant, length, cfg.model))
     if args.out:
-        write_memory_csv(rows, args.out, config_hash=digest)
+        write_csv(args.out, f"config_hash={digest}",
+                  [MemoryFootprint.columns, *map(astuple, rows)])
     for r in rows:
         log.info("%-22s L=%-5d analytic=%-10d measured=%d",
                  r.variant, r.length, r.analytic, r.measured)

@@ -42,6 +42,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_csv(path, comment: str, rows: Iterable[Iterable]) -> None:
+    """Every CSV artifact: a ``# comment`` line, then one comma-joined line per
+    row (a table's header is its first row). Floats keep 17 significant digits,
+    so they read back exactly; any other cell is written with ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {comment}\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 def write_container(path, meta: dict, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
     arrays = list(arrays)
     meta_bytes = canonical_json(meta).encode("utf-8")

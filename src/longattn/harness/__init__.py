@@ -4,16 +4,13 @@ and memory accounting."""
 from .configio import EvalSettings, ExperimentConfig, config_hash, load_config
 from .evaluation import (
     ExperimentReport,
-    SweepResult,
     decode_utterance,
     evaluate,
     overall_error,
     run_length_sweep,
-    write_report_csv,
-    write_sweep_csv,
 )
 from .heatmap import attention_map, dump_heatmap, write_pgm
-from .memory import MemoryFootprint, memory_footprint_estimate, write_memory_csv
+from .memory import MemoryFootprint, memory_footprint_estimate
 from .synth import (
     Dataset,
     SyntheticTaskConfig,
@@ -25,7 +22,7 @@ from .synth import (
     save_dataset,
     token_prototypes,
 )
-from .training import TrainResult, TrainSettings, loss_decreased, train_model, write_curve_csv
+from .training import TrainResult, TrainSettings, loss_decreased, train_model
 
 __all__ = [
     "Dataset",
@@ -33,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "MemoryFootprint",
-    "SweepResult",
     "SyntheticTaskConfig",
     "TrainResult",
     "TrainSettings",
@@ -55,9 +51,5 @@ __all__ = [
     "save_dataset",
     "token_prototypes",
     "train_model",
-    "write_curve_csv",
-    "write_memory_csv",
     "write_pgm",
-    "write_report_csv",
-    "write_sweep_csv",
 ]

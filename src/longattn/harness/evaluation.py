@@ -5,7 +5,8 @@ from __future__ import annotations
 import bisect
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +23,8 @@ DEFAULT_BUCKET_EDGES = (0, 50, 100, 200, 400, 800, 1600)
 
 @dataclass
 class ReportRow:
+    columns: ClassVar = ("eval_set", "bucket", "n_utterances", "ref_tokens",
+                         "edit_distance", "token_error_rate")
     eval_set: str
     bucket: str
     n_utterances: int
@@ -33,9 +36,6 @@ class ReportRow:
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
-    config_hash: str = ""
-    checkpoint: str = ""
-    seed: int | None = None
     wall_clock_s: float = 0.0  # informational; kept out of the CSV artifact
 
 
@@ -55,9 +55,6 @@ def _bucket_label(edges: tuple[int, ...], idx: int) -> str:
 def evaluate(
     model: TrainedModel,
     eval_sets: dict[str, Dataset],
-    config_hash: str = "",
-    checkpoint: str = "",
-    seed: int | None = None,
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES,
 ) -> ExperimentReport:
     """Greedy-decode every utterance; aggregate corpus-level error per length bucket."""
@@ -92,8 +89,7 @@ def evaluate(
         total_tokens = sum(tokens)
         rows.append(ReportRow(name, "all", sum(counts), total_tokens, sum(dists),
                               sum(dists) / total_tokens if total_tokens else 0.0))
-    return ExperimentReport(rows=rows, config_hash=config_hash, checkpoint=checkpoint,
-                            seed=seed, wall_clock_s=time.perf_counter() - started)
+    return ExperimentReport(rows=rows, wall_clock_s=time.perf_counter() - started)
 
 
 def overall_error(report: ExperimentReport, eval_set: str) -> float:
@@ -103,16 +99,6 @@ def overall_error(report: ExperimentReport, eval_set: str) -> float:
     raise ConfigError(f"report has no eval set {eval_set!r}")
 
 
-def write_report_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={report.config_hash} checkpoint={report.checkpoint} "
-                 f"seed={report.seed}\n")
-        fh.write("eval_set,bucket,n_utterances,ref_tokens,edit_distance,token_error_rate\n")
-        for r in report.rows:
-            fh.write(f"{r.eval_set},{r.bucket},{r.n_utterances},{r.ref_tokens},"
-                     f"{r.edit_distance},{r.token_error_rate:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # length sweep
 # ---------------------------------------------------------------------------
@@ -120,6 +106,7 @@ def write_report_csv(report: ExperimentReport, path) -> None:
 
 @dataclass
 class SweepRow:
+    columns: ClassVar = ("variant", "k", "seed", "n_utterances", "token_error_rate")
     variant: str
     k: int
     seed: str  # seed value or "mean"
@@ -127,41 +114,22 @@ class SweepRow:
     token_error_rate: float
 
 
-@dataclass
-class SweepResult:
-    rows: list[SweepRow] = field(default_factory=list)
-    config_hash: str = ""
-
-
 def run_length_sweep(
     models: dict[str, TrainedModel],
     heldout: Dataset,
     lengths: list[int],
     seeds: list[int],
-    config_hash: str = "",
-) -> SweepResult:
+) -> list[SweepRow]:
     """Error rate per (variant, concatenation factor), averaged over eval seeds."""
-    result = SweepResult(config_hash=config_hash)
+    rows: list[SweepRow] = []
     for variant, model in models.items():
         for k in lengths:
             per_seed = []
             for seed in seeds:
                 eval_set = concat_eval(heldout, k, seed=seed)
-                report = evaluate(model, {"sweep": eval_set}, config_hash=config_hash,
-                                  seed=seed)
-                ter = overall_error(report, "sweep")
-                result.rows.append(SweepRow(variant, k, str(seed), len(eval_set), ter))
+                ter = overall_error(evaluate(model, {"sweep": eval_set}), "sweep")
+                rows.append(SweepRow(variant, k, str(seed), len(eval_set), ter))
                 per_seed.append(ter)
-            result.rows.append(SweepRow(variant, k, "mean", len(eval_set),
-                                        float(np.mean(per_seed))))
+            rows.append(SweepRow(variant, k, "mean", len(eval_set), float(np.mean(per_seed))))
             log.info("sweep %s k=%d mean error %.4f", variant, k, np.mean(per_seed))
-    return result
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={result.config_hash}\n")
-        fh.write("variant,k,seed,n_utterances,token_error_rate\n")
-        for r in result.rows:
-            fh.write(f"{r.variant},{r.k},{r.seed},{r.n_utterances},"
-                     f"{r.token_error_rate:.17g}\n")
+    return rows

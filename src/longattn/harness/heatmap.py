@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..container import write_csv
 from ..encoder import TrainedModel, encoder_forward
 from ..errors import ConfigError
 from ..numerics.tensor import no_grad
@@ -53,9 +54,6 @@ def dump_heatmap(
     Writes ``<prefix>.csv`` with 17 significant digits and ``<prefix>.pgm``.
     """
     attn = attention_map(model, features, layer, head)
-    with open(f"{out_prefix}.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash} layer={layer} head={head}\n")
-        for row in attn:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(f"{out_prefix}.csv", f"config_hash={config_hash} layer={layer} head={head}", attn)
     write_pgm(f"{out_prefix}.pgm", attn)
     return attn

@@ -13,6 +13,7 @@ while the pairwise stage runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +27,7 @@ MEASURE_SEED = 0  # seeds the head weights and input frames of a measurement
 
 @dataclass
 class MemoryFootprint:
+    columns: ClassVar = ("variant", "length", "analytic_elements", "measured_elements")
     variant: str
     length: int
     analytic: int
@@ -57,11 +59,3 @@ def memory_footprint_estimate(variant: AttentionVariant | str, length: int,
         analytic=VARIANTS[variant].pair_elements(length, cfg.d_model, cfg.d_k),
         measured=measure_pair_elements(variant, length, cfg),
     )
-
-
-def write_memory_csv(rows: list[MemoryFootprint], path, config_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("variant,length,analytic_elements,measured_elements\n")
-        for r in rows:
-            fh.write(f"{r.variant},{r.length},{r.analytic},{r.measured}\n")

@@ -6,6 +6,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +37,7 @@ class TrainSettings:
 
 @dataclass
 class TrainResult:
+    curve_columns: ClassVar = ("step", "loss")  # one row (index, loss) per step
     model: TrainedModel
     curve: list[float] = field(default_factory=list)
     wall_clock_s: float = 0.0
@@ -98,11 +100,3 @@ def train_model(
     }
     return TrainResult(model=TrainedModel(enc_cfg, params, meta), curve=curve,
                        wall_clock_s=wall)
-
-
-def write_curve_csv(path, curve: list[float], config_hash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("step,loss\n")
-        for i, v in enumerate(curve):
-            fh.write(f"{i},{v:.17g}\n")

@@ -29,7 +29,8 @@ _grad_enabled = True
 
 
 class AllocationMeter:
-    """Counts float64 elements newly allocated for tensor data."""
+    """Counts float64 elements newly allocated for tensor data: a tensor whose
+    array owns its memory counts its size, a view of another array counts 0."""
 
     def __init__(self) -> None:
         self.elements = 0
@@ -69,7 +70,6 @@ class Tensor:
         requires_grad: bool = False,
         parents: tuple["Tensor", ...] = (),
         grad_fn: Callable[[np.ndarray], None] | None = None,
-        allocates: bool = True,
     ):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
@@ -79,7 +79,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents = parents
         self._grad_fn = grad_fn
-        if allocates and _meter is not None:
+        if _meter is not None and arr.base is None:
             _meter.elements += arr.size
 
     @property
@@ -117,7 +117,6 @@ def make_op(
     data: np.ndarray,
     parents: Sequence[Tensor],
     grad_fn: Callable[[np.ndarray], None],
-    allocates: bool = True,
 ) -> Tensor:
     """Record one differentiable operation on the tape.
 
@@ -126,9 +125,8 @@ def make_op(
     nothing is recorded inside ``no_grad``.
     """
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=tuple(parents),
-                      grad_fn=grad_fn, allocates=allocates)
-    return Tensor(data, allocates=allocates)
+        return Tensor(data, requires_grad=True, parents=tuple(parents), grad_fn=grad_fn)
+    return Tensor(data)
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -352,7 +350,7 @@ def slice_rows(x: Tensor, rows: slice) -> Tensor:
         dx[rows] = u
         accumulate_grad(x, dx)
 
-    return make_op(x.data[rows], (x,), grad_fn, allocates=False)
+    return make_op(x.data[rows], (x,), grad_fn)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

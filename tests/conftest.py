@@ -65,7 +65,7 @@ def transpose(a: Tensor) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
         accumulate_grad(a, u.T)
 
-    return make_op(a.data.T, (a,), grad_fn, allocates=False)
+    return make_op(a.data.T, (a,), grad_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ module takes a few minutes of CPU.
 import itertools
 import math
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from longattn.attention import (
     attn_kernel_form,
     init_attention_params,
 )
+from longattn.container import write_csv
 from longattn.ctc import ctc_brute_force, ctc_loss, ctc_loss_op, min_frames_required
 from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward, init_model, save_checkpoint
 from longattn.errors import InfeasibleAlignmentError
@@ -34,9 +35,9 @@ from longattn.harness import (
     overall_error,
     memory_footprint_estimate,
     train_model,
-    write_report_csv,
 )
 from longattn.harness.configio import resolve_config
+from longattn.harness.evaluation import ReportRow
 from longattn.numerics import check_gradients, const, param
 
 GRAD_TOL = 1e-5
@@ -407,10 +408,10 @@ def test_criterion_9_determinism(tmp_path):
         ckpts.append(ckpt.read_bytes())
         heldout = gen_dataset(heldout_task(cfg.task, cfg.eval.seed, 10))
         rep = evaluate(result.model, {"short": heldout,
-                                      "long": concat_eval(heldout, 5, seed=0)},
-                       config_hash="pin", checkpoint="run", seed=0)
+                                      "long": concat_eval(heldout, 5, seed=0)})
         out = tmp_path / f"run{run}.csv"
-        write_report_csv(rep, out)
+        write_csv(out, "config_hash=pin checkpoint=run seed=0",
+                  [ReportRow.columns, *map(astuple, rep.rows)])
         reports.append(out.read_bytes())
     assert ckpts[0] == ckpts[1]
     assert reports[0] == reports[1]

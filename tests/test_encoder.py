@@ -425,6 +425,22 @@ def test_container_rejects_repeated_array_names(tmp_path):
         read_container(path)
 
 
+def test_write_csv_floats_read_back_exactly(tmp_path):
+    from longattn.container import write_csv
+
+    floats = [0.1, 1 / 3, 5e-324, 1.7976931348623157e308, np.float64(2 / 7)]
+    path = tmp_path / "t.csv"
+    write_csv(path, "config_hash=x k=1", [("name", "n", "value"), ("a", 3, floats[0]),
+                                           ("b", np.int64(-4), floats[1])])
+    assert path.read_text() == ("# config_hash=x k=1\nname,n,value\n"
+                                "a,3,0.10000000000000001\nb,-4,0.33333333333333331\n")
+    write_csv(path, "no header", [floats, floats[::-1]])  # a matrix: no header row
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# no header" and len(lines) == 3
+    back = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert back == [floats, floats[::-1]]
+
+
 def _hostile_container(fields: dict) -> bytes:
     """Container bytes from raw header fields, none of them checked."""
     out = b"LATNBIN1" + struct.pack("<I", fields["meta_len"]) + fields["meta"]

@@ -228,11 +228,11 @@ def test_run_length_sweep_shape_and_k1_consistency():
     result = run_length_sweep({"gaussian_frame_index": model}, held,
                               lengths=[1, 3], seeds=[0, 1])
     # per-seed rows plus one mean row per (variant, k)
-    assert len(result.rows) == 2 * 2 + 2
+    assert len(result) == 2 * 2 + 2
     direct = evaluate(model, {"sweep": concat_eval(held, 1, seed=0)})
-    k1_row = next(r for r in result.rows if r.k == 1 and r.seed == "0")
+    k1_row = next(r for r in result if r.k == 1 and r.seed == "0")
     assert k1_row.token_error_rate == overall_error(direct, "sweep")
-    k3_mean = next(r for r in result.rows if r.k == 3 and r.seed == "mean")
+    k3_mean = next(r for r in result if r.k == 3 and r.seed == "mean")
     assert k3_mean.token_error_rate >= 0.0
 
 
@@ -422,6 +422,7 @@ CLI_SETS = [
 
 
 def test_cli_full_pipeline(tmp_path):
+    digest = config_hash(load_config(None, CLI_SETS[1::2]))
     data = tmp_path / "data.bin"
     ckpt = tmp_path / "model.ckpt"
     report = tmp_path / "report.csv"
@@ -438,26 +439,34 @@ def test_cli_full_pipeline(tmp_path):
     model = load_checkpoint(ckpt)
     assert model.meta["steps"] == 25
     assert curve.read_text().count("\n") == 25 + 2
+    assert curve.read_text().splitlines()[:2] == [f"# config_hash={digest}", "step,loss"]
 
     assert cli_main(["eval", "--checkpoint", str(ckpt), "--concat-k", "2",
                      "--out", str(report), *CLI_SETS]) == 0
-    lines = report.read_text().splitlines()
-    assert lines[0].startswith("# config_hash=")
-    assert lines[1].startswith("eval_set,")
+    assert report.read_text().splitlines()[:2] == [
+        f"# config_hash={digest} checkpoint={ckpt} seed=0",
+        "eval_set,bucket,n_utterances,ref_tokens,edit_distance,token_error_rate"]
 
     assert cli_main(["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}",
                      "--lengths", "1,2", "--seeds", "0", "--out", str(sweep),
                      *CLI_SETS]) == 0
     assert sweep.read_text().count("mean") == 2
+    assert sweep.read_text().splitlines()[:2] == [
+        f"# config_hash={digest}", "variant,k,seed,n_utterances,token_error_rate"]
 
     assert cli_main(["heatmap", "--checkpoint", str(ckpt), "--layer", "0",
                      "--head", "0", "--utterance", "1", "--out-prefix", str(hm),
                      *CLI_SETS]) == 0
     assert (tmp_path / "hm.pgm").exists()
+    hm_lines = (tmp_path / "hm.csv").read_text().splitlines()
+    assert hm_lines[0] == f"# config_hash={digest} layer=0 head=0"
+    assert len(hm_lines) == 1 + len(hm_lines[1].split(","))  # no header row
 
     assert cli_main(["memcheck", "--lengths", "16,32", "--variants",
                      "standard,gaussian", "--out", str(mem), *CLI_SETS]) == 0
     assert mem.read_text().count("\n") == 2 + 4
+    assert mem.read_text().splitlines()[:2] == [
+        f"# config_hash={digest}", "variant,length,analytic_elements,measured_elements"]
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):
