@@ -1,5 +1,14 @@
 """Print a sha256 digest of training for every attention variant.
 
+The first line names what the bytes depend on besides the sources: the numpy
+version, the OpenBLAS core its bundled library picked for this CPU, and the
+BLAS thread count (``unknown`` when the library does not export them):
+
+    numpy <version> openblas_core <core> blas_threads <n>
+
+Trained bytes change with the core (set ``OPENBLAS_CORETYPE`` to choose
+another), not with the thread count.
+
 For each variant this trains the default model on the default task with the
 default seed and learning rate for ``--steps`` steps, then prints one line:
 
@@ -21,7 +30,7 @@ and prints one line per file written:
     artifact <file> sha256=<sha256>
 
 Two source trees train (and write heatmaps and CLI artifacts) bit-identically
-exactly when their outputs are equal:
+on one machine exactly when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/train_digest.py --steps 150 > after.txt
     PYTHONPATH=/path/to/other/src python3 scripts/train_digest.py --steps 150 > before.txt
@@ -34,6 +43,7 @@ runs against older trees.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import logging
 import os
@@ -58,6 +68,23 @@ from longattn.harness import (
 
 HEATMAP_KS = (1, 10)
 ARTIFACTS = ("model.ckpt", "curve.csv", "report.csv", "sweep.csv", "hm.csv", "hm.pgm", "mem.csv")
+
+
+def blas_line() -> str:
+    """numpy's version, and the core and thread count of its bundled OpenBLAS."""
+    core = threads = "unknown"
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))  # the library numpy loaded, not a second copy
+        try:
+            corename = lib.scipy_openblas_get_corename64_
+            num_threads = lib.scipy_openblas_get_num_threads64_
+        except AttributeError:
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        num_threads.argtypes, num_threads.restype = [], ctypes.c_int
+        core, threads = corename().decode(), num_threads()
+    return f"numpy {np.__version__} openblas_core {core} blas_threads {threads}"
 
 
 def cli_runs(steps: int) -> list[list[str]]:
@@ -128,6 +155,7 @@ def main() -> None:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
     logging.basicConfig(level=logging.WARNING)  # keeps the CLI's progress lines quiet
+    print(blas_line(), flush=True)
     task = SyntheticTaskConfig()
     data = gen_dataset(task)
     if args.heatmap:

@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import InternalError
 from ..numerics.linalg import row_chunks
 from ..numerics.tensor import (
     Tensor,
@@ -16,6 +17,7 @@ from ..numerics.tensor import (
     concat_rows,
     matmul,
     matmul_t,
+    slice_rows,
 )
 from .encodings import DEFAULT_ALPHA
 from .params import VARIANTS, AttentionParams, AttentionVariant
@@ -30,19 +32,38 @@ def attention_weights(
     start_index: int = 0,
     *,
     rows: slice = slice(None),
+    keys: slice = slice(None),
     projected=None,
 ) -> Tensor:
     """Row-stochastic attention of the query frames ``rows`` (all by default)
-    over every frame, for one head under the given variant.
+    over the key frames ``keys`` (all by default), for one head under the given
+    variant. Only a variant with a ``band`` takes a narrower ``keys``.
 
     ``projected`` is the output of the variant's projection stage for ``x``;
     when given, it is used instead of projecting ``x`` again, and ``x``,
     ``alpha`` and ``start_index`` are not used.
     """
     spec = VARIANTS[variant]
+    if spec.band is None and keys != slice(None):
+        raise InternalError(f"{variant.value} attention scores every key, got keys {keys}")
     if projected is None:
         projected = spec.projections(_as_tensor(x), params, alpha, start_index)
-    return spec.pair(projected, params, rows)
+    return spec.pair(projected, params, rows, keys)
+
+
+# A key window's ends are rounded out to multiples of this many frames. In a
+# product over n keys, OpenBLAS's SkylakeX dgemm kernels round only the last
+# n mod 8 keys differently, so the window's scores are then bit for bit the
+# scores over every key, except in the window of a short last block that
+# reaches the last frame.
+KEY_ALIGN = 8
+
+
+def key_window(rows: slice, half: int, length: int) -> slice:
+    """The keys within ``half`` frames of one of the query frames ``rows``, widened
+    to multiples of ``KEY_ALIGN`` and clipped to the ``length`` frames."""
+    return slice(max(0, (rows.start - half) // KEY_ALIGN * KEY_ALIGN),
+                 min(length, -(-(rows.stop + half) // KEY_ALIGN) * KEY_ALIGN))
 
 
 def multi_head_attention(
@@ -52,34 +73,45 @@ def multi_head_attention(
     variant: AttentionVariant,
     alpha: float = DEFAULT_ALPHA,
     start_index: int = 0,
-    observe: Callable[[int, slice, np.ndarray], None] | None = None,
+    observe: Callable[[int, slice, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
     """Concatenate per-head attention outputs and apply the output linear map.
 
     Each head is projected once; then each block of query rows from
-    ``row_chunks`` is scored against every key, normalised and applied to the
-    values, and the block outputs are stacked. So no forward holds an L x L
-    matrix once L passes 256 (shorter inputs are one block). ``observe`` is
-    called as ``observe(head, rows, weights)`` for each block, in row order,
-    with the block's weights over every key; it must not modify them.
+    ``row_chunks`` is scored against its keys, normalised and applied to the
+    values of those keys, and the block outputs are stacked. So no forward
+    holds an L x L matrix once L passes 256 (shorter inputs are one block).
+
+    The keys of a block are every frame, except under a variant with a
+    ``band`` when there is more than one block: then they are the
+    ``key_window`` of the block for the head's half-width W. Every weight
+    outside that window is exactly 0.0, so the output is the one-block output
+    up to the rounding of shorter sums.
+
+    ``observe`` is called as ``observe(head, rows, keys, weights)`` for each
+    block, in row order, with the block's weights over the keys ``keys``; it
+    must not modify them.
 
     Values are always projected from the raw input frames; frame indexing only
     ever enters the query/key pathway inside ``attention_weights``.
     """
+    spec = VARIANTS[variant]
     xt = _as_tensor(x)
     xa = append_const_col(xt)
     length = xt.data.shape[0]
     blocks = row_chunks(length, length)
     outputs = []
     for index, head in enumerate(heads):
-        projected = VARIANTS[variant].projections(xt, head, alpha, start_index)
+        projected = spec.projections(xt, head, alpha, start_index)
         values = matmul_t(xa, head.w_v)
+        half = None if spec.band is None or len(blocks) == 1 else spec.band(projected, head, alpha)
         parts = []
         for rows in blocks:
-            attn = attention_weights(xt, head, variant, rows=rows, projected=projected)
+            keys = slice(None) if half is None else key_window(rows, half, length)
+            attn = attention_weights(xt, head, variant, rows=rows, keys=keys, projected=projected)
             if observe is not None:
-                observe(index, rows, attn.data)
-            parts.append(matmul(attn, values))
+                observe(index, rows, keys, attn.data)
+            parts.append(matmul(attn, slice_rows(values, keys)))
         outputs.append(concat_rows(parts))
     combined = outputs[0] if len(outputs) == 1 else concat_cols(outputs)
     return affine(combined, w_o)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..errors import DimensionError, InternalError
-from ..numerics.linalg import as_matrix
+from ..numerics.linalg import EXP_UNDERFLOW, as_matrix
 from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
@@ -42,6 +42,11 @@ from ..numerics.tensor import (
 from .encodings import signed_sinusoid_table, squared_offset_matrix
 
 
+# A key that scores at most this far below the row's own key gets weight
+# exactly 0.0: EXP_UNDERFLOW, less a margin of 4 for the rounding of the scores.
+BAND_SCORE = EXP_UNDERFLOW - 4.0
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else const(as_matrix(x))
 
@@ -51,23 +56,31 @@ def _as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_sqdist_scores(a: Tensor, rows: slice = slice(None)) -> Tensor:
-    """S[i, j] = -||a_i - a_j||^2 / 2 for the rows i in ``rows`` and all rows j of ``a``.
+def pairwise_sqdist_scores(
+    a: Tensor, rows: slice = slice(None), keys: slice = slice(None)
+) -> Tensor:
+    """S[i, j] = -||a_i - a_j||^2 / 2 for the rows i in ``rows`` and the rows j in ``keys``.
 
-    Computed as ``-0.5 * (g[rows, None] + g[None, :]) + a[rows] @ a.T`` with
-    g_i = ||a_i||^2, added into the Gram product in place. Attention passes
-    one block of query rows at a time, so the temporaries are block-sized.
+    Computed as ``-0.5 * (g[rows, None] + g[None, keys]) + a[rows] @ a[keys].T``
+    with g_i = ||a_i||^2, added into the Gram product in place. Attention passes
+    one block of query rows at a time, and for a banded variant the block's key
+    window, so the temporary is block-sized.
     """
-    a_rows = a.data[rows]
+    a_rows, a_keys = a.data[rows], a.data[keys]
     g = np.einsum("ij,ij->i", a.data, a.data)
-    scores = a_rows @ a.data.T
-    scores += -0.5 * (g[rows, None] + g[None, :])
+    scores = a_rows @ a_keys.T
+    half_sum = np.add(g[rows, None], g[None, keys])
+    np.multiply(half_sum, -0.5, out=half_sum)
+    scores += half_sum
 
     def grad_fn(u: np.ndarray) -> None:
-        # for every row this is u @ a + u.T @ a - (r + c) * a, operation for operation
-        da = u.T @ a_rows
-        da[rows] += u @ a.data
-        rc = u.sum(axis=0)
+        # over every key this is u @ a + u.T @ a - (r + c) * a for every row,
+        # operation for operation; a window leaves the other rows' sums out
+        da = np.zeros_like(a.data)
+        da[keys] = u.T @ a_rows
+        da[rows] += u @ a_keys
+        rc = np.zeros(len(g))
+        rc[keys] = u.sum(axis=0)
         rc[rows] += u.sum(axis=1)
         da -= rc[:, None] * a.data
         accumulate_grad(a, da)
@@ -145,9 +158,30 @@ def gaussian_projection(x, w_s: Tensor) -> Tensor:
     return mul_scalar(shared_projection(x, w_s), d_k**-0.25)
 
 
-def gaussian_pair_stage(a: Tensor, rows: slice = slice(None)) -> Tensor:
+def gaussian_pair_stage(a: Tensor, rows: slice = slice(None), keys: slice = slice(None)) -> Tensor:
     """Row-normalized Gaussian kernel; it sees only row differences, so it is shift-invariant."""
-    return softmax_rows(pairwise_sqdist_scores(a, rows))
+    return softmax_rows(pairwise_sqdist_scores(a, rows, keys))
+
+
+def gaussian_band(a: np.ndarray, index_step: np.ndarray) -> int | None:
+    """Half-width W in frames of the exact key band of Gaussian attention with
+    frame indexing, or None when there is no band.
+
+    Row i of ``a`` is f_i + i * v, with v = ``index_step`` the projection of one
+    frame of index and f_i the rest (the start offset is a constant in f). With
+    beta = ||v|| and r_i = ||f_i - mean(f)||, the triangle inequality gives
+    -||a_i - a_j||^2 / 2 <= -(|i - j| * beta - r_i - r_j)^2 / 2. So every key
+    more than W = (2 max r + sqrt(-2 * BAND_SCORE)) / beta frames from row i
+    scores at most BAND_SCORE, while the row's own key scores 0; its weight is
+    exactly 0.0 (``EXP_UNDERFLOW``). W is rounded up and widened by one frame.
+    """
+    beta = float(np.linalg.norm(index_step))
+    f = a - np.arange(len(a), dtype=np.float64)[:, None] * index_step
+    f -= f.mean(axis=0)
+    reach = 2.0 * math.sqrt(np.einsum("ij,ij->i", f, f).max()) + math.sqrt(-2.0 * BAND_SCORE)
+    if not reach < beta * len(a):  # no band, a NaN or infinite reach, or beta = 0
+        return None
+    return math.ceil(reach / beta) + 1
 
 
 def sigma_inverse(w_s) -> np.ndarray:

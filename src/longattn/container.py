@@ -147,17 +147,28 @@ def _typed(kind, value):
     raise TypeError
 
 
+def size_field(default, most: int):
+    """A dataclass field for a size: ``check_types`` rejects a value (or an entry of
+    a tuple value) above ``most``, so a huge value is a ConfigError, not a huge job."""
+    return dataclasses.field(default=default, metadata={"most": most})
+
+
 def check_types(section) -> None:
     """Check each field of the dataclass ``section`` against its annotation, in place:
     an int is not a bool, a float is finite, a list becomes a tuple of the declared
-    length, and an enum goes through ``parse``. A misfit is a ConfigError."""
+    length, and an enum goes through ``parse``. A size field's value must not pass
+    its bound. A misfit is a ConfigError."""
     hints = _field_types(type(section))
     for f in dataclasses.fields(section):
-        value = getattr(section, f.name)
+        raw = getattr(section, f.name)
         try:
-            setattr(section, f.name, _typed(hints[f.name], value))
+            value = _typed(hints[f.name], raw)
         except TypeError:
-            raise ConfigError(f"{f.name} must be {f.type}, got {value!r:.60}") from None
+            raise ConfigError(f"{f.name} must be {f.type}, got {raw!r:.60}") from None
+        most = f.metadata.get("most")
+        if most is not None and max(value if isinstance(value, tuple) else (value,)) > most:
+            raise ConfigError(f"{f.name} must be at most {most}, got {raw!r:.60}")
+        setattr(section, f.name, value)
 
 
 def build(cls, raw, where: str):

@@ -20,7 +20,7 @@ import numpy as np
 from .attention.encodings import DEFAULT_ALPHA, sinusoid_encoding
 from .attention.multihead import multi_head_attention
 from .attention.params import VARIANTS, AttentionParams, AttentionVariant, init_attention_params
-from .container import build, check_types, read_container, write_container
+from .container import build, check_types, read_container, size_field, write_container
 from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
@@ -38,15 +38,16 @@ CHECKPOINT_FORMAT = "longattn-checkpoint-v1"
 
 @dataclass
 class EncoderConfig:
-    feat_dim: int = 8
-    d_model: int = 64
-    n_layers: int = 4
-    n_heads: int = 2
-    d_k: int = 32
-    d_ff: int = 128
-    subsample_factor: int = 4
+    # sizes are bounded as in SyntheticTaskConfig
+    feat_dim: int = size_field(8, 1000)
+    d_model: int = size_field(64, 1024)
+    n_layers: int = size_field(4, 64)
+    n_heads: int = size_field(2, 64)
+    d_k: int = size_field(32, 1024)
+    d_ff: int = size_field(128, 8192)
+    subsample_factor: int = size_field(4, 64)
     variant: AttentionVariant = AttentionVariant.GAUSSIAN_FRAME_INDEX
-    vocab_size: int = 12
+    vocab_size: int = size_field(12, 1000)
     alpha: float = DEFAULT_ALPHA
     use_abs_pe: bool | None = None  # None: variant default
 
@@ -181,7 +182,7 @@ def sa_block_forward(
     x: Tensor,
     block: SABlockParams,
     cfg: EncoderConfig,
-    observe: Callable[[int, slice, np.ndarray], None] | None = None,
+    observe: Callable[[int, slice, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
     """Pre-norm residual block: x + MHA(LN(x)), then y + FFN(LN(y))."""
     h = layer_norm_rows(x, block.ln1_gain, block.ln1_bias)
@@ -198,10 +199,11 @@ def encoder_forward(
     features,
     params: ModelParams,
     cfg: EncoderConfig,
-    observe: Callable[[int, int, slice, np.ndarray], None] | None = None,
+    observe: Callable[[int, int, slice, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
     """Features (T, feat_dim) -> token logits (ceil(T/factor), vocab_size).
-    ``observe(layer, head, rows, weights)`` sees every attention row block."""
+    ``observe(layer, head, rows, keys, weights)`` sees every attention row block
+    and the key frames its weights cover."""
     x = subsample(features, cfg.subsample_factor, params.subsample_proj)
     if cfg.abs_pe_enabled:
         x = add(x, const(sinusoid_encoding(x.data.shape[0], cfg.d_model)))

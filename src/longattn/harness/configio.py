@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..container import build, canonical_json, check_types
+from ..container import build, canonical_json, check_types, size_field
 from ..encoder import EncoderConfig
 from ..errors import ConfigError
 from .evaluation import DEFAULT_BUCKET_EDGES
@@ -16,7 +16,7 @@ from .training import TrainSettings
 
 @dataclass
 class EvalSettings:
-    n_utterances: int = 200
+    n_utterances: int = size_field(200, 100_000)
     seed: int = 99
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES
 

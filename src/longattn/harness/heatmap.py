@@ -22,22 +22,23 @@ def write_pgm(path, matrix: np.ndarray) -> None:
 
 
 def attention_map(model: TrainedModel, features: np.ndarray, layer: int, head: int) -> np.ndarray:
-    """One head's full attention matrix for one utterance, stacked from its row
-    blocks; the forward records no tape and keeps no other head's weights."""
+    """One head's full attention matrix for one utterance, filled in from its
+    row blocks; the forward records no tape and keeps no other head's weights."""
     cfg = model.config
     if not (0 <= layer < cfg.n_layers):
         raise ConfigError(f"layer {layer} out of range [0, {cfg.n_layers})")
     if not (0 <= head < cfg.n_heads):
         raise ConfigError(f"head {head} out of range [0, {cfg.n_heads})")
-    blocks: list[np.ndarray] = []
+    length = -(-len(features) // cfg.subsample_factor)
+    attn = np.zeros((length, length))
 
-    def keep(at_layer: int, at_head: int, rows: slice, weights: np.ndarray) -> None:
+    def keep(at_layer: int, at_head: int, rows: slice, keys: slice, weights: np.ndarray) -> None:
         if (at_layer, at_head) == (layer, head):
-            blocks.append(weights)
+            attn[rows, keys] = weights  # keys outside a band keep their exact 0.0
 
     with no_grad():
         encoder_forward(features, model.params, cfg, observe=keep)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return attn
 
 
 def dump_heatmap(

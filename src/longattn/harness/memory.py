@@ -42,7 +42,7 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
     x = const(rng.normal(size=(length, cfg.d_model)))
     projected = spec.projections(x, params, cfg.alpha, start_index=0)
     with count_allocations() as meter:
-        spec.pair(projected, params, slice(None))
+        spec.pair(projected, params, slice(None), slice(None))
     return meter.elements
 
 

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..container import build, check_types, read_container, write_container
+from ..container import build, check_types, read_container, size_field, write_container
 from ..errors import ConfigError
 
 DATASET_FORMAT = "longattn-dataset-v1"
@@ -29,15 +29,17 @@ PARTNER_BLEND = 0.31
 
 @dataclass
 class SyntheticTaskConfig:
-    vocab_size: int = 12  # includes blank id 0
-    feat_dim: int = 8
-    frames_per_token: tuple[int, int] = (10, 16)
+    # each size's bound is far above any experiment here, and low enough that a
+    # mistyped huge value exits 2 before anything is allocated
+    vocab_size: int = size_field(12, 1000)  # includes blank id 0
+    feat_dim: int = size_field(8, 1000)
+    frames_per_token: tuple[int, int] = size_field((10, 16), 1000)
     noise: float = 0.2
-    tokens_per_utterance: tuple[int, int] = (4, 8)
+    tokens_per_utterance: tuple[int, int] = size_field((4, 8), 1000)
     # near-zero "pause" frames surrounding every token run, the natural home
     # for CTC blanks
-    silence_frames: tuple[int, int] = (4, 8)
-    n_utterances: int = 600
+    silence_frames: tuple[int, int] = size_field((4, 8), 1000)
+    n_utterances: int = size_field(600, 100_000)
     seed: int = 7
     # prototypes follow ``seed`` unless pinned here; held-out splits pin this
     # so they share the training prototypes while redrawing utterances

@@ -1,0 +1,170 @@
+"""The exact key band of gaussian_frame_index attention.
+
+Every comparison runs both of its sides in one process: the one-block logits
+of a trained model already differ between one and two OpenBLAS threads.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from conftest import mul, sum_all
+from longattn.attention import AttentionVariant, attention_weights, init_attention_params
+from longattn.attention.multihead import key_window, multi_head_attention
+from longattn.attention.params import VARIANTS
+from longattn.attention.variants import pairwise_sqdist_scores
+from longattn.ctc import greedy_decode
+from longattn.encoder import EncoderConfig, encoder_forward
+from longattn.errors import InternalError
+from longattn.harness import SyntheticTaskConfig, concat_eval, gen_dataset, heldout_task
+from longattn.harness.training import TrainSettings, train_model
+from longattn.numerics import check_gradients, const, linalg, no_grad, param
+
+GFI = AttentionVariant.GAUSSIAN_FRAME_INDEX
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.fixture(scope="module")
+def trained_gfi():
+    """The gfi model of the eval-long benchmark: 200 steps on the default task."""
+    task = SyntheticTaskConfig()
+    settings = TrainSettings()
+    result = train_model(EncoderConfig(variant=GFI), task, 200, settings.lr, settings.seed,
+                         log_every=0)
+    heldout = gen_dataset(heldout_task(task, 100_003, 200))
+    return result.model, heldout
+
+
+def forward(model, features, monkeypatch, one_block=False):
+    """No-grad logits and every (layer, head, rows, keys) the observer saw."""
+    windows = []
+    length = -(-len(features) // model.config.subsample_factor)
+    with monkeypatch.context() as m, no_grad():
+        if one_block:
+            m.setattr(linalg, "CHUNK_ELEMENTS", length * length)
+        logits = encoder_forward(features, model.params, model.config,
+                                 observe=lambda *seen: windows.append(seen[:4])).data
+    return logits, windows, length
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_banded_logits_match_one_block(trained_gfi, k, monkeypatch):
+    model, heldout = trained_gfi
+    features = concat_eval(heldout, k, seed=3).utterances[0].features
+    banded, windows, length = forward(model, features, monkeypatch)
+    whole, whole_windows, _ = forward(model, features, monkeypatch, one_block=True)
+    assert length > 256 and len(whole_windows) == 8  # one block per layer and head
+    narrow = [keys for *_, keys in windows if keys != slice(None)
+              and keys.indices(length) != (0, length, 1)]
+    assert narrow, "no window was narrower than the input"
+    assert rel_diff(banded, whole) <= 1e-11
+    assert greedy_decode(banded) == greedy_decode(whole)
+
+
+def outlier_frames(rng, length, d_model):
+    x = rng.normal(size=(length, d_model))
+    x[rng.choice(length, size=5, replace=False)] *= 20.0  # r is large, the bound is loose
+    return x
+
+
+def far_twin(rng, length, d_model, head, alpha):
+    """Frames whose projections cancel the index drift between frame 100 and
+    frame 100 + 180, so one weight far off the diagonal is not zero."""
+    x = rng.normal(size=(length, d_model))
+    d_k = head.w_s.data.shape[0]
+    w_x = head.w_s.data[:, :d_model] * d_k**-0.25
+    step = head.w_s.data[:, d_model] * d_k**-0.25 / alpha
+    # f(x_j) = f(x_i) - 180 * step, solved for x_j in least squares
+    x[280] = x[100] + np.linalg.lstsq(w_x, -180.0 * step, rcond=None)[0]
+    return x
+
+
+@pytest.mark.parametrize("start_index", [0, 1000, 10**6])
+@pytest.mark.parametrize("inputs", ["normal", "outliers", "far_twin"])
+def test_one_block_weights_are_zero_outside_every_window(inputs, start_index):
+    rng = np.random.default_rng(start_index + len(inputs))
+    d_model, length, alpha = 16, 2000, 100.0
+    checked = 0
+    for seed in range(4):
+        head = init_attention_params(GFI, d_model, 8, 8, alpha, np.random.default_rng(seed))
+        if inputs == "normal":
+            x = rng.normal(size=(length, d_model))
+        elif inputs == "outliers":
+            x = outlier_frames(rng, length, d_model)
+        else:
+            x = far_twin(rng, length, d_model, head, alpha)
+        spec = VARIANTS[GFI]
+        half = spec.band(spec.projections(const(x), head, alpha, start_index), head, alpha)
+        assert half is not None and half < length // 2
+        full = attention_weights(x, head, GFI, alpha, start_index).data
+        if inputs == "far_twin":
+            assert full[100, 280] > 0.0 and half > 180
+        for rows in linalg.row_chunks(length, length):
+            keys = key_window(rows, half, length)
+            outside = np.ones(length, dtype=bool)
+            outside[keys] = False
+            assert (full[rows][:, outside] == 0.0).all(), (seed, rows, keys)
+            checked += outside.sum()
+    assert checked > 0
+
+
+def test_gaussian_has_no_band():
+    rng = np.random.default_rng(3)
+    heads = [init_attention_params(AttentionVariant.GAUSSIAN, 16, 8, 8, 100.0, rng)
+             for _ in range(2)]
+    w_o = const(rng.normal(size=(16, 17)))
+    seen = []
+    with no_grad():
+        multi_head_attention(rng.normal(size=(600, 16)), heads, w_o, AttentionVariant.GAUSSIAN,
+                             observe=lambda head, rows, keys, w: seen.append((keys, w.shape)))
+    assert VARIANTS[AttentionVariant.GAUSSIAN].band is None
+    assert len(seen) > 2 and all(keys == slice(None) and shape[1] == 600
+                                 for keys, shape in seen)
+
+
+def test_attention_weights_rejects_a_window_for_a_variant_without_band():
+    head = init_attention_params(AttentionVariant.STANDARD, 4, 3, 4, 100.0,
+                                 np.random.default_rng(0))
+    with pytest.raises(InternalError):
+        attention_weights(np.ones((5, 4)), head, AttentionVariant.STANDARD, keys=slice(0, 3))
+
+
+@pytest.mark.parametrize("rows, keys", [(slice(0, 1), slice(0, 1)),
+                                        (slice(65, 130), slice(8, 200)),
+                                        (slice(280, 300), slice(216, 300))])
+def test_pairwise_sqdist_scores_window_is_bit_identical_to_its_expression(rows, keys):
+    a = np.random.default_rng(rows.start).normal(scale=3.0, size=(300, 16))
+    g = np.einsum("ij,ij->i", a, a)
+    expected = -0.5 * (g[rows, None] + g[None, keys]) + a[rows] @ a[keys].T
+    got = pairwise_sqdist_scores(const(a), rows, keys).data
+    npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_multi_head_gradients_through_the_band(monkeypatch):
+    # blocks of 2 rows over L = 40, and an index step of 5 per frame: W is
+    # about 10 frames, so most blocks see a window narrower than L
+    monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 80)
+    rng = np.random.default_rng(9100)
+    d_model, d_k, d_v, L = 4, 3, 2, 40
+    heads = [init_attention_params(GFI, d_model, d_k, d_v, 100.0, rng) for _ in range(2)]
+    for head in heads:
+        head.w_s.data[:, d_model] *= 30.0
+    w_o = param(rng.normal(size=(d_model, 2 * d_v + 1)))
+    x = param(rng.normal(size=(L, d_model)))
+    probe = const(rng.normal(size=(L, d_model)))
+    windows = []
+
+    def f():
+        out = multi_head_attention(x, heads, w_o, GFI, alpha=100.0, start_index=2,
+                                   observe=lambda h, rows, keys, w: windows.append(keys))
+        return sum_all(mul(probe, out))
+
+    named = [("x", x), ("w_o", w_o)]
+    for i, h in enumerate(heads):
+        named += h.named(f"h{i}.")
+    errors = check_gradients(f, named)
+    assert max(errors.values()) <= 1e-5, errors
+    assert any(keys.indices(L)[1] - keys.indices(L)[0] < L for keys in windows)

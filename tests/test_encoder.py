@@ -231,7 +231,7 @@ def test_observer_sees_each_row_block_once_per_layer_and_head():
                                                       cfg.feat_dim))
         seen: dict[tuple[int, int], list] = {}
 
-        def observe(layer, head, rows, weights):
+        def observe(layer, head, rows, keys, weights):
             seen.setdefault((layer, head), []).append((rows, weights))
 
         encoder_forward(feats, params, cfg, observe=observe)
@@ -310,8 +310,8 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
         softmax_sizes.append(m.size)
         return softmax(m)
 
-    def counted_sqdist(a, rows=slice(None)):
-        out = sqdist(a, rows)
+    def counted_sqdist(a, rows=slice(None), keys=slice(None)):
+        out = sqdist(a, rows, keys)
         sqdist_sizes.append(out.data.size)
         return out
 

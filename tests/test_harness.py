@@ -372,9 +372,13 @@ def test_config_rejects_mismatched_model_dims(tmp_path):
         load_config("/nonexistent/path.json", [])
 
 
-def test_config_fuzz_raises_only_config_error():
-    # resolve_config runs no command, so a huge but well-typed value starts no huge job
+def test_config_fuzz_raises_only_config_error(tmp_path, monkeypatch, capsys):
+    # each example runs resolve_config, then gen-data through cli.main with the
+    # same values as --set overrides; the command's work is stubbed out, so an
+    # accepted config starts no job, but every size is bounded all the same
     from dataclasses import asdict, fields
+
+    import longattn.cli as cli_module
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -402,9 +406,19 @@ def test_config_fuzz_raises_only_config_error():
             cfg = resolve_config(raw)
         except ConfigError as exc:
             assert "\n" not in str(exc)
+            expected = 2
         else:  # what resolves serialises, and resolves back to itself
             assert resolve_config(json.loads(canonical_json(asdict(cfg)))) == cfg
+            expected = 0
+        sets = [f"--set={section}.{key}={json.dumps(value)}"
+                for (section, key), value in entries.items()]
+        capsys.readouterr()
+        assert cli_main(["gen-data", "--out", str(tmp_path / "d.bin"), *sets]) == expected
+        if expected == 2:
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    monkeypatch.setattr(cli_module, "gen_dataset", lambda task: [])
+    monkeypatch.setattr(cli_module, "save_dataset", lambda path, dataset: None)
     check()
 
 
@@ -485,7 +499,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                 "eval.seed=-1", "eval.n_utterances=2.5", 'eval.bucket_edges="ab"',
                 "eval.bucket_edges=[]", "model.alpha=1e-320", "model.n_layers=true",
                 'model.use_abs_pe="yes"', "eval.bucket_edges=[5,1]", "model.d_k=" + "9" * 5000,
-                "eval.bucket_edges=[150,200]",
+                "eval.bucket_edges=[150,200]", "task.n_utterances=1000000000",
+                "eval.n_utterances=1000000000", "task.silence_frames=[0,1000000000]",
+                "model.d_model=1000000000", "model.n_layers=" + "9" * 400,
                 "model.d_k=" + "[" * 10**5 + "]" * 10**5, f"--config={config}"]:
         capsys.readouterr()
         flag = [bad] if bad.startswith("--") else ["--set", bad]
