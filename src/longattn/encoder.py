@@ -29,6 +29,7 @@ from .numerics.tensor import (
     const,
     frame_stack,
     layer_norm_rows,
+    pack,
     param,
     relu,
 )
@@ -155,13 +156,15 @@ def init_model(cfg: EncoderConfig, seed: int, zero_residual: bool = True) -> Mod
             ffn_w1=linear(cfg.d_ff, d + 1),
             ffn_w2=linear(d, cfg.d_ff + 1, zero=zero_residual),
         ))
-    return ModelParams(
+    params = ModelParams(
         subsample_proj=linear(d, stacked + 1),
         blocks=blocks,
         final_gain=param(np.ones((1, d))),
         final_bias=param(np.zeros((1, d))),
         w_out=linear(cfg.vocab_size, d + 1),
     )
+    pack(params.tensors())  # one flat buffer each for the weights and their grads
+    return params
 
 
 def subsample(features, factor: int, proj: Tensor) -> Tensor:
@@ -246,5 +249,4 @@ def load_checkpoint(path) -> TrainedModel:
                 f"{arrays[name].shape} vs expected {tensor.data.shape}"
             )
         tensor.data[...] = arrays[name]
-        tensor.zero_grad()
     return TrainedModel(config=cfg, params=params, meta=meta.get("training", {}))

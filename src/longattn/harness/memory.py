@@ -23,6 +23,7 @@ from ..errors import ConfigError
 from ..numerics.tensor import const, count_allocations
 
 MEASURE_SEED = 0  # seeds the head weights and input frames of a measurement
+MAX_LENGTH = 4096  # the longest measured length; relative_pe's stage there is 0.9 GB
 
 
 @dataclass
@@ -49,8 +50,8 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
 def memory_footprint_estimate(variant: AttentionVariant | str, length: int,
                               cfg: EncoderConfig) -> MemoryFootprint:
     """Analytic and measured pairwise-stage element counts for one head."""
-    if length < 1:
-        raise ConfigError(f"length must be >= 1, got {length}")
+    if not 1 <= length <= MAX_LENGTH:
+        raise ConfigError(f"length must be in [1, {MAX_LENGTH}], got {length}")
     if isinstance(variant, str):
         variant = AttentionVariant.parse(variant)
     return MemoryFootprint(

@@ -65,7 +65,7 @@ def check_gradients(
     backward(loss)
     errors: dict[str, float] = {}
     for name, p in params:
-        analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+        analytic = p.grad.copy()
         numeric = finite_diff_grad(f, p, eps=eps)
         errors[name] = max_relative_error(analytic, numeric)
     return errors

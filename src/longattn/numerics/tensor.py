@@ -15,6 +15,7 @@ switch, under which ops record nothing on the tape.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -111,6 +112,33 @@ def param(data) -> Tensor:
     t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
     t.zero_grad()
     return t
+
+
+def pack(tensors: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """One flat data buffer and one flat gradient buffer whose consecutive
+    slices are the ``data`` and ``grad`` of ``tensors``, in order. Tensors
+    already laid out so keep their arrays; any other list is copied into new
+    buffers, a missing grad as zeros, and each tensor is rebound to views."""
+    offsets = list(accumulate((t.data.size for t in tensors), initial=0))
+    spans = list(zip(tensors, offsets, offsets[1:]))
+    if tensors and tensors[0].grad is not None:
+        data, grads = tensors[0].data.base, tensors[0].grad.base
+        if all(_is_view(t.data, data, a, offsets[-1]) and _is_view(t.grad, grads, a, offsets[-1])
+               for t, a, _ in spans):
+            return data, grads
+    data, grads = np.empty(offsets[-1]), np.empty(offsets[-1])
+    for t, a, b in spans:
+        data[a:b] = t.data.ravel()
+        grads[a:b] = 0.0 if t.grad is None else t.grad.ravel()
+        t.data, t.grad = data[a:b].reshape(t.data.shape), grads[a:b].reshape(t.data.shape)
+    return data, grads
+
+
+def _is_view(arr, flat, start: int, size: int) -> bool:
+    """Whether ``arr`` is a C-ordered view at ``start`` of ``flat``, 1-D with ``size`` elements."""
+    return (isinstance(flat, np.ndarray) and flat.shape == (size,) and arr is not None
+            and arr.base is flat and arr.flags.c_contiguous
+            and arr.ctypes.data == flat.ctypes.data + start * flat.itemsize)
 
 
 def make_op(

@@ -4,6 +4,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+import numpy.testing as npt
 
 import longattn.encoder as encoder_module
 from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
@@ -96,13 +97,13 @@ def sigma_mask(head) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reference oracles for the in-place optimizer and CTC recursion
+# reference oracles for the packed in-place optimizer and CTC recursion
 # ---------------------------------------------------------------------------
 
 
 class ReferenceAdam:
     """Per-tensor Adam with whole-array temporaries: the plain expression the
-    grouped in-place ``Adam.step`` must reproduce bit for bit."""
+    flat in-place ``Adam.step`` must reproduce bit for bit."""
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
@@ -122,6 +123,19 @@ class ReferenceAdam:
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def assert_packed(tensors, data, grads):
+    """``tensors``' data and grads are consecutive slices of ``data`` and
+    ``grads``: writing through the buffers shows up in every tensor."""
+    offsets = np.cumsum([0] + [t.data.size for t in tensors])
+    assert data.shape == grads.shape == (offsets[-1],)
+    saved = data.copy(), grads.copy()
+    data[:], grads[:] = np.arange(data.size), -np.arange(data.size)
+    for t, a, b in zip(tensors, offsets, offsets[1:]):
+        npt.assert_array_equal(t.data.ravel(), np.arange(a, b))
+        npt.assert_array_equal(t.grad.ravel(), -np.arange(a, b))
+    data[:], grads[:] = saved
 
 
 def reference_ctc_loss(y: np.ndarray, labels: Sequence[int]) -> tuple[float, np.ndarray]:

@@ -8,6 +8,9 @@ module takes a few minutes of CPU.
 
 import itertools
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 import time
 from dataclasses import astuple, replace
 
@@ -24,7 +27,7 @@ from longattn.attention import (
 )
 from longattn.container import write_csv
 from longattn.ctc import ctc_brute_force, ctc_loss, ctc_loss_op, min_frames_required
-from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward, init_model, save_checkpoint
+from longattn.encoder import EncoderConfig, encoder_forward, init_model, save_checkpoint
 from longattn.errors import InfeasibleAlignmentError
 from longattn.harness import (
     attention_map,
@@ -315,18 +318,31 @@ def test_criterion_7_memory_scaling():
 TREND_VARIANTS = ("standard", "gaussian", "gaussian_frame_index")
 
 
+def training_pool() -> multiprocessing.pool.Pool:
+    """Two spawned workers with one BLAS thread each: the thread count leaves
+    the trained bytes as they are, and two trainings do not oversubscribe the
+    cores. The variable is set only while the workers start."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return multiprocessing.get_context("spawn").Pool(2)
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
 @pytest.fixture(scope="module")
 def trend_setup():
     cfg = resolve_config({})
     heldout = gen_dataset(heldout_task(cfg.task, cfg.eval.seed, cfg.eval.n_utterances))
-    models: dict[str, TrainedModel] = {}
-    wall: dict[str, float] = {}
-    for vname in TREND_VARIANTS:
-        model_cfg = replace(cfg.model, variant=AttentionVariant(vname))
-        result = train_model(model_cfg, cfg.task, cfg.train.steps, cfg.train.lr,
-                             cfg.train.seed, log_every=0)
-        models[vname] = result.model
-        wall[vname] = result.wall_clock_s
+    jobs = [(replace(cfg.model, variant=AttentionVariant(vname)), cfg.task, cfg.train.steps,
+             cfg.train.lr, cfg.train.seed, None, 0) for vname in TREND_VARIANTS]
+    with training_pool() as pool:
+        results = pool.starmap(train_model, jobs)
+    models = {vname: r.model for vname, r in zip(TREND_VARIANTS, results)}
+    wall = {vname: r.wall_clock_s for vname, r in zip(TREND_VARIANTS, results)}
     return cfg, heldout, models, wall
 
 

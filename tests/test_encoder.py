@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import mul, parameter_count, sum_all, transpose
+from conftest import assert_packed, mul, parameter_count, sum_all, transpose
 from longattn.attention import AttentionVariant
 from longattn.encoder import (
     EncoderConfig,
@@ -22,6 +22,7 @@ from longattn.encoder import (
 )
 from longattn.errors import ConfigError, ShortInputError
 from longattn.numerics import check_gradients, const, no_grad, param
+from longattn.numerics import tensor as T
 
 TINY = dict(feat_dim=3, d_model=8, n_layers=2, n_heads=2, d_k=4, d_ff=16,
             subsample_factor=4, vocab_size=4)
@@ -377,6 +378,19 @@ def test_checkpoint_round_trip(tmp_path):
     x = rng.normal(size=(20, cfg.feat_dim))
     npt.assert_array_equal(encoder_forward(x, params, cfg).data,
                            encoder_forward(x, loaded.params, cfg).data)
+
+
+def test_init_model_and_load_checkpoint_pack_each_model_into_one_buffer(tmp_path):
+    cfg = tiny_cfg(AttentionVariant.RELATIVE_PE)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TrainedModel(cfg, init_model(cfg, seed=18), {}))
+    for params in (init_model(cfg, seed=18), load_checkpoint(path).params):
+        tensors = params.tensors()
+        data, grads = tensors[0].data.base, tensors[0].grad.base
+        assert_packed(tensors, data, grads)
+        assert not grads.any()
+        again = T.pack(tensors)
+        assert again[0] is data and again[1] is grads
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -511,6 +511,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     for empty in (["--lengths", ""], ["--variants", ""], ["--variants", ","]):
         assert cli_main(["memcheck", *empty]) == 2, empty
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, empty
+    # a length past the bound fails before its stage is allocated
+    for lengths in ("4097", "16,20000", "1" + "0" * 30):
+        assert cli_main(["memcheck", "--lengths", lengths]) == 2, lengths
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, lengths
     # missing checkpoint listed explicitly
     rc = cli_main(["sweep", "--checkpoint", f"standard={tmp_path}/none.ckpt",
                    "--lengths", "1", "--seeds", "0",

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import ReferenceAdam, mul, sum_all, transpose
+from conftest import ReferenceAdam, assert_packed, mul, sum_all, transpose
 from longattn.attention.variants import pairwise_sqdist_scores, relative_shift
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
@@ -479,16 +479,16 @@ def test_optimizer_state_shapes_and_grads_untouched():
     g = p.grad.copy()
     opt.step()
     assert opt.step_count == 1
-    assert opt.first[0].shape == p.data.shape
+    assert opt.first.shape == opt.second.shape == (p.data.size,)
     npt.assert_array_equal(p.grad, g)
 
 
 def test_adam_matches_the_per_tensor_reference_bit_for_bit():
-    """Grouped flat-moment Adam against the per-tensor expression, over a
-    tensor larger than one group, many tiny tensors sharing groups, and a
-    tensor whose grad is None."""
-    group = linalg.CHUNK_ELEMENTS // 4
-    shapes = ([(1, 1), (2, 3), (1, 7)] * 12 + [(3, group // 3 + 5)] + [(4, 5)] * 9
+    """Flat-buffer Adam against the per-tensor expression, over a tensor
+    larger than one span, many tiny tensors that share spans or straddle
+    their ends, and a tensor whose grad is None."""
+    span = linalg.CHUNK_ELEMENTS // 4
+    shapes = ([(1, 1), (2, 3), (1, 7)] * 12 + [(3, span // 3 + 5)] + [(4, 5)] * 9
               + [(64, 65)] * 5 + [(1, 1)])
     rng = np.random.default_rng(8)
     init = [rng.normal(size=shape) for shape in shapes]
@@ -497,12 +497,12 @@ def test_adam_matches_the_per_tensor_reference_bit_for_bit():
     ungraded = len(shapes) // 2  # a parameter nothing ever backpropagates into
     for tensors in (ours, theirs):
         tensors[ungraded].grad = None
-    assert shapes[36][0] * shapes[36][1] > group > sum(r * c for r, c in shapes[:36])
+    assert shapes[36][0] * shapes[36][1] > span > sum(r * c for r, c in shapes[:36])
     opt, ref = Adam(ours, lr=0.01), ReferenceAdam(theirs, lr=0.01)
 
     for step in range(30):
-        for p, q in zip(ours, theirs):
-            if p.grad is None:
+        for i, (p, q) in enumerate(zip(ours, theirs)):
+            if i == ungraded:
                 continue
             g = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-6, 4)
             g[rng.random(g.shape) < 0.1] = 0.0
@@ -513,17 +513,72 @@ def test_adam_matches_the_per_tensor_reference_bit_for_bit():
         ref.step()
         for i, (p, q) in enumerate(zip(ours, theirs)):
             assert p.data.tobytes() == q.data.tobytes(), (step, i)
-            assert opt.first[i].tobytes() == ref.first[i].tobytes(), (step, i)
-            assert opt.second[i].tobytes() == ref.second[i].tobytes(), (step, i)
+        for flat, moments in ((opt.first, ref.first), (opt.second, ref.second)):
+            assert flat.tobytes() == np.concatenate([m.ravel() for m in moments]).tobytes()
 
-    flat = opt.first[0].base
-    for i, p in enumerate(ours):
-        for moments in (opt.first, opt.second):
-            assert moments[i].shape == p.data.shape
-            assert not moments[i].flags.owndata
-        assert np.shares_memory(opt.first[i], flat)
-    assert ours[ungraded].grad is None
+    npt.assert_array_equal(ours[ungraded].grad, np.zeros(shapes[ungraded]))
     npt.assert_array_equal(ours[ungraded].data, init[ungraded])
+
+
+def test_pack_copies_values_in_and_a_second_pack_moves_nothing():
+    rng = np.random.default_rng(12)
+    values = [rng.normal(size=shape) for shape in [(2, 3), (1, 1), (4, 5)]]
+    tensors = [param(v) for v in values]
+    tensors[0].grad[...] = 7.0
+    tensors[1].grad = None
+    data, grads = T.pack(tensors)
+    assert_packed(tensors, data, grads)
+    for t, v in zip(tensors, values):
+        npt.assert_array_equal(t.data, v)
+    npt.assert_array_equal(tensors[0].grad, np.full((2, 3), 7.0))
+    npt.assert_array_equal(tensors[1].grad, np.zeros((1, 1)))
+
+    arrays = [(t.data, t.grad) for t in tensors]
+    again = T.pack(tensors)
+    assert again[0] is data and again[1] is grads
+    for t, (d, g) in zip(tensors, arrays):
+        assert t.data is d and t.grad is g
+
+
+PICKS = pytest.mark.parametrize(
+    "pick", [lambda ts: ts[::-1], lambda ts: ts[1:], lambda ts: ts[:-1],
+             lambda ts: ts[:1] + ts[2:]], ids=["reversed", "suffix", "prefix", "gap"])
+
+
+@PICKS
+def test_pack_lays_out_a_reordered_or_partial_list_anew(pick):
+    tensors = [param(np.full((2, 2), float(i))) for i in range(4)]
+    data, grads = T.pack(tensors)
+    chosen = pick(tensors)
+    new_data, new_grads = T.pack(chosen)
+    assert new_data is not data and new_grads is not grads
+    assert_packed(chosen, new_data, new_grads)
+    npt.assert_array_equal(new_data, np.concatenate([t.data.ravel() for t in chosen]))
+
+
+@PICKS
+def test_adam_over_a_reordered_or_partial_list_updates_each_tensor_by_its_grad(pick):
+    rng = np.random.default_rng(13)
+    init = [rng.normal(size=(3, 4)) for _ in range(4)]
+    ours, theirs = [param(x) for x in init], [param(x) for x in init]
+    T.pack(ours)
+    opt, ref = Adam(pick(ours), lr=0.01), ReferenceAdam(pick(theirs), lr=0.01)
+    for p, q in zip(ours, theirs):
+        g = rng.normal(size=(3, 4))
+        p.grad[...] = g
+        q.grad[...] = g
+    opt.step()
+    ref.step()
+    for p, q in zip(ours, theirs):
+        assert p.data.tobytes() == q.data.tobytes()
+
+
+def test_adam_over_no_parameters_steps_as_a_no_op():
+    opt = Adam([], lr=0.01)
+    opt.zero_grad()
+    opt.step()
+    assert opt.step_count == 1
+    assert opt.first.shape == opt.second.shape == (0,)
 
 
 def test_max_relative_error_zero_grads():
