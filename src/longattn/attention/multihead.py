@@ -1,5 +1,6 @@
 """Per-head attention weights and the multi-head wrapper that applies them to
-per-head value projections."""
+per-head value projections. ``attention_weights`` is the one place where a
+variant's scores become row-stochastic weights: their row softmax."""
 
 from __future__ import annotations
 
@@ -18,37 +19,29 @@ from ..numerics.tensor import (
     matmul,
     matmul_t,
     slice_rows,
+    softmax_rows,
 )
 from .encodings import DEFAULT_ALPHA
 from .params import VARIANTS, AttentionParams, AttentionVariant
-from .variants import _as_tensor
 
 
 def attention_weights(
-    x,
+    projected,
     params: AttentionParams,
     variant: AttentionVariant,
-    alpha: float = DEFAULT_ALPHA,
-    start_index: int = 0,
     *,
     rows: slice = slice(None),
     keys: slice = slice(None),
-    projected=None,
 ) -> Tensor:
     """Row-stochastic attention of the query frames ``rows`` (all by default)
     over the key frames ``keys`` (all by default), for one head under the given
-    variant. Only a variant with a ``band`` takes a narrower ``keys``.
-
-    ``projected`` is the output of the variant's projection stage for ``x``;
-    when given, it is used instead of projecting ``x`` again, and ``x``,
-    ``alpha`` and ``start_index`` are not used.
+    variant. ``projected`` is the output of the variant's projection stage.
+    Only a variant with a ``band`` takes a narrower ``keys``.
     """
     spec = VARIANTS[variant]
     if spec.band is None and keys != slice(None):
         raise InternalError(f"{variant.value} attention scores every key, got keys {keys}")
-    if projected is None:
-        projected = spec.projections(_as_tensor(x), params, alpha, start_index)
-    return spec.pair(projected, params, rows, keys)
+    return softmax_rows(spec.scores(projected, params, rows, keys))
 
 
 # A key window's ends are rounded out to multiples of this many frames. In a
@@ -67,12 +60,11 @@ def key_window(rows: slice, half: int, length: int) -> slice:
 
 
 def multi_head_attention(
-    x,
+    x: Tensor,
     heads: list[AttentionParams],
     w_o: Tensor,
     variant: AttentionVariant,
     alpha: float = DEFAULT_ALPHA,
-    start_index: int = 0,
     observe: Callable[[int, slice, slice, np.ndarray], None] | None = None,
 ) -> Tensor:
     """Concatenate per-head attention outputs and apply the output linear map.
@@ -92,23 +84,22 @@ def multi_head_attention(
     block, in row order, with the block's weights over the keys ``keys``; it
     must not modify them.
 
-    Values are always projected from the raw input frames; frame indexing only
-    ever enters the query/key pathway inside ``attention_weights``.
+    Values are always projected from the raw input frames; frame indexing,
+    from frame 0, only ever enters the query/key projections.
     """
     spec = VARIANTS[variant]
-    xt = _as_tensor(x)
-    xa = append_const_col(xt)
-    length = xt.data.shape[0]
+    xa = append_const_col(x)
+    length = x.data.shape[0]
     blocks = row_chunks(length, length)
     outputs = []
     for index, head in enumerate(heads):
-        projected = spec.projections(xt, head, alpha, start_index)
+        projected = spec.projections(x, head, alpha, start_index=0)
         values = matmul_t(xa, head.w_v)
         half = None if spec.band is None or len(blocks) == 1 else spec.band(projected, head, alpha)
         parts = []
         for rows in blocks:
             keys = slice(None) if half is None else key_window(rows, half, length)
-            attn = attention_weights(xt, head, variant, rows=rows, keys=keys, projected=projected)
+            attn = attention_weights(projected, head, variant, rows=rows, keys=keys)
             if observe is not None:
                 observe(index, rows, keys, attn.data)
             parts.append(matmul(attn, slice_rows(values, keys)))

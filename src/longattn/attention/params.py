@@ -13,17 +13,16 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..numerics.tensor import Tensor, append_const_col, param
+from ..numerics.tensor import Tensor, affine, append_const_col, mul_scalar, param
 from .encodings import frame_index_column
 from .variants import (
-    dot_product_pair_stage,
+    dot_product_scores,
     gaussian_band,
-    gaussian_pair_stage,
     gaussian_projection,
+    pairwise_sqdist_scores,
     qk_projections,
-    relative_pair_stage,
     relative_projections,
-    shared_projection,
+    relative_terms,
     soft_mask_tensor,
 )
 
@@ -82,16 +81,16 @@ class AttentionParams:
 @dataclass(frozen=True)
 class VariantSpec:
     """Everything one attention variant means: ``project`` is the per-frame stage,
-    ``pair(projected, params, rows, keys)`` the pairwise stage of the query rows
-    ``rows`` against the key frames ``keys``, ending in ``softmax_rows``,
-    ``pair_elements(length, d_model, d_k)`` the closed-form element count of one
-    head's pairwise stage over all rows, and ``init_scores(rng, score_in, d_model,
-    d_k, alpha)`` draws the score weights. ``band(projected, params, alpha)``, when
+    ``scores(projected, params, rows, keys)`` the pre-softmax scores of the query
+    rows ``rows`` against the key frames ``keys``, ``pair_elements(length,
+    d_model, d_k)`` the closed-form element count of one head's scores and their
+    softmax over all rows, and ``init_scores(rng, score_in, d_model, d_k, alpha)``
+    draws the score weights. ``band(projected, params, alpha)``, when
     set, gives the half-width in frames beyond which every weight is exactly 0.0,
     or None for no band; a variant without it scores every key."""
 
     project: Callable[[Tensor, AttentionParams], Any]
-    pair: Callable[[Any, AttentionParams, slice, slice], Tensor]
+    scores: Callable[[Any, AttentionParams, slice, slice], Tensor]
     pair_elements: Callable[[int, int, int], int]
     init_scores: Callable[..., dict[str, Tensor]]
     band: Callable[[Any, AttentionParams, float], int | None] | None = None
@@ -131,14 +130,15 @@ def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> dict[str, 
 
 _STANDARD = VariantSpec(
     project=lambda x, p: qk_projections(x, p.w_q, p.w_k_x),
-    pair=lambda qk, p, rows, keys: dot_product_pair_stage(*qk, rows=rows),
+    scores=lambda qk, p, rows, keys: dot_product_scores(*qk, rows=rows),
     pair_elements=lambda n, d_model, d_k: 3 * n * n,  # raw, scaled scores; attention
     init_scores=_init_qk,
     default_abs_pe=True,
 )
 _GAUSSIAN = VariantSpec(
     project=lambda x, p: gaussian_projection(x, p.w_s),
-    pair=lambda a, p, rows, keys: gaussian_pair_stage(a, rows, keys),
+    # sees only row differences, so it is shift-invariant
+    scores=lambda a, p, rows, keys: pairwise_sqdist_scores(a, rows, keys),
     pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
     init_scores=_init_gaussian,
 )
@@ -148,7 +148,7 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     AttentionVariant.STANDARD_FRAME_INDEX: replace(_STANDARD, frame_indexed=True),
     AttentionVariant.SOFT_MASK: replace(
         _STANDARD,
-        pair=lambda qk, p, rows, keys: dot_product_pair_stage(
+        scores=lambda qk, p, rows, keys: dot_product_scores(
             *qk, mask=soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask, rows), rows=rows),
         # standard plus offset template, mask, masked scores, and 2 width scalars
         pair_elements=lambda n, d_model, d_k: 6 * n * n + 2,
@@ -157,8 +157,8 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     ),
     AttentionVariant.SHARED_QK: replace(
         _STANDARD,
-        project=lambda x, p: shared_projection(x, p.w_s),
-        pair=lambda q, p, rows, keys: dot_product_pair_stage(q, q, rows=rows),
+        project=lambda x, p: affine(x, p.w_s),
+        scores=lambda q, p, rows, keys: dot_product_scores(q, q, rows=rows),
         init_scores=_init_shared,
     ),
     AttentionVariant.GAUSSIAN: _GAUSSIAN,
@@ -171,7 +171,8 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         _STANDARD,
         # the offset table's key projection is per-frame work, done once per head
         project=lambda x, p: relative_projections(x, p.w_q, p.w_k_x, p.w_k_r),
-        pair=lambda qkr, p, rows, keys: relative_pair_stage(*qkr, p.u, p.v, rows),
+        scores=lambda qkr, p, rows, keys: mul_scalar(
+            relative_terms(*qkr, p.u, p.v, rows), 1.0 / math.sqrt(qkr[0].data.shape[1])),
         # content scores, all-offset position scores (L x 2L-1), their shift,
         # the sum, scaled scores, attention; q + u and q + v
         pair_elements=lambda n, d_model, d_k: 5 * n * n + n * (2 * n - 1) + 2 * n * d_k,

@@ -1,11 +1,12 @@
 """Attention score mechanisms.
 
-Each variant is split into a projection stage (per-frame linear maps) and a
-pairwise stage (everything whose footprint grows with the squared sequence
-length); the memory-footprint tool measures the pairwise stage. A pairwise
-stage scores the query frames in ``rows`` against every key, so a caller can
-work through the queries one block at a time; the default is all of them.
-All paths end in a row softmax, so every returned matrix is row-stochastic.
+Every variant is a row softmax of a score, so a variant is two stages: a
+projection stage (per-frame linear maps) and a score stage (everything whose
+footprint grows with the squared sequence length), which gives pre-softmax
+scores. ``multihead.attention_weights`` applies the one softmax, and the
+memory-footprint tool measures the score stage with it. A score stage scores
+the query frames in ``rows`` against every key, so a caller can work through
+the queries one block at a time; the default is all of them.
 ``params.VARIANTS`` wires each variant to its two stages.
 
 ``attn_kernel_form`` is the plain-array oracle for the algebraic identity
@@ -37,7 +38,6 @@ from ..numerics.tensor import (
     mul_scalar_tensor,
     pow_scalar,
     slice_rows,
-    softmax_rows,
 )
 from .encodings import signed_sinusoid_table, squared_offset_matrix
 
@@ -45,10 +45,6 @@ from .encodings import signed_sinusoid_table, squared_offset_matrix
 # A key that scores at most this far below the row's own key gets weight
 # exactly 0.0: EXP_UNDERFLOW, less a margin of 4 for the rounding of the scores.
 BAND_SCORE = EXP_UNDERFLOW - 4.0
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else const(as_matrix(x))
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +112,22 @@ def relative_shift(p: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# scaled dot-product pairwise stage and its soft mask
+# scaled dot-product scores and their soft mask
 # ---------------------------------------------------------------------------
 
 
-def qk_projections(x, w_q, w_k) -> tuple[Tensor, Tensor]:
-    xa = append_const_col(_as_tensor(x))
+def qk_projections(x: Tensor, w_q, w_k) -> tuple[Tensor, Tensor]:
+    xa = append_const_col(x)
     return matmul_t(xa, w_q), matmul_t(xa, w_k)
 
 
-def dot_product_pair_stage(
+def dot_product_scores(
     q: Tensor, k: Tensor, mask: Tensor | None = None, rows: slice = slice(None)
 ) -> Tensor:
-    """Attention of the queries in ``rows`` over all keys; ``mask`` covers the same rows."""
+    """Scaled scores of the queries in ``rows`` over all keys; ``mask`` covers the same rows."""
     d_k = q.data.shape[1]
     scores = mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        scores = add(scores, mask)
-    return softmax_rows(scores)
+    return scores if mask is None else add(scores, mask)
 
 
 def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
@@ -149,18 +143,9 @@ def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) 
 # ---------------------------------------------------------------------------
 
 
-def shared_projection(x, w_s: Tensor) -> Tensor:
-    return affine(_as_tensor(x), w_s)
-
-
-def gaussian_projection(x, w_s: Tensor) -> Tensor:
+def gaussian_projection(x: Tensor, w_s: Tensor) -> Tensor:
     d_k = w_s.data.shape[0]
-    return mul_scalar(shared_projection(x, w_s), d_k**-0.25)
-
-
-def gaussian_pair_stage(a: Tensor, rows: slice = slice(None), keys: slice = slice(None)) -> Tensor:
-    """Row-normalized Gaussian kernel; it sees only row differences, so it is shift-invariant."""
-    return softmax_rows(pairwise_sqdist_scores(a, rows, keys))
+    return mul_scalar(affine(x, w_s), d_k**-0.25)
 
 
 def gaussian_band(a: np.ndarray, index_step: np.ndarray) -> int | None:
@@ -219,7 +204,7 @@ def attn_kernel_form(x, w_s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def relative_projections(x, w_q, w_k_x, w_k_r) -> tuple[Tensor, Tensor, Tensor]:
+def relative_projections(x: Tensor, w_q, w_k_x, w_k_r) -> tuple[Tensor, Tensor, Tensor]:
     """Queries, content keys, and ``kr``: the key projection of the signed
     sinusoid table, one row per offset -(L-1)..(L-1)."""
     q, kx = qk_projections(x, w_q, w_k_x)
@@ -245,11 +230,3 @@ def relative_terms(
     offsets = slice_rows(kr, slice(start, stop + length - 1))
     position = matmul_t(add_row(q_rows, v), offsets)
     return add(content, relative_shift(position))
-
-
-def relative_pair_stage(
-    q: Tensor, kx: Tensor, kr: Tensor, u: Tensor, v: Tensor, rows: slice = slice(None)
-) -> Tensor:
-    scores = relative_terms(q, kx, kr, u, v, rows)
-    d_k = q.data.shape[1]
-    return softmax_rows(mul_scalar(scores, 1.0 / math.sqrt(d_k)))

@@ -124,6 +124,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--checkpoint takes VARIANT=PATH, got {item!r}")
         name, path = item.split("=", 1)
         AttentionVariant.parse(name)
+        if name in specs:
+            raise ConfigError(f"--checkpoint label {name!r} is given more than once")
         specs[name] = path
     models = {}
     for name, path in specs.items():

@@ -10,7 +10,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..ctc import edit_distance, greedy_decode
+from ..ctc import edit_distance, greedy_decode, validate_labels
 from ..encoder import TrainedModel, encoder_forward
 from ..errors import ConfigError
 from ..numerics.tensor import no_grad
@@ -63,12 +63,7 @@ def evaluate(
     rows: list[ReportRow] = []
     for name, dataset in eval_sets.items():
         for utt in dataset:
-            for t in utt.labels:
-                if not (1 <= t < vocab):
-                    raise ConfigError(
-                        f"eval set {name!r} has token {t} outside the checkpoint "
-                        f"vocabulary [1, {vocab - 1}]"
-                    )
+            validate_labels(utt.labels, vocab)
         hyps = [decode_utterance(model, u.features) for u in dataset]
         # ordered reduction into buckets keyed by raw feature length
         n_buckets = len(bucket_edges)

@@ -1,4 +1,4 @@
-"""Element-count accounting for the attention pairwise stage.
+"""Element-count accounting for the attention scores and their softmax.
 
 Counts cover the pairwise-interaction intermediates of one head, over all
 query rows at once: score, mask, and normalization matrices, plus
@@ -7,7 +7,7 @@ sequence length) and parameters are excluded; they do not drive the
 long-sequence memory behaviour. relative_pe's (2L-1)-row offset table and its
 key projection are per-head projection work, so they are excluded too. The
 measured number comes from the allocation meter in the numerics substrate
-while the pairwise stage runs.
+while ``attention_weights`` turns one head's projected frames into weights.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..attention.multihead import attention_weights
 from ..attention.params import VARIANTS, AttentionVariant, init_attention_params
 from ..encoder import EncoderConfig
 from ..errors import ConfigError
@@ -36,14 +37,14 @@ class MemoryFootprint:
 
 
 def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig) -> int:
-    """Run one head's pairwise stage under the allocation meter."""
+    """Run one head's scores and their softmax under the allocation meter."""
     rng = np.random.default_rng([MEASURE_SEED, 0x6D])
     params = init_attention_params(variant, cfg.d_model, cfg.d_k, cfg.d_v, cfg.alpha, rng)
     spec = VARIANTS[variant]
     x = const(rng.normal(size=(length, cfg.d_model)))
     projected = spec.projections(x, params, cfg.alpha, start_index=0)
     with count_allocations() as meter:
-        spec.pair(projected, params, slice(None), slice(None))
+        attention_weights(projected, params, variant)
     return meter.elements
 
 

@@ -179,13 +179,13 @@ def load_dataset(path) -> Dataset:
             else build(SyntheticTaskConfig, meta["task"], f"{path}: task metadata"))
     if "prototypes" not in arrays:
         raise ConfigError(f"{path}: dataset has no prototypes array")
-    prototypes = arrays["prototypes"]
+    prototypes = arrays.pop("prototypes")
     utterances = []
     i = 0
     while f"u{i:05d}.features" in arrays:
         if f"u{i:05d}.labels" not in arrays:
             raise ConfigError(f"{path}: utterance {i} has features but no labels")
-        features, labels = arrays[f"u{i:05d}.features"], arrays[f"u{i:05d}.labels"]
+        features, labels = arrays.pop(f"u{i:05d}.features"), arrays.pop(f"u{i:05d}.labels")
         if features.shape[1:] != prototypes.shape[1:]:
             raise ConfigError(f"{path}: utterance {i} features have shape {features.shape}, "
                               f"but the prototypes are {prototypes.shape[1]} wide")
@@ -194,6 +194,11 @@ def load_dataset(path) -> Dataset:
                               f"got shape {labels.shape}")
         utterances.append(Utterance(features=features, labels=[int(t) for t in labels[0]]))
         i += 1
+    if not utterances:
+        raise ConfigError(f"{path}: dataset has no utterances (no array u00000.features)")
+    if arrays:
+        raise ConfigError(f"{path}: array {min(arrays)!r} is not one of the prototypes or "
+                          f"the utterances u00000..u{i - 1:05d}")
     return Dataset(utterances=utterances, prototypes=prototypes, task=task)
 
 

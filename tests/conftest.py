@@ -7,9 +7,10 @@ import numpy as np
 import numpy.testing as npt
 
 import longattn.encoder as encoder_module
+from longattn.attention import DEFAULT_ALPHA, VARIANTS, attention_weights
 from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
 from longattn.errors import LongattnError
-from longattn.numerics.tensor import Tensor, accumulate_grad, make_op
+from longattn.numerics.tensor import Tensor, accumulate_grad, const, make_op
 
 RELU_GAP_THRESHOLD = 3e-3
 
@@ -74,6 +75,15 @@ def sum_all(a: Tensor) -> Tensor:
         accumulate_grad(a, np.full_like(a.data, u[0, 0]))
 
     return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
+
+
+def head_weights(x, params, variant, alpha=DEFAULT_ALPHA, start_index=0, **blocks) -> Tensor:
+    """One head's attention weights for the frames ``x`` (an array or a Tensor):
+    the variant's projection stage, then ``attention_weights`` with ``blocks``
+    as its ``rows`` and ``keys``."""
+    x = x if isinstance(x, Tensor) else const(x)
+    projected = VARIANTS[variant].projections(x, params, alpha, start_index)
+    return attention_weights(projected, params, variant, **blocks)
 
 
 def parameter_count(params) -> int:

@@ -17,11 +17,10 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from conftest import mul, screen_seed, sum_all
+from conftest import head_weights, mul, screen_seed, sum_all
 from longattn.attention import (
     AttentionParams,
     AttentionVariant,
-    attention_weights,
     attn_kernel_form,
     init_attention_params,
 )
@@ -71,8 +70,8 @@ def test_criterion_1_kernel_identity():
         d_k = int(rng.integers(1, 9))
         x = rng.normal(size=(L, D))
         w_s = rng.normal(scale=1.0 / math.sqrt(D + 1), size=(d_k, D + 1))
-        direct = attention_weights(x, AttentionParams(w_s=const(w_s)),
-                                   AttentionVariant.SHARED_QK).data
+        direct = head_weights(x, AttentionParams(w_s=const(w_s)),
+                              AttentionVariant.SHARED_QK).data
         rewritten = attn_kernel_form(x, w_s)
         worst = max(worst, np.abs(rewritten - direct).max() / np.abs(direct).max())
     elapsed = time.perf_counter() - started
@@ -94,10 +93,10 @@ def test_criterion_2_shift_invariance():
     for trial in range(20):
         p = make_params(AttentionVariant.GAUSSIAN, 4, 4, 4, 2000 + trial)
         x = rng.normal(size=(8, 4))
-        base = attention_weights(x, p, AttentionVariant.GAUSSIAN).data
+        base = head_weights(x, p, AttentionVariant.GAUSSIAN).data
         for _ in range(5):
             c = rng.normal(size=(1, 4))
-            shifted = attention_weights(x + c, p, AttentionVariant.GAUSSIAN).data
+            shifted = head_weights(x + c, p, AttentionVariant.GAUSSIAN).data
             worst = max(worst, np.abs(shifted - base).max())
     assert worst <= 1e-10
 
@@ -105,10 +104,10 @@ def test_criterion_2_shift_invariance():
     for trial in range(100):
         p = make_params(AttentionVariant.STANDARD, 4, 4, 4, 3000 + trial)
         x = rng.normal(size=(6, 4))
-        base = attention_weights(x, p, AttentionVariant.STANDARD).data
+        base = head_weights(x, p, AttentionVariant.STANDARD).data
         for _ in range(10):
             c = rng.normal(size=(1, 4))
-            if np.abs(attention_weights(x + c, p, AttentionVariant.STANDARD).data
+            if np.abs(head_weights(x + c, p, AttentionVariant.STANDARD).data
                       - base).max() > 1e-3:
                 hits += 1
                 break
@@ -130,8 +129,8 @@ def test_criterion_3_index_translation():
     for trial in range(20):
         p = make_params(AttentionVariant.GAUSSIAN_FRAME_INDEX, 4, 4, 4, 4000 + trial)
         x = rng.normal(size=(9, 4))
-        outs = [attention_weights(x, p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
-                                  alpha=100.0, start_index=s).data
+        outs = [head_weights(x, p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
+                             alpha=100.0, start_index=s).data
                 for s in (0, 37, 1000)]
         worst = max(worst, np.abs(outs[1] - outs[0]).max(),
                     np.abs(outs[2] - outs[0]).max())
@@ -141,10 +140,10 @@ def test_criterion_3_index_translation():
     for trial in range(100):
         p = make_params(AttentionVariant.STANDARD_FRAME_INDEX, 4, 4, 4, 5000 + trial)
         x = rng.normal(size=(6, 4))
-        base = attention_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
-                                 alpha=100.0, start_index=0).data
-        moved = attention_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
-                                  alpha=100.0, start_index=1000).data
+        base = head_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
+                            alpha=100.0, start_index=0).data
+        moved = head_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
+                             alpha=100.0, start_index=1000).data
         hits += np.abs(moved - base).max() > 1e-3
     assert hits >= 95
     report(3, f"Gaussian+frame-index invariant across offsets 0/37/1000 to {worst:.2e}; "
@@ -168,7 +167,7 @@ def test_criterion_4_gradient_suite():
             probe = const(rng.normal(size=(5, 5)))
 
             def f():
-                attn = attention_weights(x, params, variant, alpha=100.0, start_index=2)
+                attn = head_weights(x, params, variant, alpha=100.0, start_index=2)
                 return sum_all(mul(probe, attn))
 
             named = [("x", x)] + [(n, t) for n, t in params.named() if n != "w_v"]
@@ -272,7 +271,7 @@ def test_criterion_6_row_stochastic():
             L = int(rng.integers(1, 14))
             x = rng.normal(size=(L, 6))
             p = make_params(variant, 6, 4, 6, 9000 + trial)
-            w = attention_weights(x, p, variant, alpha=100.0).data
+            w = head_weights(x, p, variant, alpha=100.0).data
             worst = max(worst, np.abs(w.sum(axis=1) - 1.0).max())
             assert np.all(w > 0)
     assert worst <= 1e-12

@@ -6,10 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import sigma_mask
+from conftest import head_weights, sigma_mask
 from longattn.attention import (
     AttentionVariant,
-    attention_weights,
     attn_kernel_form,
     init_attention_params,
     kernel_form_factors,
@@ -22,7 +21,7 @@ from longattn.attention import (
 from longattn.attention.encodings import frame_index_column
 from longattn.attention.params import AttentionParams
 from longattn.attention.variants import (
-    dot_product_pair_stage,
+    dot_product_scores,
     qk_projections,
     relative_projections,
     relative_shift,
@@ -31,6 +30,7 @@ from longattn.attention.variants import (
 )
 from longattn.errors import ConfigError
 from longattn.numerics import const, param
+from longattn.numerics.tensor import softmax_rows
 
 
 def rel_diff(a, b):
@@ -43,8 +43,8 @@ def make_params(variant, d_model, d_k, d_v, seed, alpha=100.0):
 
 
 def weights(x, variant, **params):
-    """One head's attention matrix through ``attention_weights``."""
-    return attention_weights(x, AttentionParams(**params), variant).data
+    """One head's attention matrix through ``head_weights``."""
+    return head_weights(x, AttentionParams(**params), variant).data
 
 
 def standard(x, w_q, w_k):
@@ -127,29 +127,31 @@ def test_soft_mask_rejects_bad_sigma():
         soft_mask_matrix(4, 0.0)
 
 
-def masked_pair_stage(q, k, mask):
-    return dot_product_pair_stage(const(q), const(k), mask=const(mask)).data
+def dot_product_weights(q, k, mask=None):
+    """Softmax of the scaled dot-product scores of ``q`` against ``k``, plus ``mask``."""
+    mask = None if mask is None else const(mask)
+    return softmax_rows(dot_product_scores(const(q), const(k), mask)).data
 
 
 def test_apply_soft_mask_zero_is_identity():
     rng = np.random.default_rng(0)
     q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    plain = dot_product_pair_stage(const(q), const(k)).data
-    npt.assert_array_equal(masked_pair_stage(q, k, np.zeros((4, 4))), plain)
+    plain = dot_product_weights(q, k)
+    npt.assert_array_equal(dot_product_weights(q, k, np.zeros((4, 4))), plain)
 
 
 def test_apply_soft_mask_neg_inf_surrogate():
     mask = np.zeros((2, 2))
     mask[0, 1] = -1e30
-    p = masked_pair_stage(np.zeros((2, 1)), np.zeros((2, 1)), mask)
+    p = dot_product_weights(np.zeros((2, 1)), np.zeros((2, 1)), mask)
     assert p[0, 1] < 1e-300
 
 
 def test_huge_sigma_equals_unmasked():
     rng = np.random.default_rng(1)
     q, k = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
-    masked = masked_pair_stage(q, k, soft_mask_matrix(8, 1e8))
-    plain = dot_product_pair_stage(const(q), const(k)).data
+    masked = dot_product_weights(q, k, soft_mask_matrix(8, 1e8))
+    plain = dot_product_weights(q, k)
     assert np.abs(masked - plain).max() <= 1e-10
 
 
@@ -357,8 +359,8 @@ def test_frame_index_rejects_bad_alpha():
     p = make_params(AttentionVariant.GAUSSIAN_FRAME_INDEX, 2, 3, 2, 0)
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
-            attention_weights(np.zeros((3, 2)), p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
-                              alpha=alpha)
+            head_weights(np.zeros((3, 2)), p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
+                         alpha=alpha)
 
 
 def test_gaussian_frame_index_translation_invariance():
@@ -366,8 +368,8 @@ def test_gaussian_frame_index_translation_invariance():
     p = make_params(AttentionVariant.GAUSSIAN_FRAME_INDEX, 4, 4, 4, 18)
     x = rng.normal(size=(9, 4))
     outs = [
-        attention_weights(x, p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
-                          alpha=100.0, start_index=s).data
+        head_weights(x, p, AttentionVariant.GAUSSIAN_FRAME_INDEX,
+                     alpha=100.0, start_index=s).data
         for s in (0, 37, 1000)
     ]
     assert np.abs(outs[1] - outs[0]).max() <= 1e-10
@@ -380,10 +382,10 @@ def test_standard_frame_index_breaks_translation_invariance():
     for trial in range(100):
         p = make_params(AttentionVariant.STANDARD_FRAME_INDEX, 4, 4, 4, 2000 + trial)
         x = rng.normal(size=(6, 4))
-        base = attention_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
-                                 alpha=100.0, start_index=0).data
-        shifted = attention_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
-                                    alpha=100.0, start_index=1000).data
+        base = head_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
+                            alpha=100.0, start_index=0).data
+        shifted = head_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
+                               alpha=100.0, start_index=1000).data
         hits += np.abs(shifted - base).max() > 1e-3
     assert hits >= 95
 
@@ -411,7 +413,7 @@ def oracle_relative(x, w_q, w_k_x, w_k_r, u, v, table):
 
 def relative_scores(x, w_q, w_k_x, w_k_r, u, v):
     """Unscaled four-term scores over the signed sinusoid table for ``x``."""
-    q, kx, kr = relative_projections(x, w_q, w_k_x, w_k_r)
+    q, kx, kr = relative_projections(const(x), w_q, w_k_x, w_k_r)
     return relative_terms(q, kx, kr, u, v).data
 
 
@@ -452,7 +454,7 @@ def test_attn_relative_rows_stochastic():
     rng = np.random.default_rng(25)
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 4, 4, 26)
     x = rng.normal(size=(6, 4))
-    out = attention_weights(x, p, AttentionVariant.RELATIVE_PE).data
+    out = head_weights(x, p, AttentionVariant.RELATIVE_PE).data
     npt.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-12)
 
 
@@ -466,7 +468,7 @@ def test_multi_head_single_head_singleton():
     head = make_params(AttentionVariant.STANDARD, 4, 3, 4, 28)
     w_o = param(rng.normal(size=(4, 5)))
     x = rng.normal(size=(1, 4))
-    out = multi_head_attention(x, [head], w_o, AttentionVariant.STANDARD).data
+    out = multi_head_attention(const(x), [head], w_o, AttentionVariant.STANDARD).data
     xa = np.concatenate([x, np.ones((1, 1))], axis=1)
     values = xa @ head.w_v.data.T
     expected = np.concatenate([values, np.ones((1, 1))], axis=1) @ w_o.data.T
@@ -480,12 +482,12 @@ def test_multi_head_permutation_symmetry():
              for i in range(2)]
     w_o = rng.normal(size=(d_model, 2 * d_v + 1))
     x = rng.normal(size=(5, d_model))
-    out = multi_head_attention(x, heads, const(w_o), AttentionVariant.STANDARD).data
+    out = multi_head_attention(const(x), heads, const(w_o), AttentionVariant.STANDARD).data
     # swap the two heads along with their slices of the output weight
     w_o_swapped = np.concatenate(
         [w_o[:, d_v:2 * d_v], w_o[:, :d_v], w_o[:, -1:]], axis=1
     )
-    swapped = multi_head_attention(x, heads[::-1], const(w_o_swapped),
+    swapped = multi_head_attention(const(x), heads[::-1], const(w_o_swapped),
                                    AttentionVariant.STANDARD).data
     assert np.abs(out - swapped).max() <= 1e-12
 
@@ -497,7 +499,7 @@ def test_multi_head_matches_manual_two_slice():
              for i in range(2)]
     w_o = rng.normal(size=(d_model, 2 * d_v + 1))
     x = rng.normal(size=(5, d_model))
-    out = multi_head_attention(x, heads, const(w_o), AttentionVariant.GAUSSIAN).data
+    out = multi_head_attention(const(x), heads, const(w_o), AttentionVariant.GAUSSIAN).data
     xa = np.concatenate([x, np.ones((5, 1))], axis=1)
     slices = []
     for head in heads:
@@ -521,7 +523,7 @@ def test_all_variants_row_stochastic(variant):
         L = int(rng.integers(1, 12))
         x = rng.normal(size=(L, 6))
         p = make_params(variant, 6, 4, 6, 5000 + trial)
-        w = attention_weights(x, p, variant, alpha=100.0).data
+        w = head_weights(x, p, variant, alpha=100.0).data
         npt.assert_allclose(w.sum(axis=1), np.ones(L), atol=1e-12)
         assert np.all(w > 0)
 
@@ -565,7 +567,7 @@ def test_offset_table_span_is_checked():
     from longattn.errors import InternalError
 
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 54)
-    q, kx = qk_projections(np.zeros((4, 4)), p.w_q, p.w_k_x)
+    q, kx = qk_projections(const(np.zeros((4, 4))), p.w_q, p.w_k_x)
     bad_kr = const(np.zeros((5, 3)))  # needs 2*4-1 = 7 rows
     with pytest.raises(InternalError):
         relative_terms(q, kx, bad_kr, p.u, p.v)
@@ -595,8 +597,7 @@ def test_blocked_forward_matches_one_block(variant, length, monkeypatch):
             blocks[h][-1][:, keys] = w
 
         with no_grad():
-            out = multi_head_attention(x, heads, w_o, variant, start_index=3,
-                                       observe=observe).data
+            out = multi_head_attention(const(x), heads, w_o, variant, observe=observe).data
         return out, [np.concatenate(head_blocks) for head_blocks in blocks]
 
     assert len(linalg.row_chunks(length, length)) >= 2
@@ -607,7 +608,7 @@ def test_blocked_forward_matches_one_block(variant, length, monkeypatch):
         whole, whole_maps = forward()
     assert rel_diff(blocked, whole) <= 1e-12
     for head, stacked, one in zip(heads, blocked_maps, whole_maps):
-        full = attention_weights(x, head, variant, start_index=3).data
+        full = head_weights(x, head, variant).data
         npt.assert_array_equal(one, full)
         assert stacked.shape == (length, length)
         assert rel_diff(stacked, full) <= 1e-12

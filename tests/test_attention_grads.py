@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import mul, sum_all
-from longattn.attention import AttentionVariant, attention_weights, init_attention_params
+from conftest import head_weights, mul, sum_all
+from longattn.attention import AttentionVariant, init_attention_params
 from longattn.attention.multihead import multi_head_attention
 from longattn.numerics import check_gradients, const, param
 
@@ -20,7 +20,7 @@ def variant_case(variant, seed):
     probe = const(rng.normal(size=(L, L)))
 
     def f():
-        attn = attention_weights(x, params, variant, alpha=100.0, start_index=2)
+        attn = head_weights(x, params, variant, alpha=100.0, start_index=2)
         return sum_all(mul(probe, attn))
 
     named = [("x", x)] + params.named()
@@ -49,7 +49,7 @@ def test_multi_head_gradients(seed):
 
     def f():
         out = multi_head_attention(x, heads, w_o, AttentionVariant.GAUSSIAN_FRAME_INDEX,
-                                   alpha=100.0, start_index=1)
+                                   alpha=100.0)
         return sum_all(mul(probe, out))
 
     named = [("x", x), ("w_o", w_o)]
@@ -74,7 +74,7 @@ def test_multi_head_gradients_through_row_blocks(variant, monkeypatch):
     probe = const(rng.normal(size=(L, d_model)))
 
     def f():
-        out = multi_head_attention(x, heads, w_o, variant, alpha=100.0, start_index=2)
+        out = multi_head_attention(x, heads, w_o, variant, alpha=100.0)
         return sum_all(mul(probe, out))
 
     named = [("x", x), ("w_o", w_o)]

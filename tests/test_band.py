@@ -8,8 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import mul, sum_all
-from longattn.attention import AttentionVariant, attention_weights, init_attention_params
+from conftest import head_weights, mul, sum_all
+from longattn.attention import AttentionVariant, init_attention_params
 from longattn.attention.multihead import key_window, multi_head_attention
 from longattn.attention.params import VARIANTS
 from longattn.attention.variants import pairwise_sqdist_scores
@@ -99,7 +99,7 @@ def test_one_block_weights_are_zero_outside_every_window(inputs, start_index):
         spec = VARIANTS[GFI]
         half = spec.band(spec.projections(const(x), head, alpha, start_index), head, alpha)
         assert half is not None and half < length // 2
-        full = attention_weights(x, head, GFI, alpha, start_index).data
+        full = head_weights(x, head, GFI, alpha, start_index).data
         if inputs == "far_twin":
             assert full[100, 280] > 0.0 and half > 180
         for rows in linalg.row_chunks(length, length):
@@ -116,9 +116,10 @@ def test_gaussian_has_no_band():
     heads = [init_attention_params(AttentionVariant.GAUSSIAN, 16, 8, 8, 100.0, rng)
              for _ in range(2)]
     w_o = const(rng.normal(size=(16, 17)))
+    x = const(rng.normal(size=(600, 16)))
     seen = []
     with no_grad():
-        multi_head_attention(rng.normal(size=(600, 16)), heads, w_o, AttentionVariant.GAUSSIAN,
+        multi_head_attention(x, heads, w_o, AttentionVariant.GAUSSIAN,
                              observe=lambda head, rows, keys, w: seen.append((keys, w.shape)))
     assert VARIANTS[AttentionVariant.GAUSSIAN].band is None
     assert len(seen) > 2 and all(keys == slice(None) and shape[1] == 600
@@ -129,7 +130,7 @@ def test_attention_weights_rejects_a_window_for_a_variant_without_band():
     head = init_attention_params(AttentionVariant.STANDARD, 4, 3, 4, 100.0,
                                  np.random.default_rng(0))
     with pytest.raises(InternalError):
-        attention_weights(np.ones((5, 4)), head, AttentionVariant.STANDARD, keys=slice(0, 3))
+        head_weights(np.ones((5, 4)), head, AttentionVariant.STANDARD, keys=slice(0, 3))
 
 
 @pytest.mark.parametrize("rows, keys", [(slice(0, 1), slice(0, 1)),
@@ -158,7 +159,7 @@ def test_multi_head_gradients_through_the_band(monkeypatch):
     windows = []
 
     def f():
-        out = multi_head_attention(x, heads, w_o, GFI, alpha=100.0, start_index=2,
+        out = multi_head_attention(x, heads, w_o, GFI, alpha=100.0,
                                    observe=lambda h, rows, keys, w: windows.append(keys))
         return sum_all(mul(probe, out))
 

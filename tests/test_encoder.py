@@ -300,12 +300,12 @@ def test_no_grad_forward_never_holds_a_full_attention_matrix(variant):
 def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypatch):
     # softmax_rows and pairwise_sqdist_scores are whole-matrix expressions; a
     # long decode stays cache-sized because attention calls them per row block
-    from longattn.attention import variants
+    from longattn.attention import params
     from longattn.numerics import linalg
     from longattn.numerics import tensor as tensor_module
 
     softmax_sizes, sqdist_sizes = [], []
-    softmax, sqdist = tensor_module._softmax, variants.pairwise_sqdist_scores
+    softmax, sqdist = tensor_module._softmax, params.pairwise_sqdist_scores
 
     def counted_softmax(m):
         softmax_sizes.append(m.size)
@@ -317,7 +317,7 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
         return out
 
     monkeypatch.setattr(tensor_module, "_softmax", counted_softmax)
-    monkeypatch.setattr(variants, "pairwise_sqdist_scores", counted_sqdist)
+    monkeypatch.setattr(params, "pairwise_sqdist_scores", counted_sqdist)
     cfg = EncoderConfig(variant=variant)
     feats = np.random.default_rng(20).normal(size=(4000, 8))
     with no_grad():

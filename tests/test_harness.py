@@ -540,10 +540,14 @@ def test_cli_exit_code_corrupt_checkpoint_and_removed_key(tmp_path, capsys):
     # negative eval seeds and empty seed or length lists, on a good checkpoint
     ckpt.write_bytes(data)
     sweep = ["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--out", report]
+    # a label given twice, the first time with a missing checkpoint
+    repeated = ["sweep", "--checkpoint", f"gaussian_frame_index={tmp_path}/none.ckpt", *sweep[1:],
+                "--lengths", "1", "--seeds", "0"]
     for argv in (["eval", "--checkpoint", str(ckpt), "--out", report, "--eval-seed", "-1"],
                  ["heatmap", "--checkpoint", str(ckpt), "--layer", "0", "--head", "0",
                   "--out-prefix", str(tmp_path / "hm"), "--eval-seed", "-1"],
-                 [*sweep, "--seeds", "-1"], [*sweep, "--seeds", ""], [*sweep, "--lengths", ""]):
+                 [*sweep, "--seeds", "-1"], [*sweep, "--seeds", ""], [*sweep, "--lengths", ""],
+                 repeated):
         assert cli_main([*argv, *CLI_SETS]) == 2, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
 
@@ -572,6 +576,11 @@ def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
         ({"format": "longattn-dataset-v1", "task": None}, []),
         ({"format": "longattn-dataset-v1", "task": None},
          [("prototypes", np.eye(2)), ("u00000.features", np.zeros((3, 8)))]),
+        # no utterances at all, and an utterance 1 without an utterance 0
+        ({"format": "longattn-dataset-v1", "task": None}, [("prototypes", np.eye(11, 8))]),
+        ({"format": "longattn-dataset-v1", "task": None},
+         [("prototypes", np.eye(11, 8)), ("u00001.features", np.zeros((30, 8))),
+          ("u00001.labels", np.ones((1, 3), dtype=np.int64))]),
     ]
     for meta, arrays in datasets:
         write_container(bad, meta, arrays)
