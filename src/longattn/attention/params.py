@@ -13,7 +13,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..numerics.tensor import Tensor, affine, append_const_col, mul_scalar, param
+from ..numerics.tensor import Tensor, add, affine, append_const_col, mul_scalar, param
 from .encodings import frame_index_column
 from .variants import (
     dot_product_scores,
@@ -148,10 +148,10 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     AttentionVariant.STANDARD_FRAME_INDEX: replace(_STANDARD, frame_indexed=True),
     AttentionVariant.SOFT_MASK: replace(
         _STANDARD,
-        scores=lambda qk, p, rows, keys: dot_product_scores(
-            *qk, mask=soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask, rows), rows=rows),
-        # standard plus offset template, mask, masked scores, and 2 width scalars
-        pair_elements=lambda n, d_model, d_k: 6 * n * n + 2,
+        scores=lambda qk, p, rows, keys: add(
+            dot_product_scores(*qk, rows=rows),
+            soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask, rows)),
+        pair_elements=lambda n, d_model, d_k: 5 * n * n,  # standard plus mask, masked scores
         init_scores=lambda *dims: {
             **_init_qk(*dims), "log_sigma_mask": param([[math.log(SOFT_MASK_SIGMA_INIT)]])},
     ),

@@ -9,6 +9,9 @@ the query frames in ``rows`` against every key, so a caller can work through
 the queries one block at a time; the default is all of them.
 ``params.VARIANTS`` wires each variant to its two stages.
 
+The Gaussian distances, relative_pe's shift and soft_mask's window are custom
+tape ops, each with an exact backward.
+
 ``attn_kernel_form`` is the plain-array oracle for the algebraic identity
 between shared-QK attention and its normalized-kernel rewriting: the scores
 are computed from pairwise feature distances and per-frame energy factors
@@ -31,12 +34,9 @@ from ..numerics.tensor import (
     affine,
     append_const_col,
     const,
-    exp,
     make_op,
     matmul_t,
     mul_scalar,
-    mul_scalar_tensor,
-    pow_scalar,
     slice_rows,
 )
 from .encodings import signed_sinusoid_table, squared_offset_matrix
@@ -111,8 +111,22 @@ def relative_shift(p: Tensor) -> Tensor:
     return make_op(skew(np.ascontiguousarray(p.data)).copy(), (p,), grad_fn)
 
 
+def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
+    """Trainable-width Gaussian window -(i - j)^2 / (2 sigma^2), sigma =
+    exp(log_sigma), as an additive pre-softmax penalty for the query frames in
+    ``rows``. The backward rounds as the chain rule through exp, the power and
+    the product does, operation for operation."""
+    base = -0.5 * squared_offset_matrix(length, rows)
+    e = np.exp(log_sigma.data)
+
+    def grad_fn(u: np.ndarray) -> None:
+        accumulate_grad(log_sigma, np.array([[np.sum(u * base)]]) * -2.0 * e**-3.0 * e)
+
+    return make_op(base * (e**-2.0)[0, 0], (log_sigma,), grad_fn)
+
+
 # ---------------------------------------------------------------------------
-# scaled dot-product scores and their soft mask
+# scaled dot-product scores
 # ---------------------------------------------------------------------------
 
 
@@ -121,21 +135,10 @@ def qk_projections(x: Tensor, w_q, w_k) -> tuple[Tensor, Tensor]:
     return matmul_t(xa, w_q), matmul_t(xa, w_k)
 
 
-def dot_product_scores(
-    q: Tensor, k: Tensor, mask: Tensor | None = None, rows: slice = slice(None)
-) -> Tensor:
-    """Scaled scores of the queries in ``rows`` over all keys; ``mask`` covers the same rows."""
+def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tensor:
+    """Scaled scores of the queries in ``rows`` over all keys."""
     d_k = q.data.shape[1]
-    scores = mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(d_k))
-    return scores if mask is None else add(scores, mask)
-
-
-def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
-    """Trainable-width Gaussian window as an additive pre-softmax penalty, for
-    the query frames in ``rows``."""
-    base = const(-0.5 * squared_offset_matrix(length, rows))
-    inv_sigma_sq = pow_scalar(exp(log_sigma), -2.0)
-    return mul_scalar_tensor(base, inv_sigma_sq)
+    return mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(d_k))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import traceback
 from dataclasses import astuple
@@ -17,7 +18,7 @@ from dataclasses import astuple
 from .attention.params import AttentionVariant
 from .container import write_csv
 from .encoder import TrainedModel, load_checkpoint, save_checkpoint
-from .errors import ConfigError, LongattnError
+from .errors import ConfigError, LongattnError, reading
 from .harness.configio import config_hash, load_config
 from .harness.evaluation import ReportRow, SweepRow, evaluate, run_length_sweep
 from .harness.heatmap import dump_heatmap
@@ -49,6 +50,14 @@ def _load(args) -> tuple:
     return cfg, config_hash(cfg)
 
 
+def _check_outputs(args) -> None:
+    """Every file a command writes goes into a directory that exists."""
+    for name in ("out", "curve", "out_prefix"):
+        path = getattr(args, name, None)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"--{name.replace('_', '-')} {path}: no such directory")
+
+
 def _heldout_dataset(cfg):
     return gen_dataset(heldout_task(cfg.task, cfg.eval.seed, cfg.eval.n_utterances))
 
@@ -73,7 +82,8 @@ def cmd_train(args) -> int:
     cfg, digest = _load(args)
     dataset = None
     if args.data is not None:
-        dataset = load_dataset(args.data)
+        with reading("dataset", args.data):
+            dataset = load_dataset(args.data)
         if dataset.task is not None and dataset.task != cfg.task:
             raise ConfigError(f"dataset {args.data} was generated from a different task config")
         width = dataset.prototypes.shape[1]
@@ -94,10 +104,8 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path) -> TrainedModel:
-    try:
+    with reading("checkpoint", path):
         return load_checkpoint(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
 
 
 def cmd_eval(args) -> int:
@@ -243,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class LongattnError(Exception):
     """Base class for every error raised by this package."""
@@ -46,3 +49,13 @@ class InfeasibleAlignmentError(LongattnError, ValueError):
         super().__init__(
             f"label sequence needs at least {required} frames, lattice has {available}"
         )
+
+
+@contextmanager
+def reading(what: str, path) -> Iterator[None]:
+    """Raise an ``OSError`` from the block as a one-line ``ConfigError``: the
+    input file ``path`` that the user named as ``what`` cannot be read."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..container import build, canonical_json, check_types, size_field
 from ..encoder import EncoderConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, reading
 from .evaluation import DEFAULT_BUCKET_EDGES
 from .synth import SyntheticTaskConfig
 from .training import TrainSettings
@@ -81,11 +81,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
     """Read the JSON config file (defaults when absent), then apply overrides."""
     raw: dict = {}
     if path is not None:
+        with reading("config file", path), open(path, "rb") as fh:
+            text = fh.read()
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+            raw = json.loads(text.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):

@@ -230,36 +230,6 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return make_op(a.data * c, (a,), grad_fn)
 
 
-def mul_scalar_tensor(m: Tensor, s: Tensor) -> Tensor:
-    """Multiply every entry of ``m`` by the 1x1 tensor ``s``."""
-    if s.data.shape != (1, 1):
-        raise DimensionError(f"mul_scalar_tensor: scalar must be 1x1, got {s.data.shape}")
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(m, u * s.data[0, 0])
-        accumulate_grad(s, np.array([[np.sum(u * m.data)]]))
-
-    return make_op(m.data * s.data[0, 0], (m, s), grad_fn)
-
-
-def pow_scalar(a: Tensor, p: float) -> Tensor:
-    out = a.data**p
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u * p * a.data ** (p - 1.0))
-
-    return make_op(out, (a,), grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u * out)
-
-    return make_op(out, (a,), grad_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 

@@ -30,7 +30,7 @@ from longattn.attention.variants import (
 )
 from longattn.errors import ConfigError
 from longattn.numerics import const, param
-from longattn.numerics.tensor import softmax_rows
+from longattn.numerics.tensor import add, softmax_rows
 
 
 def rel_diff(a, b):
@@ -129,8 +129,8 @@ def test_soft_mask_rejects_bad_sigma():
 
 def dot_product_weights(q, k, mask=None):
     """Softmax of the scaled dot-product scores of ``q`` against ``k``, plus ``mask``."""
-    mask = None if mask is None else const(mask)
-    return softmax_rows(dot_product_scores(const(q), const(k), mask)).data
+    scores = dot_product_scores(const(q), const(k))
+    return softmax_rows(scores if mask is None else add(scores, const(mask))).data
 
 
 def test_apply_soft_mask_zero_is_identity():
@@ -159,6 +159,8 @@ def test_soft_mask_tensor_matches_array_form():
     log_sigma = param([[math.log(3.5)]])
     npt.assert_allclose(soft_mask_tensor(7, log_sigma).data, soft_mask_matrix(7, 3.5),
                         atol=1e-12)
+    npt.assert_allclose(soft_mask_tensor(7, log_sigma, slice(2, 5)).data,
+                        soft_mask_matrix(7, 3.5)[2:5], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -483,7 +483,9 @@ def test_cli_full_pipeline(tmp_path):
         f"# config_hash={digest}", "variant,length,analytic_elements,measured_elements"]
 
 
-def test_cli_exit_code_config_error(tmp_path, capsys):
+def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
+    import longattn.cli as cli_module
+
     # invalid variant value inside the config system
     rc = cli_main(["train", "--out", str(tmp_path / "x.ckpt"),
                    "--set", "model.variant=bogus", "--set", "train.steps=1"])
@@ -515,6 +517,31 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     for lengths in ("4097", "16,20000", "1" + "0" * 30):
         assert cli_main(["memcheck", "--lengths", lengths]) == 2, lengths
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, lengths
+    # an output in a missing directory, and an input that is missing or a
+    # directory, fail before the command runs: train never trains
+    trained = []
+    monkeypatch.setattr(cli_module, "train_model", lambda *a, **kw: trained.append(a))
+    missing = tmp_path / "none"
+    ckpt = f"{tmp_path}/none.ckpt"
+    for argv, named in [
+        (["train", "--out", f"{missing}/m.ckpt"], f"{missing}/m.ckpt"),
+        (["train", "--out", ckpt, "--curve", f"{missing}/c.csv"], f"{missing}/c.csv"),
+        (["eval", "--checkpoint", ckpt, "--out", f"{missing}/r.csv"], f"{missing}/r.csv"),
+        (["sweep", "--checkpoint", f"standard={ckpt}", "--out", f"{missing}/s.csv"],
+         f"{missing}/s.csv"),
+        (["memcheck", "--lengths", "4", "--out", f"{missing}/m.csv"], f"{missing}/m.csv"),
+        (["gen-data", "--out", f"{missing}/d.bin"], f"{missing}/d.bin"),
+        (["heatmap", "--checkpoint", ckpt, "--layer", "0", "--head", "0",
+          "--out-prefix", f"{missing}/hm"], f"{missing}/hm"),
+        (["train", "--out", ckpt, "--data", f"{missing}.bin"], f"dataset {missing}.bin"),
+        (["train", "--out", ckpt, "--data", str(tmp_path)], f"dataset {tmp_path}"),
+        (["train", "--out", ckpt, "--config", str(tmp_path)], f"config file {tmp_path}"),
+    ]:
+        capsys.readouterr()
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], (argv, err)
+    assert trained == []
     # missing checkpoint listed explicitly
     rc = cli_main(["sweep", "--checkpoint", f"standard={tmp_path}/none.ckpt",
                    "--lengths", "1", "--seeds", "0",
