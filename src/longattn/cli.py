@@ -51,11 +51,18 @@ def _load(args) -> tuple:
 
 
 def _check_outputs(args) -> None:
-    """Every file a command writes goes into a directory that exists."""
+    """Every file a command writes goes into a directory that exists, and is not
+    itself a directory."""
     for name in ("out", "curve", "out_prefix"):
         path = getattr(args, name, None)
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"--{name.replace('_', '-')} {path}: no such directory")
+        if path is None:
+            continue
+        flag = f"--{name.replace('_', '-')} {path}"
+        for file in (f"{path}.csv", f"{path}.pgm") if name == "out_prefix" else (path,):
+            if not os.path.isdir(os.path.dirname(file) or "."):
+                raise ConfigError(f"{flag}: no such directory")
+            if os.path.isdir(file):
+                raise ConfigError(f"{flag}: {file} is a directory")
 
 
 def _heldout_dataset(cfg):
@@ -103,14 +110,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path) -> TrainedModel:
+def _load_model(path, cfg) -> TrainedModel:
+    """The checkpoint at ``path``, which must take the task's features."""
     with reading("checkpoint", path):
-        return load_checkpoint(path)
+        model = load_checkpoint(path)
+    if model.config.feat_dim != cfg.task.feat_dim:
+        raise ConfigError(f"checkpoint {path} takes {model.config.feat_dim}-wide features, "
+                          f"but task.feat_dim is {cfg.task.feat_dim}")
+    return model
 
 
 def cmd_eval(args) -> int:
     cfg, digest = _load(args)
-    model = _load_model(args.checkpoint)
+    model = _load_model(args.checkpoint, cfg)
     heldout = _heldout_dataset(cfg)
     eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
     report = evaluate(model, {f"concat{args.concat_k}": eval_set},
@@ -137,7 +149,7 @@ def cmd_sweep(args) -> int:
         specs[name] = path
     models = {}
     for name, path in specs.items():
-        model = _load_model(path)
+        model = _load_model(path, cfg)
         if model.config.variant.value != name:
             raise ConfigError(
                 f"checkpoint {path} holds variant {model.config.variant.value!r}, "
@@ -153,7 +165,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_heatmap(args) -> int:
     cfg, digest = _load(args)
-    model = _load_model(args.checkpoint)
+    model = _load_model(args.checkpoint, cfg)
     heldout = _heldout_dataset(cfg)
     eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
     if not (0 <= args.utterance < len(eval_set)):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import struct
 import sys
 import typing
@@ -147,17 +148,18 @@ def _typed(kind, value):
     raise TypeError
 
 
-def size_field(default, most: int):
-    """A dataclass field for a size: ``check_types`` rejects a value (or an entry of
-    a tuple value) above ``most``, so a huge value is a ConfigError, not a huge job."""
-    return dataclasses.field(default=default, metadata={"most": most})
+def bounded(default, least, most=math.inf):
+    """A dataclass field whose value, or each entry of a tuple value, ``check_types``
+    keeps in [least, most]; ``None`` is not checked. A size's ``most`` makes a
+    mistyped huge value a ConfigError, not a huge job."""
+    return dataclasses.field(default=default, metadata={"range": (least, most)})
 
 
 def check_types(section) -> None:
     """Check each field of the dataclass ``section`` against its annotation, in place:
     an int is not a bool, a float is finite, a list becomes a tuple of the declared
-    length, and an enum goes through ``parse``. A size field's value must not pass
-    its bound. A misfit is a ConfigError."""
+    length, and an enum goes through ``parse``. A ``bounded`` field's value must lie
+    in its range. A misfit is a ConfigError."""
     hints = _field_types(type(section))
     for f in dataclasses.fields(section):
         raw = getattr(section, f.name)
@@ -165,9 +167,11 @@ def check_types(section) -> None:
             value = _typed(hints[f.name], raw)
         except TypeError:
             raise ConfigError(f"{f.name} must be {f.type}, got {raw!r:.60}") from None
-        most = f.metadata.get("most")
-        if most is not None and max(value if isinstance(value, tuple) else (value,)) > most:
-            raise ConfigError(f"{f.name} must be at most {most}, got {raw!r:.60}")
+        if "range" in f.metadata and value is not None:
+            least, most = f.metadata["range"]
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(least <= v <= most for v in entries):
+                raise ConfigError(f"{f.name} must be in [{least}, {most}], got {raw!r:.60}")
         setattr(section, f.name, value)
 
 

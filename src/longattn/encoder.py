@@ -20,7 +20,7 @@ import numpy as np
 from .attention.encodings import DEFAULT_ALPHA, sinusoid_encoding
 from .attention.multihead import multi_head_attention
 from .attention.params import VARIANTS, AttentionParams, AttentionVariant, init_attention_params
-from .container import build, check_types, read_container, size_field, write_container
+from .container import bounded, build, check_types, read_container, write_container
 from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
@@ -40,33 +40,25 @@ CHECKPOINT_FORMAT = "longattn-checkpoint-v1"
 @dataclass
 class EncoderConfig:
     # sizes are bounded as in SyntheticTaskConfig
-    feat_dim: int = size_field(8, 1000)
-    d_model: int = size_field(64, 1024)
-    n_layers: int = size_field(4, 64)
-    n_heads: int = size_field(2, 64)
-    d_k: int = size_field(32, 1024)
-    d_ff: int = size_field(128, 8192)
-    subsample_factor: int = size_field(4, 64)
+    feat_dim: int = bounded(8, 1, 1000)
+    d_model: int = bounded(64, 1, 1024)
+    n_layers: int = bounded(4, 1, 64)
+    n_heads: int = bounded(2, 1, 64)
+    d_k: int = bounded(32, 1, 1024)
+    d_ff: int = bounded(128, 1, 8192)
+    subsample_factor: int = bounded(4, 1, 64)
     variant: AttentionVariant = AttentionVariant.GAUSSIAN_FRAME_INDEX
-    vocab_size: int = size_field(12, 1000)
-    alpha: float = DEFAULT_ALPHA
+    vocab_size: int = bounded(12, 2, 1000)  # blank + tokens
+    # a subnormal alpha overflows the frame-index column
+    alpha: float = bounded(DEFAULT_ALPHA, sys.float_info.min)
     use_abs_pe: bool | None = None  # None: variant default
 
     def __post_init__(self):
         check_types(self)
-        if min(self.feat_dim, self.d_model, self.n_heads, self.d_k, self.d_ff,
-               self.n_layers) < 1:
-            raise ConfigError("feat_dim, d_model, n_heads, d_k, d_ff, n_layers must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}"
             )
-        if self.subsample_factor < 1:
-            raise ConfigError(f"subsample_factor must be >= 1, got {self.subsample_factor}")
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2 (blank + tokens), got {self.vocab_size}")
-        if self.alpha < sys.float_info.min:  # a subnormal overflows the frame-index column
-            raise ConfigError(f"alpha must be at least {sys.float_info.min}, got {self.alpha}")
         sinusoids = self.abs_pe_enabled or self.variant is AttentionVariant.RELATIVE_PE
         if sinusoids and self.d_model % 2 != 0:
             raise ConfigError(f"sinusoid positional encoding needs an even d_model, "

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..container import build, canonical_json, check_types, size_field
+from ..container import bounded, build, canonical_json, check_types
 from ..encoder import EncoderConfig
 from ..errors import ConfigError, reading
 from .evaluation import DEFAULT_BUCKET_EDGES
@@ -16,16 +16,12 @@ from .training import TrainSettings
 
 @dataclass
 class EvalSettings:
-    n_utterances: int = size_field(200, 100_000)
-    seed: int = 99
+    n_utterances: int = bounded(200, 1, 100_000)
+    seed: int = bounded(99, 0)
     bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES
 
     def __post_init__(self):
         check_types(self)
-        if self.n_utterances < 1:
-            raise ConfigError("n_utterances must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         edges = self.bucket_edges
         # the first bucket starts at 0, so every length falls in some bucket
         if not edges or edges[0] != 0 or any(a >= b for a, b in zip(edges, edges[1:])):

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..container import build, check_types, read_container, size_field, write_container
+from ..container import bounded, build, check_types, read_container, write_container
 from ..errors import ConfigError
 
 DATASET_FORMAT = "longattn-dataset-v1"
@@ -31,38 +31,26 @@ PARTNER_BLEND = 0.31
 class SyntheticTaskConfig:
     # each size's bound is far above any experiment here, and low enough that a
     # mistyped huge value exits 2 before anything is allocated
-    vocab_size: int = size_field(12, 1000)  # includes blank id 0
-    feat_dim: int = size_field(8, 1000)
-    frames_per_token: tuple[int, int] = size_field((10, 16), 1000)
-    noise: float = 0.2
-    tokens_per_utterance: tuple[int, int] = size_field((4, 8), 1000)
+    vocab_size: int = bounded(12, 2, 1000)  # includes blank id 0
+    feat_dim: int = bounded(8, 1, 1000)
+    frames_per_token: tuple[int, int] = bounded((10, 16), 1, 1000)
+    noise: float = bounded(0.2, 0.0)
+    tokens_per_utterance: tuple[int, int] = bounded((4, 8), 1, 1000)
     # near-zero "pause" frames surrounding every token run, the natural home
     # for CTC blanks
-    silence_frames: tuple[int, int] = size_field((4, 8), 1000)
-    n_utterances: int = size_field(600, 100_000)
-    seed: int = 7
+    silence_frames: tuple[int, int] = bounded((4, 8), 0, 1000)
+    n_utterances: int = bounded(600, 1, 100_000)
+    seed: int = bounded(7, 0)
     # prototypes follow ``seed`` unless pinned here; held-out splits pin this
     # so they share the training prototypes while redrawing utterances
-    prototype_seed: int | None = None
+    prototype_seed: int | None = bounded(None, 0)
 
     def __post_init__(self):
         check_types(self)
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.feat_dim < 1 or self.n_utterances < 1:
-            raise ConfigError("feat_dim and n_utterances must be positive")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be non-negative, got {self.noise}")
-        for name, (lo, hi) in (("frames_per_token", self.frames_per_token),
-                               ("tokens_per_utterance", self.tokens_per_utterance)):
-            if not (1 <= lo <= hi):
-                raise ConfigError(f"{name} range must satisfy 1 <= min <= max, got {lo}..{hi}")
-        s_lo, s_hi = self.silence_frames
-        if not (0 <= s_lo <= s_hi):
-            raise ConfigError(f"silence_frames range must satisfy 0 <= min <= max, got {s_lo}..{s_hi}")
-        for seed in (self.seed, self.prototype_seed):
-            if seed is not None and seed < 0:
-                raise ConfigError(f"seed and prototype_seed must be non-negative, got {seed}")
+        for name in ("frames_per_token", "tokens_per_utterance", "silence_frames"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ConfigError(f"{name} must have min <= max, got {lo}..{hi}")
 
 
 @dataclass

@@ -10,10 +10,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..container import check_types
+from ..container import bounded, check_types
 from ..ctc import ctc_loss_op
 from ..encoder import EncoderConfig, TrainedModel, encoder_forward, init_model
-from ..errors import ConfigError, DivergenceError
+from ..errors import DivergenceError
 from ..numerics.optim import Adam
 from ..numerics.tensor import backward, log_softmax_rows
 from .synth import Dataset, SyntheticTaskConfig, gen_dataset
@@ -23,16 +23,11 @@ log = logging.getLogger("longattn")
 
 @dataclass
 class TrainSettings:
-    steps: int = 12000
-    lr: float = 2e-3
-    seed: int = 1
+    steps: int = bounded(12000, 0)
+    lr: float = bounded(2e-3, math.ulp(0.0))  # the least positive float: lr > 0
+    seed: int = bounded(1, 0)
 
-    def __post_init__(self):
-        check_types(self)
-        if min(self.steps, self.seed) < 0:
-            raise ConfigError(f"steps and seed must be non-negative, got {self.steps}, {self.seed}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+    __post_init__ = check_types
 
 
 @dataclass

@@ -517,13 +517,24 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
     for lengths in ("4097", "16,20000", "1" + "0" * 30):
         assert cli_main(["memcheck", "--lengths", lengths]) == 2, lengths
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, lengths
-    # an output in a missing directory, and an input that is missing or a
-    # directory, fail before the command runs: train never trains
+    # an output in a missing directory or that is a directory, and an input
+    # that is missing or a directory, fail before the command runs: train
+    # never trains
     trained = []
     monkeypatch.setattr(cli_module, "train_model", lambda *a, **kw: trained.append(a))
     missing = tmp_path / "none"
     ckpt = f"{tmp_path}/none.ckpt"
+    folder = str(tmp_path)
+    (tmp_path / "hm.pgm").mkdir()
     for argv, named in [
+        (["train", "--out", folder], folder),
+        (["train", "--out", ckpt, "--curve", folder], folder),
+        (["eval", "--checkpoint", ckpt, "--out", folder], folder),
+        (["sweep", "--checkpoint", f"standard={ckpt}", "--out", folder], folder),
+        (["memcheck", "--lengths", "4", "--variants", "standard", "--out", folder], folder),
+        (["gen-data", "--out", folder], folder),
+        (["heatmap", "--checkpoint", ckpt, "--layer", "0", "--head", "0",
+          "--out-prefix", f"{tmp_path}/hm"], f"{tmp_path}/hm.pgm is a directory"),
         (["train", "--out", f"{missing}/m.ckpt"], f"{missing}/m.ckpt"),
         (["train", "--out", ckpt, "--curve", f"{missing}/c.csv"], f"{missing}/c.csv"),
         (["eval", "--checkpoint", ckpt, "--out", f"{missing}/r.csv"], f"{missing}/r.csv"),
@@ -645,6 +656,41 @@ def test_cli_exit_code_labels_without_rows(tmp_path, capsys):
     assert len(err) == 1 and "labels must be one row" in err[0]
 
 
+def test_cli_exit_code_every_declared_bound(tmp_path, monkeypatch, capsys):
+    # one step outside each finite end of each bounded field exits 2 with one
+    # line naming the field; a field declared later is covered as it is added
+    import typing
+    from dataclasses import fields
+
+    import longattn.cli as cli_module
+    from longattn.harness import ExperimentConfig
+
+    monkeypatch.setattr(cli_module, "gen_dataset", lambda task: [])
+    monkeypatch.setattr(cli_module, "save_dataset", lambda path, dataset: None)
+    probes = 0
+    for section in fields(ExperimentConfig):
+        cls = section.default_factory
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if "range" not in f.metadata:
+                continue
+            floats = hints[f.name] is float
+            for end, direction in zip(f.metadata["range"], (-1, 1)):
+                if not math.isfinite(end):
+                    continue
+                step = math.nextafter(end, direction * math.inf) if floats else end + direction
+                pair = isinstance(f.default, tuple)
+                for value in ([step, f.default[1]], [f.default[0], step]) if pair else (step,):
+                    setting = f"{section.name}.{f.name}={json.dumps(value)}"
+                    capsys.readouterr()
+                    rc = cli_main(["gen-data", "--out", str(tmp_path / "d.bin"), "--set", setting])
+                    err = capsys.readouterr().err.strip().splitlines()
+                    assert rc == 2 and len(err) == 1, (setting, err)
+                    assert f"{section.name}: {f.name} must be in" in err[0], (setting, err)
+                    probes += 1
+    assert probes >= 30
+
+
 def test_cli_exit_code_feature_width_differs_from_model(tmp_path, capsys):
     labels = np.array([[1, 2, 3]], dtype=np.int64)
     narrow = [("prototypes", np.eye(11, 3)), ("u00000.features", np.zeros((30, 3))),
@@ -658,6 +704,20 @@ def test_cli_exit_code_feature_width_differs_from_model(tmp_path, capsys):
     assert _train_on(tmp_path, mixed) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "prototypes are 8 wide" in err[0]
+    # a checkpoint that takes 8-wide features, read under a task of another width
+    ckpt = str(tmp_path / "m.ckpt")
+    assert cli_main(["train", "--out", ckpt, *CLI_SETS, "--steps", "1"]) == 0
+    out = str(tmp_path / "r.csv")
+    for width, argv in [
+        (5, ["eval", "--checkpoint", ckpt, "--out", out]),
+        (9, ["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--out", out]),
+        (3, ["heatmap", "--checkpoint", ckpt, "--layer", "0", "--head", "0",
+             "--out-prefix", str(tmp_path / "hm")]),
+    ]:
+        capsys.readouterr()
+        assert cli_main([*argv, *CLI_SETS, "--set", f"task.feat_dim={width}"]) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "8-wide" in err[0] and f"feat_dim is {width}" in err[0], err
 
 
 def test_cli_exit_code_runtime_error(tmp_path):
