@@ -16,14 +16,15 @@ import traceback
 from dataclasses import astuple
 
 from .attention.params import AttentionVariant
-from .container import write_csv
+from .container import build, write_csv
 from .encoder import TrainedModel, load_checkpoint, save_checkpoint
 from .errors import ConfigError, LongattnError, reading
 from .harness.configio import config_hash, load_config
 from .harness.evaluation import ReportRow, SweepRow, evaluate, run_length_sweep
 from .harness.heatmap import dump_heatmap
 from .harness.memory import MemoryFootprint, memory_footprint_estimate
-from .harness.synth import concat_eval, gen_dataset, heldout_task, load_dataset, save_dataset
+from .harness.synth import (SyntheticTaskConfig, concat_eval, gen_dataset, heldout_task,
+                             load_dataset, save_dataset)
 from .harness.training import TrainResult, train_model
 
 log = logging.getLogger("longattn")
@@ -111,12 +112,20 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path, cfg) -> TrainedModel:
-    """The checkpoint at ``path``, which must take the task's features."""
+    """The checkpoint at ``path``; it must take the task's features, tokens and prototypes."""
     with reading("checkpoint", path):
         model = load_checkpoint(path)
     if model.config.feat_dim != cfg.task.feat_dim:
         raise ConfigError(f"checkpoint {path} takes {model.config.feat_dim}-wide features, "
                           f"but task.feat_dim is {cfg.task.feat_dim}")
+    task = model.meta.get("task") if isinstance(model.meta, dict) else None
+    if task is not None:
+        task = build(SyntheticTaskConfig, task, f"checkpoint {path}: task metadata")
+        seed = "task.seed" if cfg.task.prototype_seed is None else "task.prototype_seed"
+        for field, theirs, ours in [("task.vocab_size", task.vocab_size, cfg.task.vocab_size),
+                                    (f"the prototypes of {seed}", task.proto_seed, cfg.task.proto_seed)]:
+            if theirs != ours:
+                raise ConfigError(f"checkpoint {path} was trained on {field} {theirs}, not {ours}")
     return model
 
 

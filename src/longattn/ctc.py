@@ -65,8 +65,7 @@ def ctc_loss(lattice, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     # skip transition s-2 -> s allowed into non-blank states that differ from
     # the token two steps back
     skip_ok = np.zeros(n_states, dtype=bool)
-    if n_states > 2:
-        skip_ok[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    skip_ok[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
 
     emit = y[:, ext]  # (n_frames, n_states)
 
@@ -85,15 +84,12 @@ def ctc_loss(lattice, labels: Sequence[int]) -> tuple[float, np.ndarray]:
         np.logaddexp(acc, prev[:-2], out=acc, where=skip_ok)
         acc += emit[t]
 
-    if n_states > 1:
-        log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    else:
-        log_p = alpha[-1, -1]
+    # with no labels there is one final state, and alpha_pad[-1, -2] is a -inf pad
+    log_p = np.logaddexp(alpha_pad[-1, -1], alpha_pad[-1, -2])
 
     # transition s -> s+2 allowed iff the skip into state s+2 is allowed
     skip_out_ok = np.zeros(n_states, dtype=bool)
-    if n_states > 2:
-        skip_out_ok[:-2] = skip_ok[2:]
+    skip_out_ok[:-2] = skip_ok[2:]
     beta = np.full((n_frames, n_states), NEG_INF)
     beta[-1, -2:] = 0.0
     nxt_pad = np.full(n_states + 2, NEG_INF)

@@ -52,6 +52,10 @@ class SyntheticTaskConfig:
             if lo > hi:
                 raise ConfigError(f"{name} must have min <= max, got {lo}..{hi}")
 
+    @property
+    def proto_seed(self) -> int:
+        return self.seed if self.prototype_seed is None else self.prototype_seed
+
 
 @dataclass
 class Utterance:
@@ -78,8 +82,7 @@ def token_prototypes(cfg: SyntheticTaskConfig) -> np.ndarray:
     Partners are built by tilting an anchor along an orthogonal direction, so
     every pair sits at the same controlled distance regardless of seed.
     """
-    proto_seed = cfg.seed if cfg.prototype_seed is None else cfg.prototype_seed
-    rng = np.random.default_rng([proto_seed, 0x70])
+    rng = np.random.default_rng([cfg.proto_seed, 0x70])
     n_tokens = cfg.vocab_size - 1
     raw = rng.normal(size=(n_tokens, cfg.feat_dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -192,5 +195,4 @@ def load_dataset(path) -> Dataset:
 
 def heldout_task(cfg: SyntheticTaskConfig, seed: int, n_utterances: int) -> SyntheticTaskConfig:
     """Same distribution and prototypes, disjoint utterance stream."""
-    proto_seed = cfg.seed if cfg.prototype_seed is None else cfg.prototype_seed
-    return replace(cfg, seed=seed, n_utterances=n_utterances, prototype_seed=proto_seed)
+    return replace(cfg, seed=seed, n_utterances=n_utterances, prototype_seed=cfg.proto_seed)

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import EvaluationError
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 DEFAULT_EPS = 1e-4
 
@@ -25,21 +25,22 @@ def finite_diff_grad(f: Callable[[], object], p: Tensor, eps: float = DEFAULT_EP
     """Central-difference gradient of the scalar ``f()`` w.r.t. every entry of ``p``.
 
     ``f`` must recompute its forward pass from the current contents of ``p``.
-    ``p.data`` is restored exactly after each probe.
+    ``p.data`` is restored exactly after each probe. The probes record no tape.
     """
     if eps <= 0:
         raise EvaluationError(f"finite differences need eps > 0, got {eps}")
     grad = np.zeros_like(p.data)
     it = np.nditer(p.data, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        original = p.data[idx]
-        p.data[idx] = original + eps
-        hi = _scalar(f())
-        p.data[idx] = original - eps
-        lo = _scalar(f())
-        p.data[idx] = original
-        grad[idx] = (hi - lo) / (2.0 * eps)
+    with no_grad():
+        for _ in it:
+            idx = it.multi_index
+            original = p.data[idx]
+            p.data[idx] = original + eps
+            hi = _scalar(f())
+            p.data[idx] = original - eps
+            lo = _scalar(f())
+            p.data[idx] = original
+            grad[idx] = (hi - lo) / (2.0 * eps)
     return grad
 
 

@@ -2,18 +2,22 @@
 
 Every value is a matrix; vectors are 1xN or Nx1 matrices and scalars are
 1x1 matrices. Operations never broadcast: shape combinations are explicit
-per operation and mismatches raise ``DimensionError``. Each op records an
-exact analytic backward on a tape; ``backward(loss)`` accumulates (sums)
-gradients into every reachable tensor with ``requires_grad``.
+per operation and mismatches raise ``DimensionError``. Each op appends a
+weak reference to its result, which holds an exact analytic backward, to
+the module's tape. ``backward(loss)`` walks the tape newest first, summing
+gradients into every reachable tensor with ``requires_grad``, and consumes
+it: a graph is differentiated once, and a result recorded before an earlier
+``backward`` passes no gradient. The tape keeps nothing alive.
 
 All functions are pure and reentrant on disjoint tensors. The only shared
-state is two module flags, neither thread-safe while set: the optional
-allocation meter used by the memory-footprint tool, and the ``no_grad``
-switch, under which ops record nothing on the tape.
+state is the tape and two module flags, none of them thread-safe: the
+optional allocation meter used by the memory-footprint tool, and the
+``no_grad`` switch, under which ops record nothing on the tape.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -27,6 +31,7 @@ LAYER_NORM_EPS = 1e-12  # added to each row's variance in ``layer_norm_rows``
 
 _meter: "AllocationMeter | None" = None
 _grad_enabled = True
+_tape: list[weakref.ref] = []  # recorded results since the last backward, oldest first
 
 
 class AllocationMeter:
@@ -63,22 +68,16 @@ def no_grad() -> Iterator[None]:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_grad_fn", "__weakref__")
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        requires_grad: bool = False,
-        parents: tuple["Tensor", ...] = (),
-        grad_fn: Callable[[np.ndarray], None] | None = None,
-    ):
+    def __init__(self, data: np.ndarray, requires_grad: bool = False,
+                 grad_fn: Callable[[np.ndarray], None] | None = None):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents = parents
         self._grad_fn = grad_fn
         if _meter is not None and arr.base is None:
             _meter.elements += arr.size
@@ -153,7 +152,9 @@ def make_op(
     nothing is recorded inside ``no_grad``.
     """
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=tuple(parents), grad_fn=grad_fn)
+        out = Tensor(data, requires_grad=True, grad_fn=grad_fn)
+        _tape.append(weakref.ref(out))
+        return out
     return Tensor(data)
 
 
@@ -169,30 +170,19 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into every reachable requires_grad tensor."""
+    """Accumulate d(loss)/d(tensor) into every reachable requires_grad tensor; consumes the tape."""
     if loss.data.shape != (1, 1):
         raise DimensionError(f"backward needs a 1x1 loss, got {loss.data.shape}")
-    if loss._grad_fn is None and not loss._parents:
-        raise StateError("backward called before any forward computation was recorded")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    accumulate_grad(loss, np.ones((1, 1)))
-    for node in reversed(topo):
-        if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
+    if not any(ref() is loss for ref in reversed(_tape)):
+        raise StateError("backward needs a loss recorded since the last backward")
+    try:
+        accumulate_grad(loss, np.ones((1, 1)))
+        for ref in reversed(_tape):
+            node = ref()
+            if node is not None and node.grad is not None:
+                node._grad_fn(node.grad)
+    finally:
+        _tape.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from longattn.encoder import (
     TrainedModel,
     init_model,
     load_checkpoint,
+    save_checkpoint,
 )
 from longattn.errors import ConfigError, DivergenceError
 from longattn.harness import (
@@ -718,6 +719,46 @@ def test_cli_exit_code_feature_width_differs_from_model(tmp_path, capsys):
         assert cli_main([*argv, *CLI_SETS, "--set", f"task.feat_dim={width}"]) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "8-wide" in err[0] and f"feat_dim is {width}" in err[0], err
+
+
+def test_cli_exit_code_checkpoint_from_another_task(tmp_path, capsys):
+    ckpt = str(tmp_path / "m.ckpt")
+    assert cli_main(["train", "--out", ckpt, *CLI_SETS, "--steps", "1"]) == 0
+    out = str(tmp_path / "r.csv")
+    commands = [
+        ["eval", "--checkpoint", ckpt, "--out", out],
+        ["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--out", out],
+        ["heatmap", "--checkpoint", ckpt, "--layer", "0", "--head", "0",
+         "--out-prefix", str(tmp_path / "hm")],
+    ]
+    for sets, words in [
+        (["task.seed=8"], "trained on the prototypes of task.seed 7, not 8"),
+        (["task.prototype_seed=3"], "trained on the prototypes of task.prototype_seed 7, not 3"),
+        (["task.vocab_size=10"], "trained on task.vocab_size 12, not 10"),
+        # the feature width is checked first, with its own message
+        (["task.seed=8", "task.feat_dim=5"], "feat_dim is 5"),
+    ]:
+        for argv in commands:
+            capsys.readouterr()
+            sets_args = [arg for entry in sets for arg in ("--set", entry)]
+            assert cli_main([*argv, *CLI_SETS, *sets_args]) == 2, (argv, sets)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and words in err[0], err
+    # the same prototypes under another noise and utterance stream
+    same = ["--set", "task.seed=8", "--set", "task.prototype_seed=7", "--set", "task.noise=0.3"]
+    assert cli_main([*commands[0], *CLI_SETS, *same]) == 0
+    # a checkpoint that records no task is checked as before
+    model = load_checkpoint(ckpt)
+    del model.meta["task"]
+    save_checkpoint(ckpt, model)
+    assert cli_main([*commands[0], *CLI_SETS, "--set", "task.seed=8"]) == 0
+    # malformed task metadata is a user error
+    model.meta["task"] = {"vocab_size": "twelve"}
+    save_checkpoint(ckpt, model)
+    capsys.readouterr()
+    assert cli_main([*commands[0], *CLI_SETS]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "task metadata" in err[0], err
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

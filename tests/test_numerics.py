@@ -1,5 +1,7 @@
 """Substrate tests: tape op contracts, autodiff, optimizer."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -251,12 +253,47 @@ def test_no_grad_result_is_a_constant():
     x = const(np.array([[1.0], [-1.0]]))
     with no_grad():
         loss = sum_all(T.matmul(w, x))
-    assert not loss.requires_grad and loss._parents == () and loss._grad_fn is None
+    assert not loss.requires_grad and loss._grad_fn is None
     assert loss.item() == -2.0
     with pytest.raises(StateError):
         backward(loss)
     # outside the block the tape records again
     assert sum_all(T.matmul(w, x)).requires_grad
+
+
+def test_second_backward_on_the_same_loss_raises():
+    x = param([[1.0, 2.0]])
+    loss = sum_all(mul(x, x))
+    backward(loss)
+    with pytest.raises(StateError):
+        backward(loss)
+    npt.assert_array_equal(x.grad, [[2.0, 4.0]])
+
+
+def test_forward_that_never_reaches_backward_is_freed():
+    rng = np.random.default_rng(8)
+    w = param(rng.normal(size=(4, 4)))
+    gain, bias = param(np.ones((1, 4))), param(np.zeros((1, 4)))
+    hidden = T.layer_norm_rows(T.matmul(w, w), gain, bias)
+    out = T.softmax_rows(hidden)
+    assert out.requires_grad
+    refs = [weakref.ref(hidden), weakref.ref(out)]
+    del hidden, out
+    assert all(ref() is None for ref in refs)
+
+
+def test_backward_clears_the_tape_when_a_grad_fn_raises():
+    def broken_grad_fn(u):
+        raise EvaluationError("broken backward")
+
+    x = param([[1.0, 2.0]])
+    broken = T.make_op(x.data * 3.0, (x,), broken_grad_fn)
+    with pytest.raises(EvaluationError):
+        backward(sum_all(mul(broken, x)))
+    assert T._tape == []
+    x.zero_grad()
+    backward(sum_all(mul(x, x)))
+    npt.assert_array_equal(x.grad, [[2.0, 4.0]])
 
 
 def test_no_grad_restores_the_flag_when_the_block_raises():
