@@ -7,7 +7,8 @@ BLAS thread count (``unknown`` when the library does not export them):
     numpy <version> openblas_core <core> blas_threads <n>
 
 Trained bytes change with the core (set ``OPENBLAS_CORETYPE`` to choose
-another), not with the thread count.
+another), not with the thread count; the k = 10 heatmap CSVs and the decode
+logits change with both.
 
 For each variant this trains the default model on the default task with the
 default seed and learning rate for ``--steps`` steps, then prints one line:
@@ -20,6 +21,13 @@ utterance 0 of the default held-out set concatenated k = 1 and k = 10 at a
 time (``concat_eval`` with seed 0):
 
     <variant> heatmap k=<k> frames=<L> csv=<sha256> pgm=<sha256>
+
+With ``--decode`` it also prints, for each trained variant, the sha256 of the
+logits of a no-grad forward over utterance 0 of the same held-out set
+concatenated k = 16 and k = 32 at a time, inputs long enough for several row
+blocks and, in gaussian_frame_index, the key band:
+
+    <variant> decode k=<k> frames=<L> logits=<sha256>
 
 With ``--artifacts`` it also runs ``train --curve``, ``eval``, ``sweep``,
 ``heatmap`` and ``memcheck`` through ``longattn.cli.main`` (gaussian_frame_index,
@@ -36,8 +44,8 @@ on one machine exactly when their outputs are equal:
     PYTHONPATH=/path/to/other/src python3 scripts/train_digest.py --steps 150 > before.txt
     diff before.txt after.txt
 
-Only the public harness API and the CLI entry point are used, so the script
-runs against older trees.
+Only the public harness API, ``encoder_forward``, ``no_grad`` and the CLI
+entry point are used, so the script runs against older trees.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import numpy as np
 
 from longattn.attention import AttentionVariant
 from longattn.cli import main as cli_main
-from longattn.encoder import EncoderConfig, TrainedModel
+from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward
 from longattn.harness import (
     EvalSettings,
     SyntheticTaskConfig,
@@ -65,8 +73,10 @@ from longattn.harness import (
     heldout_task,
     train_model,
 )
+from longattn.numerics import no_grad
 
 HEATMAP_KS = (1, 10)
+DECODE_KS = (16, 32)
 ARTIFACTS = ("model.ckpt", "curve.csv", "report.csv", "sweep.csv", "hm.csv", "hm.pgm", "mem.csv")
 
 
@@ -129,6 +139,17 @@ def heatmap_digests(variant: AttentionVariant, model: TrainedModel, heldout) -> 
     return lines
 
 
+def decode_digests(variant: AttentionVariant, model: TrainedModel, heldout) -> list[str]:
+    lines = []
+    for k in DECODE_KS:
+        features = concat_eval(heldout, k, seed=0).utterances[0].features
+        with no_grad():
+            logits = encoder_forward(features, model.params, model.config).data
+        digest = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+        lines.append(f"{variant.value} decode k={k} frames={logits.shape[0]} logits={digest}")
+    return lines
+
+
 def artifact_digests(steps: int) -> list[str]:
     previous = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,6 +169,8 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=150, help="training steps per variant")
     parser.add_argument("--heatmap", action="store_true",
                         help="also digest layer 0, head 0 heatmaps at k = 1 and k = 10")
+    parser.add_argument("--decode", action="store_true",
+                        help="also digest no-grad logits of held-out inputs at k = 16 and 32")
     parser.add_argument("--artifacts", action="store_true",
                         help="also digest the files the train, eval, sweep, heatmap and "
                              "memcheck subcommands write")
@@ -158,7 +181,7 @@ def main() -> None:
     print(blas_line(), flush=True)
     task = SyntheticTaskConfig()
     data = gen_dataset(task)
-    if args.heatmap:
+    if args.heatmap or args.decode:
         settings = EvalSettings()
         heldout = gen_dataset(heldout_task(task, settings.seed, settings.n_utterances))
     for variant in AttentionVariant:
@@ -166,6 +189,8 @@ def main() -> None:
         print(digest(variant, result), flush=True)
         if args.heatmap:
             print("\n".join(heatmap_digests(variant, result.model, heldout)), flush=True)
+        if args.decode:
+            print("\n".join(decode_digests(variant, result.model, heldout)), flush=True)
     if args.artifacts:
         print("\n".join(artifact_digests(args.steps)), flush=True)
 

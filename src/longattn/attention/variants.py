@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..errors import DimensionError, InternalError
-from ..numerics.linalg import EXP_UNDERFLOW, as_matrix
+from ..numerics.linalg import as_matrix
 from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
@@ -43,8 +43,8 @@ from .encodings import signed_sinusoid_table, squared_offset_matrix
 
 
 # A key that scores at most this far below the row's own key gets weight
-# exactly 0.0: EXP_UNDERFLOW, less a margin of 4 for the rounding of the scores.
-BAND_SCORE = EXP_UNDERFLOW - 4.0
+# exactly 0.0: EXP_NORMAL_MIN = -708.4, less a margin of 41.6 for rounding.
+BAND_SCORE = -750.0
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def gaussian_band(a: np.ndarray, index_step: np.ndarray) -> int | None:
     -||a_i - a_j||^2 / 2 <= -(|i - j| * beta - r_i - r_j)^2 / 2. So every key
     more than W = (2 max r + sqrt(-2 * BAND_SCORE)) / beta frames from row i
     scores at most BAND_SCORE, while the row's own key scores 0; its weight is
-    exactly 0.0 (``EXP_UNDERFLOW``). W is rounded up and widened by one frame.
+    exactly 0.0 (``EXP_NORMAL_MIN``). W is rounded up and widened by one frame.
     """
     beta = float(np.linalg.norm(index_step))
     f = a - np.arange(len(a), dtype=np.float64)[:, None] * index_step

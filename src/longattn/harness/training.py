@@ -91,7 +91,7 @@ def train_model(
         "lr": lr,
         "variant": enc_cfg.variant.value,
         "final_loss": curve[-1] if curve else None,
-        "task": asdict(task_cfg),
+        "task": asdict(data.task) if data.task is not None else None,
     }
     return TrainResult(model=TrainedModel(enc_cfg, params, meta), curve=curve,
                        wall_clock_s=wall)

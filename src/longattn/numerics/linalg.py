@@ -28,10 +28,12 @@ def as_matrix(x) -> np.ndarray:
 # vectors stay in a core's 1-2 MB L2 cache between the passes over it.
 CHUNK_ELEMENTS = 1 << 16
 
-# float64 exp(x) is exactly +0.0 for every x below this; it rounds to the
-# smallest subnormal only above ln(2**-1075) = -745.13. numpy's vector exp
-# takes a slow path on such inputs, so they are not passed to it.
-EXP_UNDERFLOW = -746.0
+# float64 exp(x) is normal only from ln(2**-1022) = -708.396 up; below, it is
+# subnormal, then +0.0 below -745.13. A subnormal costs numpy's vector exp
+# about 100x, and a BLAS product several times, so a shifted score below this
+# gets weight +0.0 without an exp call. Each row's sum holds exp(0) = 1, which
+# such terms cannot move, so every kept weight is bit for bit what it was.
+EXP_NORMAL_MIN = float(np.log(np.finfo(np.float64).tiny))
 
 
 def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
@@ -43,20 +45,18 @@ def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max subtraction; each row sums to 1.
 
-    The input is not modified. Shifted scores below ``EXP_UNDERFLOW`` become
-    +0.0 without an ``exp`` call.
+    The input is not modified. Shifted scores below ``EXP_NORMAL_MIN``, whose
+    weights would be subnormal or zero, become +0.0 without an ``exp`` call.
     """
     m = as_matrix(m)
     out = np.empty(m.shape)
     if m.size == 0:
         return out
     np.subtract(m, m.max(axis=1, keepdims=True), out=out)
-    if out.min() < EXP_UNDERFLOW:
-        shifted = out.copy()
-        keep = np.less(shifted, EXP_UNDERFLOW)
-        np.logical_not(keep, out=keep)  # NaN stays in, so it propagates
-        out.fill(0.0)
-        np.exp(shifted, out=out, where=keep)
+    if out.min() < EXP_NORMAL_MIN:
+        drop = out < EXP_NORMAL_MIN  # NaN is kept, so it propagates
+        np.exp(out, out=out, where=~drop)
+        np.copyto(out, 0.0, where=drop)
     else:
         np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)

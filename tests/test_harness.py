@@ -20,6 +20,7 @@ from longattn.encoder import (
 )
 from longattn.errors import ConfigError, DivergenceError
 from longattn.harness import (
+    Dataset,
     SyntheticTaskConfig,
     concat_eval,
     config_hash,
@@ -759,6 +760,27 @@ def test_cli_exit_code_checkpoint_from_another_task(tmp_path, capsys):
     assert cli_main([*commands[0], *CLI_SETS]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "task metadata" in err[0], err
+
+
+def test_cli_checkpoint_records_the_task_of_its_dataset(tmp_path):
+    # a dataset of seed-8 prototypes that records no task trains under the
+    # default config (task seed 7): the checkpoint records no task, so eval
+    # under the data's real task runs, and so does eval under the default one
+    seed8 = load_config(None, [*CLI_SETS[1::2], "task.seed=8"]).task
+    data, ckpt = tmp_path / "d.bin", str(tmp_path / "m.ckpt")
+    seed8_data = gen_dataset(seed8)
+    save_dataset(data, Dataset(seed8_data.utterances, seed8_data.prototypes))
+    assert cli_main(["train", "--out", ckpt, "--data", str(data), *CLI_SETS,
+                     "--steps", "1"]) == 0
+    assert load_checkpoint(ckpt).meta["task"] is None
+    evaluate_under = ["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "r.csv"), *CLI_SETS]
+    assert cli_main([*evaluate_under, "--set", "task.seed=8"]) == 0
+    assert cli_main(evaluate_under) == 0
+    # a dataset that records its task gives that task, not the one passed
+    cfg = tiny_model(task=seed8)
+    model = train_model(cfg, small_task(), steps=0, lr=1e-3, seed=4, dataset=seed8_data,
+                        log_every=0).model
+    assert SyntheticTaskConfig(**model.meta["task"]) == seed8
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

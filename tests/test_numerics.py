@@ -108,10 +108,15 @@ def test_softmax_no_overflow_at_1e4_range():
 
 
 def plain_softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Whole-matrix softmax: the oracle for the chunked ``linalg.softmax_rows``."""
+    """Whole-matrix softmax that keeps subnormal weights in every row sum, then
+    sets each weight whose shifted score is below ``EXP_NORMAL_MIN`` to +0.0:
+    the oracle for ``linalg.softmax_rows``, whose kept weights must not move
+    by a bit when it leaves those terms out."""
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=1, keepdims=True)
+    p[shifted < linalg.EXP_NORMAL_MIN] = 0.0
+    return p
 
 
 def hard_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
@@ -153,12 +158,16 @@ def test_row_chunks_cover_every_row_once():
 def test_softmax_rows_hard_rows_hit_every_band():
     m = hard_rows(np.random.default_rng(0), 40, 300)
     shifted = m - m.max(axis=1, keepdims=True)
-    assert (shifted < linalg.EXP_UNDERFLOW).any() and np.isneginf(shifted).any()
-    assert ((shifted >= -745.2) & (shifted <= -708.4)).any()
+    assert (shifted < -746.0).any() and np.isneginf(shifted).any()
+    subnormal = (shifted >= -745.2) & (shifted <= -708.4)
+    assert subnormal.any() and (np.exp(shifted[subnormal]) < np.finfo(np.float64).tiny).all()
     assert (np.ptp(m, axis=1) == 0).any()
     p = linalg.softmax_rows(m)
-    assert (p[shifted < linalg.EXP_UNDERFLOW] == 0.0).all() and not np.signbit(p).any()
-    assert ((p > 0) & (p < np.finfo(np.float64).tiny)).any()  # subnormal results kept
+    # every score below the floor, the subnormal band included, gives +0.0;
+    # every other weight is that of the expression that keeps subnormals
+    below = shifted < linalg.EXP_NORMAL_MIN
+    assert below[subnormal].all() and (p[below] == 0.0).all() and not np.signbit(p).any()
+    npt.assert_array_equal(p.view(np.int64), plain_softmax_rows(m).view(np.int64))
 
 
 @pytest.mark.parametrize("length", [1, 7, 300, 2100])
