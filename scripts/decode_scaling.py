@@ -12,9 +12,10 @@ and variant:
 ``L`` is the first utterance's length after subsampling, and ``ms_per_frame``
 the median over the utterances of the fastest of ``--repeats`` decodes,
 divided by the utterance's L. ``W`` lists the band half-width of every layer
-and head (layer by layer, heads within a layer) on the first utterance, with
-``-`` for a head whose band, if it has one, is not narrower than L; attention
-uses the band only when L > 256.
+and head (layer by layer, heads within a layer) that the decode of the first
+utterance used, with ``-`` for a head that computed no band or whose band is
+not narrower than L. Only a variant with a band computes one, and only when
+L > 256, where attention runs in more than one row block.
 With the band, gaussian_frame_index's cost per frame stops growing once L is
 well past 2W; standard's keeps growing with L.
 
@@ -27,20 +28,15 @@ import argparse
 import os
 import statistics
 import time
+from dataclasses import replace
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
 
 import numpy as np  # noqa: E402
 
 from longattn.attention import AttentionVariant  # noqa: E402
-from longattn.attention.encodings import sinusoid_encoding  # noqa: E402
 from longattn.attention.params import VARIANTS  # noqa: E402
-from longattn.encoder import (  # noqa: E402
-    EncoderConfig,
-    TrainedModel,
-    sa_block_forward,
-    subsample,
-)
+from longattn.encoder import EncoderConfig, TrainedModel  # noqa: E402
 from longattn.harness import (  # noqa: E402
     EvalSettings,
     SyntheticTaskConfig,
@@ -51,27 +47,28 @@ from longattn.harness import (  # noqa: E402
     heldout_task,
     train_model,
 )
-from longattn.numerics.tensor import add, const, layer_norm_rows, no_grad  # noqa: E402
 
 MODELS = {AttentionVariant.GAUSSIAN_FRAME_INDEX: 200, AttentionVariant.STANDARD: 400}
 
 
 def band_widths(model: TrainedModel, features: np.ndarray) -> list[int | None]:
-    """Each layer's and head's band half-width, from the layer's attention input."""
-    cfg, params = model.config, model.params
-    spec = VARIANTS[cfg.variant]
+    """Each layer's and head's band half-width in one decode of ``features``,
+    read by wrapping the variant's ``band``; None where no band is computed."""
+    variant = model.config.variant
+    spec = VARIANTS[variant]
     widths: list[int | None] = []
-    with no_grad():
-        x = subsample(features, cfg.subsample_factor, params.subsample_proj)
-        if cfg.abs_pe_enabled:
-            x = add(x, const(sinusoid_encoding(x.data.shape[0], cfg.d_model)))
-        for block in params.blocks:
-            h = layer_norm_rows(x, block.ln1_gain, block.ln1_bias)
-            for head in block.heads:
-                projected = spec.projections(h, head, cfg.alpha, 0)
-                widths.append(None if spec.band is None else spec.band(projected, head, cfg.alpha))
-            x = sa_block_forward(x, block, cfg)
-    return widths
+
+    def band(projected, head, alpha):
+        widths.append(spec.band(projected, head, alpha))
+        return widths[-1]
+
+    if spec.band is not None:
+        VARIANTS[variant] = replace(spec, band=band)
+        try:
+            decode_utterance(model, features)
+        finally:
+            VARIANTS[variant] = spec
+    return widths or [None] * (model.config.n_layers * model.config.n_heads)
 
 
 def decode_ms(model: TrainedModel, features: np.ndarray, repeats: int) -> float:

@@ -2,11 +2,10 @@
 
 from .encodings import DEFAULT_ALPHA, signed_sinusoid_table, sinusoid_encoding, soft_mask_matrix
 from .multihead import attention_weights, multi_head_attention
-from .params import VARIANTS, AttentionParams, AttentionVariant, init_attention_params
+from .params import VARIANTS, AttentionVariant, init_attention_params
 from .variants import attn_kernel_form, kernel_form_factors, sigma_inverse
 
 __all__ = [
-    "AttentionParams",
     "AttentionVariant",
     "DEFAULT_ALPHA",
     "VARIANTS",

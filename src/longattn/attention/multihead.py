@@ -14,20 +14,19 @@ from ..numerics.tensor import (
     Tensor,
     affine,
     append_const_col,
-    concat_cols,
-    concat_rows,
+    concat,
     matmul,
     matmul_t,
     slice_rows,
     softmax_rows,
 )
 from .encodings import DEFAULT_ALPHA
-from .params import VARIANTS, AttentionParams, AttentionVariant
+from .params import VARIANTS, AttentionVariant, Head
 
 
 def attention_weights(
     projected,
-    params: AttentionParams,
+    head: Head,
     variant: AttentionVariant,
     *,
     rows: slice = slice(None),
@@ -41,7 +40,7 @@ def attention_weights(
     spec = VARIANTS[variant]
     if spec.band is None and keys != slice(None):
         raise InternalError(f"{variant.value} attention scores every key, got keys {keys}")
-    return softmax_rows(spec.scores(projected, params, rows, keys))
+    return softmax_rows(spec.scores(projected, head, rows, keys))
 
 
 # A key window's ends are rounded out to multiples of this many frames. In a
@@ -61,7 +60,7 @@ def key_window(rows: slice, half: int, length: int) -> slice:
 
 def multi_head_attention(
     x: Tensor,
-    heads: list[AttentionParams],
+    heads: list[Head],
     w_o: Tensor,
     variant: AttentionVariant,
     alpha: float = DEFAULT_ALPHA,
@@ -94,7 +93,7 @@ def multi_head_attention(
     outputs = []
     for index, head in enumerate(heads):
         projected = spec.projections(x, head, alpha, start_index=0)
-        values = matmul_t(xa, head.w_v)
+        values = matmul_t(xa, head["w_v"])
         half = None if spec.band is None or len(blocks) == 1 else spec.band(projected, head, alpha)
         parts = []
         for rows in blocks:
@@ -103,6 +102,5 @@ def multi_head_attention(
             if observe is not None:
                 observe(index, rows, keys, attn.data)
             parts.append(matmul(attn, slice_rows(values, keys)))
-        outputs.append(concat_rows(parts))
-    combined = outputs[0] if len(outputs) == 1 else concat_cols(outputs)
-    return affine(combined, w_o)
+        outputs.append(concat(parts, axis=0))
+    return affine(concat(outputs, axis=1), w_o)

@@ -6,7 +6,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -54,73 +54,56 @@ class AttentionVariant(str, Enum):
             raise ConfigError(f"unknown attention variant {name!r}; one of: {valid}") from None
 
 
-@dataclass
-class AttentionParams:
-    """Per-head weights; only the fields the configured variant uses are set.
-
-    Inputs to every linear map are augmented with a trailing constant 1, so
-    each matrix carries its own bias column. ``log_sigma_mask`` stores the
-    soft-mask width as a free parameter, keeping sigma strictly positive.
-    """
-
-    w_q: Tensor | None = None
-    w_k_x: Tensor | None = None
-    w_s: Tensor | None = None
-    log_sigma_mask: Tensor | None = None
-    w_k_r: Tensor | None = None
-    u: Tensor | None = None
-    v: Tensor | None = None
-    w_v: Tensor | None = None
-
-    def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        """The set tensors in field order."""
-        return [(f"{prefix}{f.name}", t) for f in fields(self)
-                if (t := getattr(self, f.name)) is not None]
+# One head's weights by name, in the order its variant draws them. Inputs to
+# every linear map are augmented with a trailing constant 1, so each matrix
+# carries its own bias column; soft_mask's ``log_sigma_mask`` keeps sigma > 0.
+Head = dict[str, Tensor]
 
 
 @dataclass(frozen=True)
 class VariantSpec:
     """Everything one attention variant means: ``project`` is the per-frame stage,
-    ``scores(projected, params, rows, keys)`` the pre-softmax scores of the query
+    ``scores(projected, head, rows, keys)`` the pre-softmax scores of the query
     rows ``rows`` against the key frames ``keys``, ``pair_elements(length,
     d_model, d_k)`` the closed-form element count of one head's scores and their
     softmax over all rows, and ``init_scores(rng, score_in, d_model, d_k, alpha)``
-    draws the score weights. ``band(projected, params, alpha)``, when
-    set, gives the half-width in frames beyond which every weight is exactly 0.0,
-    or None for no band; a variant without it scores every key."""
+    draws the score weights, whose names and their order are the variant's.
+    ``band(projected, head, alpha)``, when set, gives the half-width in frames
+    beyond which every weight is exactly 0.0, or None for no band; a variant
+    without it scores every key."""
 
-    project: Callable[[Tensor, AttentionParams], Any]
-    scores: Callable[[Any, AttentionParams, slice, slice], Tensor]
+    project: Callable[[Tensor, Head], Any]
+    scores: Callable[[Any, Head, slice, slice], Tensor]
     pair_elements: Callable[[int, int, int], int]
-    init_scores: Callable[..., dict[str, Tensor]]
-    band: Callable[[Any, AttentionParams, float], int | None] | None = None
+    init_scores: Callable[..., Head]
+    band: Callable[[Any, Head, float], int | None] | None = None
     frame_indexed: bool = False
     default_abs_pe: bool = False
 
-    def projections(self, x: Tensor, params: AttentionParams, alpha: float, start_index: int):
+    def projections(self, x: Tensor, head: Head, alpha: float, start_index: int):
         """Per-frame stage: append the frame index if this variant uses it, then project."""
         if self.frame_indexed:
             x = append_const_col(x, frame_index_column(x.data.shape[0], start_index, alpha))
-        return self.project(x, params)
+        return self.project(x, head)
 
 
-def _init_qk(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+def _init_qk(rng, score_in, d_model, d_k, alpha) -> Head:
     std = 1.0 / math.sqrt(score_in)
     return {"w_q": param(rng.normal(0.0, std, size=(d_k, score_in))),
             "w_k_x": param(rng.normal(0.0, std, size=(d_k, score_in)))}
 
 
-def _init_shared(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+def _init_shared(rng, score_in, d_model, d_k, alpha) -> Head:
     std = 1.0 / math.sqrt(score_in)
     return {"w_s": param(rng.normal(0.0, std, size=(d_k, score_in)))}
 
 
-def _init_gaussian(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+def _init_gaussian(rng, score_in, d_model, d_k, alpha) -> Head:
     std = 1.0 / math.sqrt(score_in)
     return {"w_s": param(rng.normal(0.0, std / d_k**0.25, size=(d_k, score_in)))}
 
 
-def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> dict[str, Tensor]:
+def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> Head:
     scores = _init_gaussian(rng, score_in, d_model, d_k, alpha)
     # index feature sits between the model features and the bias column
     norm = alpha * d_k**0.25 / INDEX_WINDOW_INIT
@@ -129,14 +112,14 @@ def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> dict[str, 
 
 
 _STANDARD = VariantSpec(
-    project=lambda x, p: qk_projections(x, p.w_q, p.w_k_x),
+    project=lambda x, p: qk_projections(x, p["w_q"], p["w_k_x"]),
     scores=lambda qk, p, rows, keys: dot_product_scores(*qk, rows=rows),
     pair_elements=lambda n, d_model, d_k: 3 * n * n,  # raw, scaled scores; attention
     init_scores=_init_qk,
     default_abs_pe=True,
 )
 _GAUSSIAN = VariantSpec(
-    project=lambda x, p: gaussian_projection(x, p.w_s),
+    project=lambda x, p: gaussian_projection(x, p["w_s"]),
     # sees only row differences, so it is shift-invariant
     scores=lambda a, p, rows, keys: pairwise_sqdist_scores(a, rows, keys),
     pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
@@ -150,14 +133,14 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         _STANDARD,
         scores=lambda qk, p, rows, keys: add(
             dot_product_scores(*qk, rows=rows),
-            soft_mask_tensor(qk[0].data.shape[0], p.log_sigma_mask, rows)),
+            soft_mask_tensor(qk[0].data.shape[0], p["log_sigma_mask"], rows)),
         pair_elements=lambda n, d_model, d_k: 5 * n * n,  # standard plus mask, masked scores
         init_scores=lambda *dims: {
             **_init_qk(*dims), "log_sigma_mask": param([[math.log(SOFT_MASK_SIGMA_INIT)]])},
     ),
     AttentionVariant.SHARED_QK: replace(
         _STANDARD,
-        project=lambda x, p: affine(x, p.w_s),
+        project=lambda x, p: affine(x, p["w_s"]),
         scores=lambda q, p, rows, keys: dot_product_scores(q, q, rows=rows),
         init_scores=_init_shared,
     ),
@@ -166,13 +149,13 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         _GAUSSIAN, init_scores=_init_gaussian_frame_index, frame_indexed=True,
         # one frame of index adds w_s's index column / alpha, scaled as in the projection
         band=lambda a, p, alpha: gaussian_band(
-            a.data, p.w_s.data[:, -2] * (p.w_s.data.shape[0] ** -0.25 / alpha))),
+            a.data, p["w_s"].data[:, -2] * (p["w_s"].data.shape[0] ** -0.25 / alpha))),
     AttentionVariant.RELATIVE_PE: replace(
         _STANDARD,
         # the offset table's key projection is per-frame work, done once per head
-        project=lambda x, p: relative_projections(x, p.w_q, p.w_k_x, p.w_k_r),
+        project=lambda x, p: relative_projections(x, p["w_q"], p["w_k_x"], p["w_k_r"]),
         scores=lambda qkr, p, rows, keys: mul_scalar(
-            relative_terms(*qkr, p.u, p.v, rows), 1.0 / math.sqrt(qkr[0].data.shape[1])),
+            relative_terms(*qkr, p["u"], p["v"], rows), 1.0 / math.sqrt(qkr[0].data.shape[1])),
         # content scores, all-offset position scores (L x 2L-1), their shift,
         # the sum, scaled scores, attention; q + u and q + v
         pair_elements=lambda n, d_model, d_k: 5 * n * n + n * (2 * n - 1) + 2 * n * d_k,
@@ -193,10 +176,11 @@ def init_attention_params(
     d_v: int,
     alpha: float,
     rng: np.random.Generator,
-) -> AttentionParams:
-    """Draw one head's score weights, then its value map; the order is fixed."""
+) -> Head:
+    """Draw one head's score weights, then its value map ``w_v``; the draw order
+    is the order of the head's names in a checkpoint."""
     spec = VARIANTS[variant]
     score_in = d_model + (2 if spec.frame_indexed else 1)
-    p = AttentionParams(**spec.init_scores(rng, score_in, d_model, d_k, alpha))
-    p.w_v = param(rng.normal(0.0, 1.0 / math.sqrt(d_model + 1), size=(d_v, d_model + 1)))
-    return p
+    head = spec.init_scores(rng, score_in, d_model, d_k, alpha)
+    head["w_v"] = param(rng.normal(0.0, 1.0 / math.sqrt(d_model + 1), size=(d_v, d_model + 1)))
+    return head

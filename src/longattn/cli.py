@@ -17,6 +17,7 @@ from dataclasses import astuple
 
 from .attention.params import AttentionVariant
 from .container import build, write_csv
+from .ctc import min_frames_required
 from .encoder import TrainedModel, load_checkpoint, save_checkpoint
 from .errors import ConfigError, LongattnError, reading
 from .harness.configio import config_hash, load_config
@@ -80,6 +81,25 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_trainable(dataset, model, source: str) -> None:
+    """Every training utterance has at least ``subsample_factor`` frames, labels
+    that are tokens of the model, and an alignment to its subsampled frames."""
+    factor, vocab = model.subsample_factor, model.vocab_size
+    for i, utt in enumerate(dataset):
+        frames, subsampled = utt.features.shape[0], -(-utt.features.shape[0] // factor)
+        outside = [t for t in utt.labels if not 1 <= t < vocab]
+        if frames < factor:
+            problem = f"has {frames} frames, fewer than model.subsample_factor {factor}"
+        elif outside:
+            problem = f"has label {outside[0]} outside the token range [1, {vocab - 1}]"
+        elif min_frames_required(utt.labels) > subsampled:
+            problem = (f"needs {min_frames_required(utt.labels)} frames after subsampling "
+                       f"for its labels, but its {frames} frames give {subsampled}")
+        else:
+            continue
+        raise ConfigError(f"training utterance {i} from {source} {problem}")
+
+
 def cmd_train(args) -> int:
     if args.variant is not None:
         args.overrides = list(args.overrides) + [f"model.variant={args.variant}"]
@@ -88,8 +108,9 @@ def cmd_train(args) -> int:
         if value is not None:
             args.overrides.append(f"train.{name}={value}")
     cfg, digest = _load(args)
-    dataset = None
-    if args.data is not None:
+    if args.data is None:
+        dataset, source = gen_dataset(cfg.task), "the task config"
+    else:
         with reading("dataset", args.data):
             dataset = load_dataset(args.data)
         if dataset.task is not None and dataset.task != cfg.task:
@@ -98,6 +119,8 @@ def cmd_train(args) -> int:
         if width != cfg.model.feat_dim:
             raise ConfigError(f"dataset {args.data} has {width}-wide features, "
                               f"but model.feat_dim is {cfg.model.feat_dim}")
+        source = f"dataset {args.data}"
+    _check_trainable(dataset, cfg.model, source)
     result = train_model(cfg.model, cfg.task, cfg.train.steps, cfg.train.lr,
                          cfg.train.seed, dataset=dataset)
     result.model.meta["config_hash"] = digest
@@ -118,14 +141,16 @@ def _load_model(path, cfg) -> TrainedModel:
     if model.config.feat_dim != cfg.task.feat_dim:
         raise ConfigError(f"checkpoint {path} takes {model.config.feat_dim}-wide features, "
                           f"but task.feat_dim is {cfg.task.feat_dim}")
+    if model.config.vocab_size != cfg.task.vocab_size:
+        raise ConfigError(f"checkpoint {path} was trained on task.vocab_size "
+                          f"{model.config.vocab_size}, not {cfg.task.vocab_size}")
     task = model.meta.get("task") if isinstance(model.meta, dict) else None
     if task is not None:
         task = build(SyntheticTaskConfig, task, f"checkpoint {path}: task metadata")
         seed = "task.seed" if cfg.task.prototype_seed is None else "task.prototype_seed"
-        for field, theirs, ours in [("task.vocab_size", task.vocab_size, cfg.task.vocab_size),
-                                    (f"the prototypes of {seed}", task.proto_seed, cfg.task.proto_seed)]:
-            if theirs != ours:
-                raise ConfigError(f"checkpoint {path} was trained on {field} {theirs}, not {ours}")
+        if task.proto_seed != cfg.task.proto_seed:
+            raise ConfigError(f"checkpoint {path} was trained on the prototypes of {seed} "
+                              f"{task.proto_seed}, not {cfg.task.proto_seed}")
     return model
 
 

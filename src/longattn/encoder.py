@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention.encodings import DEFAULT_ALPHA, sinusoid_encoding
 from .attention.multihead import multi_head_attention
-from .attention.params import VARIANTS, AttentionParams, AttentionVariant, init_attention_params
+from .attention.params import VARIANTS, AttentionVariant, Head, init_attention_params
 from .container import bounded, build, check_types, read_container, write_container
 from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
@@ -77,7 +77,7 @@ class EncoderConfig:
 
 @dataclass
 class SABlockParams:
-    heads: list[AttentionParams]
+    heads: list[Head]
     w_o: Tensor
     ln1_gain: Tensor
     ln1_bias: Tensor
@@ -90,7 +90,7 @@ class SABlockParams:
         """The heads' tensors, then the block's own in field order."""
         out: list[tuple[str, Tensor]] = []
         for i, head in enumerate(self.heads):
-            out += head.named(f"{prefix}head{i}.")
+            out += [(f"{prefix}head{i}.{name}", t) for name, t in head.items()]
         return out + [(f"{prefix}{f.name}", getattr(self, f.name))
                       for f in fields(self) if f.name != "heads"]
 

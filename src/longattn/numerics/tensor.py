@@ -117,7 +117,12 @@ def pack(tensors: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
     """One flat data buffer and one flat gradient buffer whose consecutive
     slices are the ``data`` and ``grad`` of ``tensors``, in order. Tensors
     already laid out so keep their arrays; any other list is copied into new
-    buffers, a missing grad as zeros, and each tensor is rebound to views."""
+    buffers, a missing grad as zeros, and each tensor is rebound to views.
+
+    Keeping them saves more than a copy: every ``Adam`` packs its list again,
+    and perfbench's train-short builds one per block over the same models. A
+    ``pack`` that always copied raised that workload's ``peak_rss_mb`` from
+    117.7 to 132.2-132.8 MB (+12%, seeds 301-302, 2-core x86-64 VM)."""
     offsets = list(accumulate((t.data.size for t in tensors), initial=0))
     spans = list(zip(tensors, offsets, offsets[1:]))
     if tensors and tensors[0].grad is not None:
@@ -310,23 +315,6 @@ def append_const_col(x: Tensor, col: np.ndarray | float = 1.0) -> Tensor:
     return make_op(out, (x,), grad_fn)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols: row counts differ: {[q.data.shape for q in parts]}"
-            )
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def grad_fn(u: np.ndarray) -> None:
-        for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
-            accumulate_grad(p, u[:, j0:j1])
-
-    return make_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), grad_fn)
-
-
 def slice_rows(x: Tensor, rows: slice) -> Tensor:
     """Rows ``rows`` of ``x`` (a view); ``x`` itself when they are all of its rows."""
     n = x.data.shape[0]
@@ -341,23 +329,21 @@ def slice_rows(x: Tensor, rows: slice) -> Tensor:
     return make_op(x.data[rows], (x,), grad_fn)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack ``parts`` top to bottom; a single part is returned as it is."""
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join ``parts`` top to bottom (``axis`` 0) or left to right (``axis`` 1);
+    a single part is returned as it is."""
     if len(parts) == 1:
         return parts[0]
-    cols = parts[0].data.shape[1]
-    for p in parts:
-        if p.data.shape[1] != cols:
-            raise DimensionError(
-                f"concat_rows: column counts differ: {[q.data.shape for q in parts]}"
-            )
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    shapes = [p.data.shape for p in parts]
+    if len({shape[1 - axis] for shape in shapes}) != 1:
+        raise DimensionError(f"concat along axis {axis}: other extents differ: {shapes}")
+    offsets = np.cumsum([0] + [shape[axis] for shape in shapes])
 
     def grad_fn(u: np.ndarray) -> None:
-        for p, i0, i1 in zip(parts, offsets[:-1], offsets[1:]):
-            accumulate_grad(p, u[i0:i1])
+        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
+            accumulate_grad(p, u[a:b] if axis == 0 else u[:, a:b])
 
-    return make_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), grad_fn)
+    return make_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), grad_fn)
 
 
 def frame_stack(x: Tensor, factor: int) -> Tensor:

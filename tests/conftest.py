@@ -103,7 +103,7 @@ def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:
 
 def sigma_mask(head) -> float:
     """Soft-mask width of one head, from its log-parameter."""
-    return math.exp(head.log_sigma_mask.data[0, 0])
+    return math.exp(head["log_sigma_mask"].data[0, 0])
 
 
 # ---------------------------------------------------------------------------

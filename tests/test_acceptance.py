@@ -19,7 +19,6 @@ import pytest
 
 from conftest import head_weights, mul, screen_seed, sum_all
 from longattn.attention import (
-    AttentionParams,
     AttentionVariant,
     attn_kernel_form,
     init_attention_params,
@@ -70,8 +69,7 @@ def test_criterion_1_kernel_identity():
         d_k = int(rng.integers(1, 9))
         x = rng.normal(size=(L, D))
         w_s = rng.normal(scale=1.0 / math.sqrt(D + 1), size=(d_k, D + 1))
-        direct = head_weights(x, AttentionParams(w_s=const(w_s)),
-                              AttentionVariant.SHARED_QK).data
+        direct = head_weights(x, {"w_s": const(w_s)}, AttentionVariant.SHARED_QK).data
         rewritten = attn_kernel_form(x, w_s)
         worst = max(worst, np.abs(rewritten - direct).max() / np.abs(direct).max())
     elapsed = time.perf_counter() - started
@@ -170,7 +168,7 @@ def test_criterion_4_gradient_suite():
                 attn = head_weights(x, params, variant, alpha=100.0, start_index=2)
                 return sum_all(mul(probe, attn))
 
-            named = [("x", x)] + [(n, t) for n, t in params.named() if n != "w_v"]
+            named = [("x", x)] + [(n, t) for n, t in params.items() if n != "w_v"]
             errors = check_gradients(f, named)
             worst = max(errors.values())
             worst_overall = max(worst_overall, worst)

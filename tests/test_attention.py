@@ -19,7 +19,6 @@ from longattn.attention import (
     soft_mask_matrix,
 )
 from longattn.attention.encodings import frame_index_column
-from longattn.attention.params import AttentionParams
 from longattn.attention.variants import (
     dot_product_scores,
     qk_projections,
@@ -44,7 +43,7 @@ def make_params(variant, d_model, d_k, d_v, seed, alpha=100.0):
 
 def weights(x, variant, **params):
     """One head's attention matrix through ``head_weights``."""
-    return head_weights(x, AttentionParams(**params), variant).data
+    return head_weights(x, params, variant).data
 
 
 def standard(x, w_q, w_k):
@@ -182,13 +181,13 @@ def oracle_standard(x, w_q, w_k):
 
 def test_attn_standard_singleton():
     p = make_params(AttentionVariant.STANDARD, 3, 4, 3, 0)
-    npt.assert_array_equal(standard(np.zeros((1, 3)), p.w_q, p.w_k_x), [[1.0]])
+    npt.assert_array_equal(standard(np.zeros((1, 3)), p["w_q"], p["w_k_x"]), [[1.0]])
 
 
 def test_attn_standard_identical_frames_uniform():
     p = make_params(AttentionVariant.STANDARD, 3, 4, 3, 1)
     x = np.tile(np.array([[0.4, -1.0, 2.0]]), (5, 1))
-    npt.assert_allclose(standard(x, p.w_q, p.w_k_x), np.full((5, 5), 0.2),
+    npt.assert_allclose(standard(x, p["w_q"], p["w_k_x"]), np.full((5, 5), 0.2),
                         atol=1e-12)
 
 
@@ -196,17 +195,17 @@ def test_attn_standard_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
     p = make_params(AttentionVariant.STANDARD, 4, 5, 4, 3)
     x = rng.normal(size=(6, 4))
-    out = standard(x, p.w_q, p.w_k_x)
-    npt.assert_allclose(out, oracle_standard(x, p.w_q.data, p.w_k_x.data), atol=1e-12)
+    out = standard(x, p["w_q"], p["w_k_x"])
+    npt.assert_allclose(out, oracle_standard(x, p["w_q"].data, p["w_k_x"].data), atol=1e-12)
 
 
 def test_attn_shared_qk_singleton_and_equivalence():
     p = make_params(AttentionVariant.SHARED_QK, 4, 4, 4, 4)
-    npt.assert_array_equal(shared_qk(np.zeros((1, 4)), p.w_s), [[1.0]])
+    npt.assert_array_equal(shared_qk(np.zeros((1, 4)), p["w_s"]), [[1.0]])
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 4))
-    via_standard = standard(x, p.w_s, p.w_s)
-    assert np.abs(shared_qk(x, p.w_s) - via_standard).max() <= 1e-15
+    via_standard = standard(x, p["w_s"], p["w_s"])
+    assert np.abs(shared_qk(x, p["w_s"]) - via_standard).max() <= 1e-15
 
 
 def test_shared_qk_presoftmax_scores_symmetric():
@@ -214,7 +213,7 @@ def test_shared_qk_presoftmax_scores_symmetric():
     p = make_params(AttentionVariant.SHARED_QK, 4, 5, 4, 7)
     x = rng.normal(size=(6, 4))
     xa = np.concatenate([x, np.ones((6, 1))], axis=1)
-    q = xa @ p.w_s.data.T
+    q = xa @ p["w_s"].data.T
     scores = q @ q.T / math.sqrt(5)
     assert np.abs(scores - scores.T).max() <= 1e-12
 
@@ -284,15 +283,15 @@ def oracle_gaussian(x, w_s):
 def test_attn_gaussian_identical_frames_uniform():
     p = make_params(AttentionVariant.GAUSSIAN, 3, 4, 3, 11)
     x = np.tile(np.array([[1.0, 2.0, -0.5]]), (6, 1))
-    npt.assert_allclose(gaussian(x, p.w_s), np.full((6, 6), 1 / 6), atol=1e-12)
+    npt.assert_allclose(gaussian(x, p["w_s"]), np.full((6, 6), 1 / 6), atol=1e-12)
 
 
 def test_attn_gaussian_matches_mahalanobis_oracle():
     rng = np.random.default_rng(12)
     p = make_params(AttentionVariant.GAUSSIAN, 5, 3, 5, 13)
     x = rng.normal(size=(7, 5))
-    npt.assert_allclose(gaussian(x, p.w_s),
-                        oracle_gaussian(x, p.w_s.data), atol=1e-12)
+    npt.assert_allclose(gaussian(x, p["w_s"]),
+                        oracle_gaussian(x, p["w_s"].data), atol=1e-12)
 
 
 def test_gaussian_prenormalization_diagonal_is_one():
@@ -307,10 +306,10 @@ def test_gaussian_shift_invariance():
     rng = np.random.default_rng(14)
     p = make_params(AttentionVariant.GAUSSIAN, 4, 4, 4, 15)
     x = rng.normal(size=(8, 4))
-    base = gaussian(x, p.w_s)
+    base = gaussian(x, p["w_s"])
     for _ in range(5):
         c = rng.normal(size=(1, 4))
-        shifted = gaussian(x + c, p.w_s)
+        shifted = gaussian(x + c, p["w_s"])
         assert np.abs(shifted - base).max() <= 1e-10
 
 
@@ -320,11 +319,11 @@ def test_standard_attention_shift_witness():
     for trial in range(100):
         p = make_params(AttentionVariant.STANDARD, 4, 4, 4, 1000 + trial)
         x = rng.normal(size=(6, 4))
-        base = standard(x, p.w_q, p.w_k_x)
+        base = standard(x, p["w_q"], p["w_k_x"])
         found = False
         for _ in range(10):
             c = rng.normal(size=(1, 4))
-            if np.abs(standard(x + c, p.w_q, p.w_k_x) - base).max() > 1e-3:
+            if np.abs(standard(x + c, p["w_q"], p["w_k_x"]) - base).max() > 1e-3:
                 found = True
                 break
         hits += found
@@ -424,10 +423,10 @@ def test_scores_relative_reduces_to_standard_qk():
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 21)
     x = rng.normal(size=(5, 4))
     zero_like = lambda t: const(np.zeros_like(t.data))
-    got = relative_scores(x, p.w_q, p.w_k_x, zero_like(p.w_k_r),
-                          zero_like(p.u), zero_like(p.v))
+    got = relative_scores(x, p["w_q"], p["w_k_x"], zero_like(p["w_k_r"]),
+                          zero_like(p["u"]), zero_like(p["v"]))
     xa = np.concatenate([x, np.ones((5, 1))], axis=1)
-    expected = (xa @ p.w_q.data.T) @ (xa @ p.w_k_x.data.T).T
+    expected = (xa @ p["w_q"].data.T) @ (xa @ p["w_k_x"].data.T).T
     npt.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -435,7 +434,7 @@ def test_scores_relative_depends_only_on_offset():
     # constant features isolate the positional terms: scores must be Toeplitz
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 22)
     x = np.tile(np.array([[0.3, -1.2, 0.7, 0.1]]), (7, 1))
-    s = relative_scores(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v)
+    s = relative_scores(x, p["w_q"], p["w_k_x"], p["w_k_r"], p["u"], p["v"])
     for i in range(6):
         for j in range(6):
             assert abs(s[i, j] - s[i + 1, j + 1]) <= 1e-12
@@ -445,10 +444,10 @@ def test_scores_relative_matches_four_term_oracle():
     rng = np.random.default_rng(23)
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 24)
     x = rng.normal(size=(5, 4))
-    table = signed_sinusoid_table(5, p.w_k_r.data.shape[1])
-    got = relative_scores(x, p.w_q, p.w_k_x, p.w_k_r, p.u, p.v)
-    expected = oracle_relative(x, p.w_q.data, p.w_k_x.data, p.w_k_r.data,
-                               p.u.data[0], p.v.data[0], table)
+    table = signed_sinusoid_table(5, p["w_k_r"].data.shape[1])
+    got = relative_scores(x, p["w_q"], p["w_k_x"], p["w_k_r"], p["u"], p["v"])
+    expected = oracle_relative(x, p["w_q"].data, p["w_k_x"].data, p["w_k_r"].data,
+                               p["u"].data[0], p["v"].data[0], table)
     npt.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -472,7 +471,7 @@ def test_multi_head_single_head_singleton():
     x = rng.normal(size=(1, 4))
     out = multi_head_attention(const(x), [head], w_o, AttentionVariant.STANDARD).data
     xa = np.concatenate([x, np.ones((1, 1))], axis=1)
-    values = xa @ head.w_v.data.T
+    values = xa @ head["w_v"].data.T
     expected = np.concatenate([values, np.ones((1, 1))], axis=1) @ w_o.data.T
     npt.assert_allclose(out, expected, atol=1e-12)
 
@@ -505,8 +504,8 @@ def test_multi_head_matches_manual_two_slice():
     xa = np.concatenate([x, np.ones((5, 1))], axis=1)
     slices = []
     for head in heads:
-        attn = gaussian(x, head.w_s)
-        slices.append(attn @ (xa @ head.w_v.data.T))
+        attn = gaussian(x, head["w_s"])
+        slices.append(attn @ (xa @ head["w_v"].data.T))
     manual = np.concatenate(slices + [np.ones((5, 1))], axis=1) @ w_o.T
     npt.assert_allclose(out, manual, atol=1e-12)
 
@@ -531,18 +530,25 @@ def test_all_variants_row_stochastic(variant):
 
 
 def test_attention_params_named_only_present_fields():
-    p = make_params(AttentionVariant.GAUSSIAN, 4, 3, 4, 50)
-    names = [n for n, _ in p.named("h.")]
-    assert names == ["h.w_s", "h.w_v"]
-    p2 = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 51)
-    names2 = [n for n, _ in p2.named()]
-    assert names2 == ["w_q", "w_k_x", "w_k_r", "u", "v", "w_v"]
+    # a head's names, in checkpoint order, are the order its variant draws them
+    expected = {
+        AttentionVariant.STANDARD: ["w_q", "w_k_x", "w_v"],
+        AttentionVariant.STANDARD_FRAME_INDEX: ["w_q", "w_k_x", "w_v"],
+        AttentionVariant.SOFT_MASK: ["w_q", "w_k_x", "log_sigma_mask", "w_v"],
+        AttentionVariant.SHARED_QK: ["w_s", "w_v"],
+        AttentionVariant.GAUSSIAN: ["w_s", "w_v"],
+        AttentionVariant.GAUSSIAN_FRAME_INDEX: ["w_s", "w_v"],
+        AttentionVariant.RELATIVE_PE: ["w_q", "w_k_x", "w_k_r", "u", "v", "w_v"],
+    }
+    assert set(expected) == set(AttentionVariant)
+    for seed, (variant, names) in enumerate(expected.items(), start=50):
+        assert list(make_params(variant, 4, 3, 4, seed)) == names, variant.value
 
 
 def test_soft_mask_sigma_positive_and_matches_init():
     p = make_params(AttentionVariant.SOFT_MASK, 4, 3, 4, 52)
     assert abs(sigma_mask(p) - 10.0) < 1e-12
-    p.log_sigma_mask.data[0, 0] = -40.0
+    p["log_sigma_mask"].data[0, 0] = -40.0
     assert sigma_mask(p) > 0.0
 
 
@@ -569,10 +575,10 @@ def test_offset_table_span_is_checked():
     from longattn.errors import InternalError
 
     p = make_params(AttentionVariant.RELATIVE_PE, 4, 3, 4, 54)
-    q, kx = qk_projections(const(np.zeros((4, 4))), p.w_q, p.w_k_x)
+    q, kx = qk_projections(const(np.zeros((4, 4))), p["w_q"], p["w_k_x"])
     bad_kr = const(np.zeros((5, 3)))  # needs 2*4-1 = 7 rows
     with pytest.raises(InternalError):
-        relative_terms(q, kx, bad_kr, p.u, p.v)
+        relative_terms(q, kx, bad_kr, p["u"], p["v"])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def variant_case(variant, seed):
         attn = head_weights(x, params, variant, alpha=100.0, start_index=2)
         return sum_all(mul(probe, attn))
 
-    named = [("x", x)] + params.named()
+    named = [("x", x), *params.items()]
     named = [(n, t) for n, t in named if n != "w_v"]  # values unused by the weights
     return f, named
 
@@ -54,7 +54,7 @@ def test_multi_head_gradients(seed):
 
     named = [("x", x), ("w_o", w_o)]
     for i, h in enumerate(heads):
-        named += h.named(f"h{i}.")
+        named += [(f"h{i}.{name}", t) for name, t in h.items()]
     errors = check_gradients(f, named)
     worst = max(errors.values())
     assert worst <= GRAD_TOL, errors
@@ -79,7 +79,7 @@ def test_multi_head_gradients_through_row_blocks(variant, monkeypatch):
 
     named = [("x", x), ("w_o", w_o)]
     for i, h in enumerate(heads):
-        named += h.named(f"h{i}.")
+        named += [(f"h{i}.{name}", t) for name, t in h.items()]
     errors = check_gradients(f, named)
     worst = max(errors.values())
     assert worst <= GRAD_TOL, errors

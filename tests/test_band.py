@@ -74,9 +74,9 @@ def far_twin(rng, length, d_model, head, alpha):
     """Frames whose projections cancel the index drift between frame 100 and
     frame 100 + 180, so one weight far off the diagonal is not zero."""
     x = rng.normal(size=(length, d_model))
-    d_k = head.w_s.data.shape[0]
-    w_x = head.w_s.data[:, :d_model] * d_k**-0.25
-    step = head.w_s.data[:, d_model] * d_k**-0.25 / alpha
+    d_k = head["w_s"].data.shape[0]
+    w_x = head["w_s"].data[:, :d_model] * d_k**-0.25
+    step = head["w_s"].data[:, d_model] * d_k**-0.25 / alpha
     # f(x_j) = f(x_i) - 180 * step, solved for x_j in least squares
     x[280] = x[100] + np.linalg.lstsq(w_x, -180.0 * step, rcond=None)[0]
     return x
@@ -152,7 +152,7 @@ def test_multi_head_gradients_through_the_band(monkeypatch):
     d_model, d_k, d_v, L = 4, 3, 2, 40
     heads = [init_attention_params(GFI, d_model, d_k, d_v, 100.0, rng) for _ in range(2)]
     for head in heads:
-        head.w_s.data[:, d_model] *= 30.0
+        head["w_s"].data[:, d_model] *= 30.0
     w_o = param(rng.normal(size=(d_model, 2 * d_v + 1)))
     x = param(rng.normal(size=(L, d_model)))
     probe = const(rng.normal(size=(L, d_model)))
@@ -165,7 +165,7 @@ def test_multi_head_gradients_through_the_band(monkeypatch):
 
     named = [("x", x), ("w_o", w_o)]
     for i, h in enumerate(heads):
-        named += h.named(f"h{i}.")
+        named += [(f"h{i}.{name}", t) for name, t in h.items()]
     errors = check_gradients(f, named)
     assert max(errors.values()) <= 1e-5, errors
     assert any(keys.indices(L)[1] - keys.indices(L)[0] < L for keys in windows)

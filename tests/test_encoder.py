@@ -199,7 +199,7 @@ def localized_frame_index_model(cfg, seed, window):
     norm = cfg.alpha * cfg.d_k**0.25 / window
     for block in params.blocks:
         for head in block.heads:
-            head.w_s.data[:, cfg.d_model] = norm / math.sqrt(cfg.d_k)
+            head["w_s"].data[:, cfg.d_model] = norm / math.sqrt(cfg.d_k)
     return params
 
 

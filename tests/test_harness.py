@@ -22,6 +22,7 @@ from longattn.errors import ConfigError, DivergenceError
 from longattn.harness import (
     Dataset,
     SyntheticTaskConfig,
+    Utterance,
     concat_eval,
     config_hash,
     dump_heatmap,
@@ -528,7 +529,29 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
     ckpt = f"{tmp_path}/none.ckpt"
     folder = str(tmp_path)
     (tmp_path / "hm.pgm").mkdir()
+    # training data that passes every config check but that no step could
+    # train on: utterance 1 of each file is too short, holds a non-token or
+    # cannot be aligned to its 2 subsampled frames
+    prototypes = token_prototypes(SyntheticTaskConfig())
+    for name, frames, labels in [("short", 3, [1]), ("token", 8, [12]), ("blank", 8, [0]),
+                                 ("align", 8, [5, 5])]:
+        bad = Utterance(np.zeros((frames, 8)), labels)
+        good = Utterance(np.zeros((40, 8)), [1, 2])
+        save_dataset(tmp_path / f"{name}.bin", Dataset([good, bad, good], prototypes))
+    tiny = ["--set", "task.frames_per_token=[1,1]", "--set", "task.silence_frames=[0,0]"]
     for argv, named in [
+        (["train", "--out", ckpt, *tiny, "--set", "task.tokens_per_utterance=[8,8]"],
+         "utterance 0 from the task config needs 8 frames after subsampling for its "
+         "labels, but its 8 frames give 2"),
+        (["train", "--out", ckpt, *tiny, "--set", "task.tokens_per_utterance=[2,2]"],
+         "utterance 0 from the task config has 2 frames, fewer than model.subsample_factor 4"),
+        (["train", "--out", ckpt, "--data", f"{tmp_path}/short.bin"],
+         f"utterance 1 from dataset {tmp_path}/short.bin has 3 frames"),
+        (["train", "--out", ckpt, "--data", f"{tmp_path}/token.bin"],
+         f"utterance 1 from dataset {tmp_path}/token.bin has label 12 outside"),
+        (["train", "--out", ckpt, "--data", f"{tmp_path}/blank.bin"], "has label 0 outside"),
+        (["train", "--out", ckpt, "--data", f"{tmp_path}/align.bin"],
+         f"utterance 1 from dataset {tmp_path}/align.bin needs 3 frames"),
         (["train", "--out", folder], folder),
         (["train", "--out", ckpt, "--curve", folder], folder),
         (["eval", "--checkpoint", ckpt, "--out", folder], folder),
@@ -748,11 +771,18 @@ def test_cli_exit_code_checkpoint_from_another_task(tmp_path, capsys):
     # the same prototypes under another noise and utterance stream
     same = ["--set", "task.seed=8", "--set", "task.prototype_seed=7", "--set", "task.noise=0.3"]
     assert cli_main([*commands[0], *CLI_SETS, *same]) == 0
-    # a checkpoint that records no task is checked as before
+    # a checkpoint that records no task is checked for its prototypes no more,
+    # but its model still names its vocabulary size
     model = load_checkpoint(ckpt)
     del model.meta["task"]
     save_checkpoint(ckpt, model)
     assert cli_main([*commands[0], *CLI_SETS, "--set", "task.seed=8"]) == 0
+    for vocab in (10, 14):
+        for argv in commands:
+            capsys.readouterr()
+            assert cli_main([*argv, *CLI_SETS, "--set", f"task.vocab_size={vocab}"]) == 2, argv
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"trained on task.vocab_size 12, not {vocab}" in err[0], err
     # malformed task metadata is a user error
     model.meta["task"] = {"vocab_size": "twelve"}
     save_checkpoint(ckpt, model)

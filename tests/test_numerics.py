@@ -379,8 +379,9 @@ def test_primitive_op_gradients(seed):
             lambda: sum_all(mul(probe5, T.append_const_col(a))),
             [("a", a)],
         ),
-        "concat_cols": (
-            lambda: sum_all(T.matmul(T.concat_cols([a, b]), transpose(T.concat_cols([a, b])))),
+        "concat_axis_1": (
+            lambda: sum_all(T.matmul(T.concat([a, b], axis=1),
+                                     transpose(T.concat([a, b], axis=1)))),
             [("a", a), ("b", b)],
         ),
         "frame_stack": (frame_stack_squares, [("a", a)]),
@@ -421,8 +422,8 @@ def test_primitive_op_gradients(seed):
             lambda: sum_all(mul(probe24, T.slice_rows(a, slice(1, 3)))),
             [("a", a)],
         ),
-        "concat_rows": (
-            lambda: sum_all(mul(probe54, T.concat_rows([T.slice_rows(a, slice(1, 3)), b]))),
+        "concat_axis_0": (
+            lambda: sum_all(mul(probe54, T.concat([T.slice_rows(a, slice(1, 3)), b], axis=0))),
             [("a", a), ("b", b)],
         ),
     }
@@ -432,15 +433,15 @@ def test_primitive_op_gradients(seed):
         assert worst <= GRAD_TOL, f"{name}: rel err {worst:.2e} {errors}"
 
 
-def test_slice_and_concat_rows_pass_whole_tensors_through():
+def test_slice_and_concat_pass_whole_tensors_through():
     a = param(np.arange(6.0).reshape(3, 2))
     assert T.slice_rows(a, slice(None)) is a
     assert T.slice_rows(a, slice(0, 5)) is a
-    assert T.concat_rows([a]) is a
+    assert T.concat([a], axis=0) is a
     parts = [T.slice_rows(a, rows) for rows in (slice(0, 1), slice(1, 3))]
-    npt.assert_array_equal(T.concat_rows(parts).data, a.data)
+    npt.assert_array_equal(T.concat(parts, axis=0).data, a.data)
     with pytest.raises(DimensionError):
-        T.concat_rows([a, param(np.zeros((1, 3)))])
+        T.concat([a, param(np.zeros((1, 3)))], axis=0)
 
 
 def test_determinism_forward_and_gradients():
