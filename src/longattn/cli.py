@@ -17,8 +17,7 @@ from dataclasses import astuple
 
 from .attention.params import AttentionVariant
 from .container import build, write_csv
-from .ctc import min_frames_required
-from .encoder import TrainedModel, load_checkpoint, save_checkpoint
+from .encoder import TrainedModel, check_utterance, load_checkpoint, save_checkpoint
 from .errors import ConfigError, LongattnError, reading
 from .harness.configio import config_hash, load_config
 from .harness.evaluation import ReportRow, SweepRow, evaluate, run_length_sweep
@@ -81,25 +80,6 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _check_trainable(dataset, model, source: str) -> None:
-    """Every training utterance has at least ``subsample_factor`` frames, labels
-    that are tokens of the model, and an alignment to its subsampled frames."""
-    factor, vocab = model.subsample_factor, model.vocab_size
-    for i, utt in enumerate(dataset):
-        frames, subsampled = utt.features.shape[0], -(-utt.features.shape[0] // factor)
-        outside = [t for t in utt.labels if not 1 <= t < vocab]
-        if frames < factor:
-            problem = f"has {frames} frames, fewer than model.subsample_factor {factor}"
-        elif outside:
-            problem = f"has label {outside[0]} outside the token range [1, {vocab - 1}]"
-        elif min_frames_required(utt.labels) > subsampled:
-            problem = (f"needs {min_frames_required(utt.labels)} frames after subsampling "
-                       f"for its labels, but its {frames} frames give {subsampled}")
-        else:
-            continue
-        raise ConfigError(f"training utterance {i} from {source} {problem}")
-
-
 def cmd_train(args) -> int:
     if args.variant is not None:
         args.overrides = list(args.overrides) + [f"model.variant={args.variant}"]
@@ -115,12 +95,9 @@ def cmd_train(args) -> int:
             dataset = load_dataset(args.data)
         if dataset.task is not None and dataset.task != cfg.task:
             raise ConfigError(f"dataset {args.data} was generated from a different task config")
-        width = dataset.prototypes.shape[1]
-        if width != cfg.model.feat_dim:
-            raise ConfigError(f"dataset {args.data} has {width}-wide features, "
-                              f"but model.feat_dim is {cfg.model.feat_dim}")
         source = f"dataset {args.data}"
-    _check_trainable(dataset, cfg.model, source)
+    for i, utt in enumerate(dataset):
+        check_utterance(cfg.model, utt, f"training utterance {i} from {source}", train=True)
     result = train_model(cfg.model, cfg.task, cfg.train.steps, cfg.train.lr,
                          cfg.train.seed, dataset=dataset)
     result.model.meta["config_hash"] = digest
@@ -204,8 +181,10 @@ def cmd_heatmap(args) -> int:
     eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
     if not (0 <= args.utterance < len(eval_set)):
         raise ConfigError(f"utterance {args.utterance} out of range [0, {len(eval_set)})")
-    features = eval_set.utterances[args.utterance].features
-    attn = dump_heatmap(model, features, args.layer, args.head, args.out_prefix,
+    utt = eval_set.utterances[args.utterance]
+    check_utterance(model.config, utt, f"utterance {args.utterance} of eval set "
+                    f"concat{args.concat_k}", train=False)
+    attn = dump_heatmap(model, utt.features, args.layer, args.head, args.out_prefix,
                         config_hash=digest)
     log.info("heatmap %dx%d -> %s.csv / %s.pgm", attn.shape[0], attn.shape[1],
              args.out_prefix, args.out_prefix)

@@ -81,8 +81,8 @@ def write_container(path, meta: dict, arrays: Iterable[tuple[str, np.ndarray]]) 
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a container; a short read, bad text, a repeated array name, or a
-    trailing byte is a ConfigError."""
+    """Parse a container; a short read, bad text, a repeated array name, a
+    non-finite float, or a trailing byte is a ConfigError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:len(MAGIC)] != MAGIC:
@@ -112,6 +112,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ConfigError(f"{path}: duplicate array name {name!r}")
             values = take(rows * cols * dtype.itemsize, f"values of {name!r}")
             arrays[name] = np.frombuffer(values, dtype=dtype).reshape(rows, cols).copy()
+            if code == 0 and not np.isfinite(arrays[name]).all():
+                raise ConfigError(f"{path}: array {name!r} holds a non-finite value")
     except ConfigError:
         raise
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, JSON nested too deep

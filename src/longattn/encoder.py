@@ -21,6 +21,7 @@ from .attention.encodings import DEFAULT_ALPHA, sinusoid_encoding
 from .attention.multihead import multi_head_attention
 from .attention.params import VARIANTS, AttentionVariant, Head, init_attention_params
 from .container import bounded, build, check_types, read_container, write_container
+from .ctc import min_frames_required
 from .errors import ConfigError, ShortInputError
 from .numerics.tensor import (
     Tensor,
@@ -40,7 +41,7 @@ CHECKPOINT_FORMAT = "longattn-checkpoint-v1"
 @dataclass
 class EncoderConfig:
     # sizes are bounded as in SyntheticTaskConfig
-    feat_dim: int = bounded(8, 1, 1000)
+    feat_dim: int = bounded(8, 2, 1000)
     d_model: int = bounded(64, 1, 1024)
     n_layers: int = bounded(4, 1, 64)
     n_heads: int = bounded(2, 1, 64)
@@ -171,6 +172,26 @@ def subsample(features, factor: int, proj: Tensor) -> Tensor:
         )
     stacked = frame_stack(x, factor)
     return affine(stacked, proj)
+
+
+def check_utterance(cfg: EncoderConfig, utt, name: str, train: bool) -> None:
+    """Raise a one-line ConfigError naming the utterance ``name`` unless a model of
+    ``cfg`` takes ``utt``: ``feat_dim``-wide features, at least ``subsample_factor``
+    frames, labels in [1, vocab_size - 1] and, to ``train``, a CTC alignment."""
+    (frames, width), factor, vocab = utt.features.shape, cfg.subsample_factor, cfg.vocab_size
+    subsampled, outside = -(-frames // factor), [t for t in utt.labels if not 1 <= t < vocab]
+    if width != cfg.feat_dim:
+        problem = f"has {width}-wide features, but model.feat_dim is {cfg.feat_dim}"
+    elif frames < factor:
+        problem = f"has {frames} frames, fewer than model.subsample_factor {factor}"
+    elif outside:
+        problem = f"has label {outside[0]} outside the token range [1, {vocab - 1}]"
+    elif train and min_frames_required(utt.labels) > subsampled:
+        problem = (f"needs {min_frames_required(utt.labels)} frames after subsampling "
+                   f"for its labels, but its {frames} frames give {subsampled}")
+    else:
+        return
+    raise ConfigError(f"{name} {problem}")
 
 
 def sa_block_forward(

@@ -10,8 +10,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..ctc import edit_distance, greedy_decode, validate_labels
-from ..encoder import TrainedModel, encoder_forward
+from ..ctc import edit_distance, greedy_decode
+from ..encoder import TrainedModel, check_utterance, encoder_forward
 from ..errors import ConfigError
 from ..numerics.tensor import no_grad
 from .synth import Dataset, concat_eval
@@ -59,11 +59,10 @@ def evaluate(
 ) -> ExperimentReport:
     """Greedy-decode every utterance; aggregate corpus-level error per length bucket."""
     started = time.perf_counter()
-    vocab = model.config.vocab_size
     rows: list[ReportRow] = []
     for name, dataset in eval_sets.items():
-        for utt in dataset:
-            validate_labels(utt.labels, vocab)
+        for i, utt in enumerate(dataset):
+            check_utterance(model.config, utt, f"utterance {i} of eval set {name}", train=False)
         hyps = [decode_utterance(model, u.features) for u in dataset]
         # ordered reduction into buckets keyed by raw feature length
         n_buckets = len(bucket_edges)
@@ -122,7 +121,7 @@ def run_length_sweep(
             per_seed = []
             for seed in seeds:
                 eval_set = concat_eval(heldout, k, seed=seed)
-                ter = overall_error(evaluate(model, {"sweep": eval_set}), "sweep")
+                ter = overall_error(evaluate(model, {f"concat{k}": eval_set}), f"concat{k}")
                 rows.append(SweepRow(variant, k, str(seed), len(eval_set), ter))
                 per_seed.append(ter)
             rows.append(SweepRow(variant, k, "mean", len(eval_set), float(np.mean(per_seed))))

@@ -48,13 +48,11 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
     return meter.elements
 
 
-def memory_footprint_estimate(variant: AttentionVariant | str, length: int,
+def memory_footprint_estimate(variant: AttentionVariant, length: int,
                               cfg: EncoderConfig) -> MemoryFootprint:
     """Analytic and measured pairwise-stage element counts for one head."""
     if not 1 <= length <= MAX_LENGTH:
         raise ConfigError(f"length must be in [1, {MAX_LENGTH}], got {length}")
-    if isinstance(variant, str):
-        variant = AttentionVariant.parse(variant)
     return MemoryFootprint(
         variant=variant.value,
         length=length,

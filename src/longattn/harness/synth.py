@@ -32,7 +32,7 @@ class SyntheticTaskConfig:
     # each size's bound is far above any experiment here, and low enough that a
     # mistyped huge value exits 2 before anything is allocated
     vocab_size: int = bounded(12, 2, 1000)  # includes blank id 0
-    feat_dim: int = bounded(8, 1, 1000)
+    feat_dim: int = bounded(8, 2, 1000)  # partner prototypes tilt along a second axis
     frames_per_token: tuple[int, int] = bounded((10, 16), 1, 1000)
     noise: float = bounded(0.2, 0.0)
     tokens_per_utterance: tuple[int, int] = bounded((4, 8), 1, 1000)

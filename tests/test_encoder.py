@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -423,6 +424,24 @@ def test_container_rejects_every_truncation_and_trailing_byte(tmp_path):
         with pytest.raises(ConfigError) as info:
             read_container(bad)
         assert "\n" not in str(info.value), len(blob)
+
+
+def test_container_rejects_non_finite_floats(tmp_path):
+    from longattn.container import read_container, write_container
+
+    path = tmp_path / "c.bin"
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.arange(6.0).reshape(2, 3)
+        values[1, 2] = bad
+        write_container(path, {}, [("ok", np.ones((1, 1))), ("w", values),
+                                   ("n", np.array([[-1]], dtype=np.int64))])
+        with pytest.raises(ConfigError) as info:
+            read_container(path)
+        assert str(info.value) == f"{path}: array 'w' holds a non-finite value"
+    # the extreme finite floats and integers read back
+    edges = np.array([[sys.float_info.max, -sys.float_info.max, 5e-324, -0.0]])
+    write_container(path, {}, [("w", edges), ("n", np.array([[2**63 - 1]], dtype=np.int64))])
+    npt.assert_array_equal(read_container(path)[1]["w"], edges)
 
 
 def test_container_rejects_repeated_array_names(tmp_path):

@@ -89,6 +89,17 @@ def test_gen_dataset_rejects_degenerate_vocab():
         small_task(vocab_size=1)
 
 
+def test_gen_dataset_two_tokens_in_two_dimensions_is_finite():
+    # the one token is its own partner's anchor, so its tilt takes the fallback
+    # orthogonal direction; one dimension has none, and is out of range
+    cfg = small_task(feat_dim=2, vocab_size=2)
+    ds = gen_dataset(cfg)
+    npt.assert_allclose(np.linalg.norm(token_prototypes(cfg), axis=1), 1.0)
+    assert all(np.isfinite(u.features).all() for u in ds)
+    with pytest.raises(ConfigError, match="feat_dim must be in"):
+        small_task(feat_dim=1, vocab_size=2)
+
+
 def test_token_recoverable_by_nearest_prototype():
     # classify each run by the nearest prototype to its mean emission; fixed
     # durations and no silence make the run boundaries known
@@ -222,6 +233,24 @@ def test_evaluate_vocab_mismatch():
     bad_task = small_task(vocab_size=20, seed=12)
     with pytest.raises(ConfigError):
         evaluate(model, {"bad": gen_dataset(bad_task)})
+
+
+def test_evaluate_checks_each_set_before_decoding_it(monkeypatch):
+    import longattn.harness.evaluation as evaluation
+
+    task = small_task()
+    cfg = tiny_model(task=task)
+    model = TrainedModel(cfg, init_model(cfg, seed=0))
+    held = gen_dataset(heldout_task(task, seed=11, n_utterances=3))
+    short = Dataset([held.utterances[0], Utterance(np.zeros((3, 8)), [1])], held.prototypes)
+    decoded = []
+    monkeypatch.setattr(evaluation, "decode_utterance",
+                        lambda model, features: decoded.append(features) or [1])
+    with pytest.raises(ConfigError) as info:
+        evaluate(model, {"held": held, "short": short})
+    assert str(info.value) == ("utterance 1 of eval set short has 3 frames, "
+                               "fewer than model.subsample_factor 4")
+    assert len(decoded) == len(held)  # no utterance of the short set, not even its first
 
 
 def test_run_length_sweep_shape_and_k1_consistency():
@@ -539,7 +568,26 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
         good = Utterance(np.zeros((40, 8)), [1, 2])
         save_dataset(tmp_path / f"{name}.bin", Dataset([good, bad, good], prototypes))
     tiny = ["--set", "task.frames_per_token=[1,1]", "--set", "task.silence_frames=[0,0]"]
+    # a held-out set of 2-frame utterances, too short to subsample: eval, sweep
+    # and heatmap name the first one, and nothing is decoded or written
+    import longattn.harness.evaluation as evaluation
+    import longattn.harness.heatmap as heatmap
+
+    decoded = []
+    for module in (evaluation, heatmap):
+        monkeypatch.setattr(module, "encoder_forward", lambda *a, **kw: decoded.append(a))
+    small = load_config(None, CLI_SETS[1::2]).model
+    small_ckpt = f"{tmp_path}/small.ckpt"
+    save_checkpoint(small_ckpt, TrainedModel(small, init_model(small, seed=0)))
+    held_short = [*CLI_SETS, *tiny, "--set", "task.tokens_per_utterance=[2,2]"]
+    too_short = "utterance 0 of eval set concat1 has 2 frames, fewer than model.subsample_factor 4"
     for argv, named in [
+        (["eval", "--checkpoint", small_ckpt, "--out", f"{tmp_path}/r.csv", *held_short],
+         too_short),
+        (["sweep", "--checkpoint", f"gaussian_frame_index={small_ckpt}", "--lengths", "1",
+          "--out", f"{tmp_path}/s.csv", *held_short], too_short),
+        (["heatmap", "--checkpoint", small_ckpt, "--layer", "0", "--head", "0",
+          "--out-prefix", f"{tmp_path}/short", *held_short], too_short),
         (["train", "--out", ckpt, *tiny, "--set", "task.tokens_per_utterance=[8,8]"],
          "utterance 0 from the task config needs 8 frames after subsampling for its "
          "labels, but its 8 frames give 2"),
@@ -577,7 +625,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
         assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0], (argv, err)
-    assert trained == []
+    assert trained == [] and decoded == []
+    assert not any((tmp_path / name).exists() for name in ("r.csv", "s.csv", "short.csv"))
     # missing checkpoint listed explicitly
     rc = cli_main(["sweep", "--checkpoint", f"standard={tmp_path}/none.ckpt",
                    "--lengths", "1", "--seeds", "0",
@@ -671,6 +720,35 @@ def _train_on(tmp_path, arrays) -> int:
     data = tmp_path / "data.bin"
     write_container(data, {"format": "longattn-dataset-v1", "task": None}, arrays)
     return cli_main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"), *CLI_SETS])
+
+
+def test_cli_exit_code_non_finite_checkpoint(tmp_path, capsys):
+    small = load_config(None, CLI_SETS[1::2]).model
+    model = TrainedModel(small, init_model(small, seed=0))
+    model.params.w_out.data[3, 1] = math.nan
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, model)
+    out = str(tmp_path / "r.csv")
+    for argv in (["eval", "--checkpoint", ckpt, "--out", out],
+                 ["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--out", out],
+                 ["heatmap", "--checkpoint", ckpt, "--layer", "0", "--head", "0",
+                  "--out-prefix", str(tmp_path / "hm")]):
+        capsys.readouterr()
+        assert cli_main([*argv, *CLI_SETS]) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "array 'w_out' holds a non-finite value" in err[0], err
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.ckpt"]
+
+
+def test_cli_exit_code_non_finite_dataset(tmp_path, capsys):
+    dataset = gen_dataset(load_config(None, CLI_SETS[1::2]).task)
+    dataset.utterances[3].features[2, 1] = -math.inf
+    save_dataset(tmp_path / "d.bin", dataset)
+    assert cli_main(["train", "--data", str(tmp_path / "d.bin"),
+                     "--out", str(tmp_path / "m.ckpt"), *CLI_SETS]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "array 'u00003.features' holds a non-finite value" in err[0], err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_cli_exit_code_labels_without_rows(tmp_path, capsys):
