@@ -1,4 +1,4 @@
-"""Print the greedy decode cost per frame, and each head's key band, as inputs grow.
+"""Print the greedy decode cost per frame, and each head's key window, as inputs grow.
 
 Trains the models of the eval benchmark on the default task with the default
 seed and learning rate (gaussian_frame_index for 200 steps, standard for
@@ -7,17 +7,20 @@ held-out set concatenated k at a time (``concat_eval`` with seed 0) for each
 k in ``--ks``. BLAS runs on one thread, as in the benchmark. One line per k
 and variant:
 
-    <variant> k=<k> L=<frames> ms_per_frame=<ms> W=<half-widths>
+    <variant> k=<k> L=<frames> ms_per_frame=<ms> keys=<window widths>
 
 ``L`` is the first utterance's length after subsampling, and ``ms_per_frame``
 the median over the utterances of the fastest of ``--repeats`` decodes,
-divided by the utterance's L. ``W`` lists the band half-width of every layer
-and head (layer by layer, heads within a layer) that the decode of the first
-utterance used, with ``-`` for a head that computed no band or whose band is
-not narrower than L. Only a variant with a band computes one, and only when
-L > 256, where attention runs in more than one row block.
-With the band, gaussian_frame_index's cost per frame stops growing once L is
-well past 2W; standard's keeps growing with L.
+divided by the utterance's L. ``keys`` lists, for every layer and head (layer
+by layer, heads within a layer), the widest key window in frames of a row
+block in the decode of the first utterance, read through ``encoder_forward``'s
+observer, with ``-`` for a head whose blocks read every key. An interior
+block's window is its rows plus W frames on each side, rounded out to
+multiples of ``KEY_ALIGN``, so W is (width - rows) / 2 to within ``KEY_ALIGN``;
+a window clipped at both ends of the input reads L frames. Only a head whose
+projection has a band reads a window. With the band, gaussian_frame_index's
+cost per frame stops growing once L is well past 2W; standard's keeps growing
+with L.
 
     PYTHONPATH=src python3 scripts/decode_scaling.py
 """
@@ -28,15 +31,13 @@ import argparse
 import os
 import statistics
 import time
-from dataclasses import replace
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
 
 import numpy as np  # noqa: E402
 
 from longattn.attention import AttentionVariant  # noqa: E402
-from longattn.attention.params import VARIANTS  # noqa: E402
-from longattn.encoder import EncoderConfig, TrainedModel  # noqa: E402
+from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward  # noqa: E402
 from longattn.harness import (  # noqa: E402
     EvalSettings,
     SyntheticTaskConfig,
@@ -47,28 +48,25 @@ from longattn.harness import (  # noqa: E402
     heldout_task,
     train_model,
 )
+from longattn.numerics import no_grad  # noqa: E402
 
 MODELS = {AttentionVariant.GAUSSIAN_FRAME_INDEX: 200, AttentionVariant.STANDARD: 400}
 
 
-def band_widths(model: TrainedModel, features: np.ndarray) -> list[int | None]:
-    """Each layer's and head's band half-width in one decode of ``features``,
-    read by wrapping the variant's ``band``; None where no band is computed."""
-    variant = model.config.variant
-    spec = VARIANTS[variant]
-    widths: list[int | None] = []
+def key_windows(model: TrainedModel, features: np.ndarray) -> list[int | None]:
+    """Each layer's and head's widest key window in frames over the row blocks
+    of one no-grad forward of ``features``; None where every block reads every key."""
+    widest: dict[tuple[int, int], int] = {}
 
-    def band(projected, head, alpha):
-        widths.append(spec.band(projected, head, alpha))
-        return widths[-1]
+    def observe(layer, head, rows, keys, weights):
+        if keys != slice(None):
+            widest[layer, head] = max(widest.get((layer, head), 0), keys.stop - keys.start)
 
-    if spec.band is not None:
-        VARIANTS[variant] = replace(spec, band=band)
-        try:
-            decode_utterance(model, features)
-        finally:
-            VARIANTS[variant] = spec
-    return widths or [None] * (model.config.n_layers * model.config.n_heads)
+    cfg = model.config
+    with no_grad():
+        encoder_forward(features, model.params, cfg, observe=observe)
+    return [widest.get((layer, head))
+            for layer in range(cfg.n_layers) for head in range(cfg.n_heads)]
 
 
 def decode_ms(model: TrainedModel, features: np.ndarray, repeats: int) -> float:
@@ -102,11 +100,11 @@ def main() -> None:
             decode_utterance(model, utterances[0].features)  # warm-up
             per_frame = [decode_ms(model, u.features, args.repeats) / -(-len(u.features) // factor)
                          for u in utterances]
-            widths = band_widths(model, utterances[0].features)
+            widths = key_windows(model, utterances[0].features)
             length = -(-len(utterances[0].features) // factor)
             print(f"{variant.value} k={k} L={length} "
                   f"ms_per_frame={statistics.median(per_frame):.4f} "
-                  f"W={','.join('-' if w is None else str(w) for w in widths)}", flush=True)
+                  f"keys={','.join('-' if w is None else str(w) for w in widths)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -21,26 +21,23 @@ from ..numerics.tensor import (
     softmax_rows,
 )
 from .encodings import DEFAULT_ALPHA
-from .params import VARIANTS, AttentionVariant, Head
+from .params import VARIANTS, AttentionVariant, Head, Projection
 
 
 def attention_weights(
-    projected,
+    projected: Projection,
     head: Head,
     variant: AttentionVariant,
     *,
     rows: slice = slice(None),
     keys: slice = slice(None),
 ) -> Tensor:
-    """Row-stochastic attention of the query frames ``rows`` (all by default)
-    over the key frames ``keys`` (all by default), for one head under the given
-    variant. ``projected`` is the output of the variant's projection stage.
-    Only a variant with a ``band`` takes a narrower ``keys``.
-    """
-    spec = VARIANTS[variant]
-    if spec.band is None and keys != slice(None):
-        raise InternalError(f"{variant.value} attention scores every key, got keys {keys}")
-    return softmax_rows(spec.scores(projected, head, rows, keys))
+    """Row-stochastic attention of the query frames ``rows`` over the key frames
+    ``keys`` (all of each by default) for one head under ``variant``, from the
+    head's projection stage; only one with a band takes a narrower ``keys``."""
+    if projected.half is None and keys != slice(None):
+        raise InternalError(f"{variant.value} attention without a band reads every key, got {keys}")
+    return softmax_rows(VARIANTS[variant].scores(projected.operands, head, rows, keys))
 
 
 # A key window's ends are rounded out to multiples of this many frames. In a
@@ -73,11 +70,10 @@ def multi_head_attention(
     values of those keys, and the block outputs are stacked. So no forward
     holds an L x L matrix once L passes 256 (shorter inputs are one block).
 
-    The keys of a block are every frame, except under a variant with a
-    ``band`` when there is more than one block: then they are the
-    ``key_window`` of the block for the head's half-width W. Every weight
-    outside that window is exactly 0.0, so the output is the one-block output
-    up to the rounding of shorter sums.
+    The keys of a block are every frame, or the block's ``key_window`` when
+    the head's projection has a band W (every frame again when the block is
+    the whole input). Every weight outside that window is exactly 0.0, so the
+    output is the one-block output up to the rounding of shorter sums.
 
     ``observe`` is called as ``observe(head, rows, keys, weights)`` for each
     block, in row order, with the block's weights over the keys ``keys``; it
@@ -86,18 +82,16 @@ def multi_head_attention(
     Values are always projected from the raw input frames; frame indexing,
     from frame 0, only ever enters the query/key projections.
     """
-    spec = VARIANTS[variant]
     xa = append_const_col(x)
     length = x.data.shape[0]
     blocks = row_chunks(length, length)
     outputs = []
     for index, head in enumerate(heads):
-        projected = spec.projections(x, head, alpha, start_index=0)
+        projected = VARIANTS[variant].projections(x, head, alpha, start_index=0)
         values = matmul_t(xa, head["w_v"])
-        half = None if spec.band is None or len(blocks) == 1 else spec.band(projected, head, alpha)
         parts = []
         for rows in blocks:
-            keys = slice(None) if half is None else key_window(rows, half, length)
+            keys = key_window(rows, projected.half, length) if projected.half else slice(None)
             attn = attention_weights(projected, head, variant, rows=rows, keys=keys)
             if observe is not None:
                 observe(index, rows, keys, attn.data)

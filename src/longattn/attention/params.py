@@ -16,8 +16,8 @@ from ..errors import ConfigError
 from ..numerics.tensor import Tensor, add, affine, append_const_col, mul_scalar, param
 from .encodings import frame_index_column
 from .variants import (
+    Projection,
     dot_product_scores,
-    gaussian_band,
     gaussian_projection,
     pairwise_sqdist_scores,
     qk_projections,
@@ -62,29 +62,25 @@ Head = dict[str, Tensor]
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Everything one attention variant means: ``project`` is the per-frame stage,
-    ``scores(projected, head, rows, keys)`` the pre-softmax scores of the query
-    rows ``rows`` against the key frames ``keys``, ``pair_elements(length,
-    d_model, d_k)`` the closed-form element count of one head's scores and their
-    softmax over all rows, and ``init_scores(rng, score_in, d_model, d_k, alpha)``
-    draws the score weights, whose names and their order are the variant's.
-    ``band(projected, head, alpha)``, when set, gives the half-width in frames
-    beyond which every weight is exactly 0.0, or None for no band; a variant
-    without it scores every key."""
+    """Everything one attention variant means: ``project(x, head, alpha)`` is the
+    per-frame stage, ``scores(operands, head, rows, keys)`` the pre-softmax scores
+    of the query rows ``rows`` against the key frames ``keys``, ``pair_elements(
+    length, d_model, d_k)`` the closed-form element count of one head's scores
+    and their softmax over all rows, and ``init_scores(rng, score_in, d_model,
+    d_k, alpha)`` draws the score weights, whose names and order are the variant's."""
 
-    project: Callable[[Tensor, Head], Any]
+    project: Callable[[Tensor, Head, float], Projection]
     scores: Callable[[Any, Head, slice, slice], Tensor]
     pair_elements: Callable[[int, int, int], int]
     init_scores: Callable[..., Head]
-    band: Callable[[Any, Head, float], int | None] | None = None
     frame_indexed: bool = False
     default_abs_pe: bool = False
 
-    def projections(self, x: Tensor, head: Head, alpha: float, start_index: int):
+    def projections(self, x: Tensor, head: Head, alpha: float, start_index: int) -> Projection:
         """Per-frame stage: append the frame index if this variant uses it, then project."""
         if self.frame_indexed:
             x = append_const_col(x, frame_index_column(x.data.shape[0], start_index, alpha))
-        return self.project(x, head)
+        return self.project(x, head, alpha)
 
 
 def _init_qk(rng, score_in, d_model, d_k, alpha) -> Head:
@@ -112,16 +108,16 @@ def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> Head:
 
 
 _STANDARD = VariantSpec(
-    project=lambda x, p: qk_projections(x, p["w_q"], p["w_k_x"]),
+    project=lambda x, p, alpha: Projection(qk_projections(x, p["w_q"], p["w_k_x"])),
     scores=lambda qk, p, rows, keys: dot_product_scores(*qk, rows=rows),
     pair_elements=lambda n, d_model, d_k: 3 * n * n,  # raw, scaled scores; attention
     init_scores=_init_qk,
     default_abs_pe=True,
 )
 _GAUSSIAN = VariantSpec(
-    project=lambda x, p: gaussian_projection(x, p["w_s"]),
+    project=lambda x, p, alpha: gaussian_projection(x, p["w_s"]),
     # sees only row differences, so it is shift-invariant
-    scores=lambda a, p, rows, keys: pairwise_sqdist_scores(a, rows, keys),
+    scores=lambda ag, p, rows, keys: pairwise_sqdist_scores(*ag, rows, keys),
     pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
     init_scores=_init_gaussian,
 )
@@ -140,20 +136,19 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     ),
     AttentionVariant.SHARED_QK: replace(
         _STANDARD,
-        project=lambda x, p: affine(x, p["w_s"]),
+        project=lambda x, p, alpha: Projection(affine(x, p["w_s"])),
         scores=lambda q, p, rows, keys: dot_product_scores(q, q, rows=rows),
         init_scores=_init_shared,
     ),
     AttentionVariant.GAUSSIAN: _GAUSSIAN,
     AttentionVariant.GAUSSIAN_FRAME_INDEX: replace(
         _GAUSSIAN, init_scores=_init_gaussian_frame_index, frame_indexed=True,
-        # one frame of index adds w_s's index column / alpha, scaled as in the projection
-        band=lambda a, p, alpha: gaussian_band(
-            a.data, p["w_s"].data[:, -2] * (p["w_s"].data.shape[0] ** -0.25 / alpha))),
+        project=lambda x, p, alpha: gaussian_projection(x, p["w_s"], alpha)),
     AttentionVariant.RELATIVE_PE: replace(
         _STANDARD,
         # the offset table's key projection is per-frame work, done once per head
-        project=lambda x, p: relative_projections(x, p["w_q"], p["w_k_x"], p["w_k_r"]),
+        project=lambda x, p, alpha: Projection(
+            relative_projections(x, p["w_q"], p["w_k_x"], p["w_k_r"])),
         scores=lambda qkr, p, rows, keys: mul_scalar(
             relative_terms(*qkr, p["u"], p["v"], rows), 1.0 / math.sqrt(qkr[0].data.shape[1])),
         # content scores, all-offset position scores (L x 2L-1), their shift,

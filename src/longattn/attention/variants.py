@@ -3,10 +3,10 @@
 Every variant is a row softmax of a score, so a variant is two stages: a
 projection stage (per-frame linear maps) and a score stage (everything whose
 footprint grows with the squared sequence length), which gives pre-softmax
-scores. ``multihead.attention_weights`` applies the one softmax, and the
-memory-footprint tool measures the score stage with it. A score stage scores
-the query frames in ``rows`` against every key, so a caller can work through
-the queries one block at a time; the default is all of them.
+scores from the projection stage's ``Projection``. ``multihead.attention_weights``
+applies the one softmax, and the memory-footprint tool measures the score
+stage with it. A score stage scores the query frames in ``rows``, all by
+default, so a caller can work through the queries one block at a time.
 ``params.VARIANTS`` wires each variant to its two stages.
 
 The Gaussian distances, relative_pe's shift and soft_mask's window are custom
@@ -21,6 +21,7 @@ instead of inner products, and must agree with the shared-QK variant.
 from __future__ import annotations
 
 import math
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -47,23 +48,27 @@ from .encodings import signed_sinusoid_table, squared_offset_matrix
 BAND_SCORE = -750.0
 
 
+class Projection(NamedTuple):  # one head's projection stage
+    operands: Any  # everything the variant's score stage reads
+    half: int | None = None  # W: a key more than W frames off gets weight 0.0; None: no band
+
+
 # ---------------------------------------------------------------------------
 # custom pairwise ops
 # ---------------------------------------------------------------------------
 
 
 def pairwise_sqdist_scores(
-    a: Tensor, rows: slice = slice(None), keys: slice = slice(None)
+    a: Tensor, g: np.ndarray, rows: slice = slice(None), keys: slice = slice(None)
 ) -> Tensor:
     """S[i, j] = -||a_i - a_j||^2 / 2 for the rows i in ``rows`` and the rows j in ``keys``.
 
     Computed as ``-0.5 * (g[rows, None] + g[None, keys]) + a[rows] @ a[keys].T``
-    with g_i = ||a_i||^2, added into the Gram product in place. Attention passes
-    one block of query rows at a time, and for a banded variant the block's key
-    window, so the temporary is block-sized.
+    with the given g_i = ||a_i||^2, added into the Gram product in place.
+    Attention passes one block of query rows at a time, and for a banded variant
+    the block's key window, so the temporary is block-sized.
     """
     a_rows, a_keys = a.data[rows], a.data[keys]
-    g = np.einsum("ij,ij->i", a.data, a.data)
     scores = a_rows @ a_keys.T
     half_sum = np.add(g[rows, None], g[None, keys])
     np.multiply(half_sum, -0.5, out=half_sum)
@@ -146,30 +151,30 @@ def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tenso
 # ---------------------------------------------------------------------------
 
 
-def gaussian_projection(x: Tensor, w_s: Tensor) -> Tensor:
-    d_k = w_s.data.shape[0]
-    return mul_scalar(affine(x, w_s), d_k**-0.25)
+def gaussian_projection(x: Tensor, w_s: Tensor, alpha: float | None = None) -> Projection:
+    """Rows a = [x, 1] w_s^T / d_k^(1/4), their g_i = ||a_i||^2 for every row block's
+    scores, and W, the half-width in frames of their exact key band: given the
+    frame-index scale ``alpha``, x's last column is the frame index; else no band.
 
-
-def gaussian_band(a: np.ndarray, index_step: np.ndarray) -> int | None:
-    """Half-width W in frames of the exact key band of Gaussian attention with
-    frame indexing, or None when there is no band.
-
-    Row i of ``a`` is f_i + i * v, with v = ``index_step`` the projection of one
-    frame of index and f_i the rest (the start offset is a constant in f). With
-    beta = ||v|| and r_i = ||f_i - mean(f)||, the triangle inequality gives
-    -||a_i - a_j||^2 / 2 <= -(|i - j| * beta - r_i - r_j)^2 / 2. So every key
-    more than W = (2 max r + sqrt(-2 * BAND_SCORE)) / beta frames from row i
-    scores at most BAND_SCORE, while the row's own key scores 0; its weight is
-    exactly 0.0 (``EXP_NORMAL_MIN``). W is rounded up and widened by one frame.
+    Row i of a is f_i + i * v: v projects one frame of index, f_i is the rest
+    (the start offset is a constant in f). With beta = ||v|| and r_i = ||f_i -
+    mean(f)||, the triangle inequality gives -||a_i - a_j||^2 / 2 <= -(|i - j| *
+    beta - r_i - r_j)^2 / 2. So every key more than W = reach / beta frames from
+    row i, reach = 2 max r + sqrt(-2 * BAND_SCORE), scores at most BAND_SCORE
+    while the row's own key scores 0: its weight is exactly 0.0 (``EXP_NORMAL_MIN``).
+    W is rounded up and widened by one frame; there is no band unless reach < beta * L.
     """
-    beta = float(np.linalg.norm(index_step))
-    f = a - np.arange(len(a), dtype=np.float64)[:, None] * index_step
+    d_k = w_s.data.shape[0]
+    a = mul_scalar(affine(x, w_s), d_k**-0.25)
+    g = np.einsum("ij,ij->i", a.data, a.data)
+    v = 0.0 if alpha is None else w_s.data[:, -2] * (d_k**-0.25 / alpha)  # scaled as a is
+    beta, length = float(np.linalg.norm(v)), len(g)
+    if not beta * length > math.sqrt(-2.0 * BAND_SCORE):  # the reach below is at least this
+        return Projection((a, g))
+    f = a.data - np.arange(length, dtype=np.float64)[:, None] * v
     f -= f.mean(axis=0)
     reach = 2.0 * math.sqrt(np.einsum("ij,ij->i", f, f).max()) + math.sqrt(-2.0 * BAND_SCORE)
-    if not reach < beta * len(a):  # no band, a NaN or infinite reach, or beta = 0
-        return None
-    return math.ceil(reach / beta) + 1
+    return Projection((a, g), math.ceil(reach / beta) + 1 if reach < beta * length else None)
 
 
 def sigma_inverse(w_s) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import astuple
 from .attention.params import AttentionVariant
 from .container import build, write_csv
 from .encoder import TrainedModel, check_utterance, load_checkpoint, save_checkpoint
-from .errors import ConfigError, LongattnError, reading
+from .errors import ConfigError, DivergenceError, LongattnError, reading
 from .harness.configio import config_hash, load_config
 from .harness.evaluation import ReportRow, SweepRow, evaluate, run_length_sweep
 from .harness.heatmap import dump_heatmap
@@ -101,7 +101,10 @@ def cmd_train(args) -> int:
     result = train_model(cfg.model, cfg.task, cfg.train.steps, cfg.train.lr,
                          cfg.train.seed, dataset=dataset)
     result.model.meta["config_hash"] = digest
-    save_checkpoint(args.out, result.model)
+    try:
+        save_checkpoint(args.out, result.model)
+    except ConfigError as exc:  # the writer refuses the weights of a diverged model
+        raise DivergenceError(f"training diverged: {exc}") from None
     if args.curve is not None:
         write_csv(args.curve, f"config_hash={digest}",
                   [TrainResult.curve_columns, *enumerate(result.curve)])
@@ -134,8 +137,7 @@ def _load_model(path, cfg) -> TrainedModel:
 def cmd_eval(args) -> int:
     cfg, digest = _load(args)
     model = _load_model(args.checkpoint, cfg)
-    heldout = _heldout_dataset(cfg)
-    eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
+    eval_set = concat_eval(_heldout_dataset(cfg), args.concat_k, seed=args.eval_seed)
     report = evaluate(model, {f"concat{args.concat_k}": eval_set},
                       bucket_edges=cfg.eval.bucket_edges)
     write_csv(args.out, f"config_hash={digest} checkpoint={args.checkpoint} seed={args.eval_seed}",
@@ -177,8 +179,7 @@ def cmd_sweep(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg, digest = _load(args)
     model = _load_model(args.checkpoint, cfg)
-    heldout = _heldout_dataset(cfg)
-    eval_set = concat_eval(heldout, args.concat_k, seed=args.eval_seed)
+    eval_set = concat_eval(_heldout_dataset(cfg), args.concat_k, seed=args.eval_seed)
     if not (0 <= args.utterance < len(eval_set)):
         raise ConfigError(f"utterance {args.utterance} out of range [0, {len(eval_set)})")
     utt = eval_set.utterances[args.utterance]

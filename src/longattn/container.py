@@ -55,29 +55,29 @@ def write_csv(path, comment: str, rows: Iterable[Iterable]) -> None:
 
 
 def write_container(path, meta: dict, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write what ``read_container`` reads back. An array it would refuse is a
+    ConfigError before the file is opened, so a refused write leaves no file."""
     arrays = list(arrays)
     meta_bytes = canonical_json(meta).encode("utf-8")
     names = [name for name, _ in arrays]
     if len(set(names)) != len(names):
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"{path}: duplicate array name(s): {repeated}")
+    out = [MAGIC, struct.pack("<I", len(meta_bytes)), meta_bytes, struct.pack("<I", len(arrays))]
+    for name, arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        if arr.ndim != 2:
+            raise ConfigError(f"container arrays are 2-D, {name!r} has shape {arr.shape}")
+        code = _CODES.get(arr.dtype)
+        if code is None:
+            raise ConfigError(f"unsupported dtype {arr.dtype} for array {name!r}")
+        if code == 0 and not np.isfinite(arr).all():
+            raise ConfigError(f"{path}: array {name!r} holds a non-finite value")
+        name_bytes = name.encode("utf-8")
+        out += [struct.pack("<H", len(name_bytes)), name_bytes,
+                struct.pack("<BII", code, *arr.shape), arr.astype(_DTYPES[code]).tobytes()]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            if arr.ndim != 2:
-                raise ConfigError(f"container arrays are 2-D, {name!r} has shape {arr.shape}")
-            code = _CODES.get(arr.dtype)
-            if code is None:
-                raise ConfigError(f"unsupported dtype {arr.dtype} for array {name!r}")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<BII", code, arr.shape[0], arr.shape[1]))
-            fh.write(arr.astype(_DTYPES[code], copy=False).tobytes())
+        fh.writelines(out)
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:

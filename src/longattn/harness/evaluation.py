@@ -6,6 +6,7 @@ import bisect
 import logging
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -114,13 +115,17 @@ def run_length_sweep(
     lengths: list[int],
     seeds: list[int],
 ) -> list[SweepRow]:
-    """Error rate per (variant, concatenation factor), averaged over eval seeds."""
+    """Error rate per (variant, k), averaged over eval seeds; checks every set before decoding."""
+    sets = {(k, seed): concat_eval(heldout, k, seed=seed) for k in lengths for seed in seeds}
+    for model, ((k, _), eval_set) in product(models.values(), sets.items()):
+        for i, utt in enumerate(eval_set):
+            check_utterance(model.config, utt, f"utterance {i} of eval set concat{k}", train=False)
     rows: list[SweepRow] = []
     for variant, model in models.items():
         for k in lengths:
             per_seed = []
             for seed in seeds:
-                eval_set = concat_eval(heldout, k, seed=seed)
+                eval_set = sets[k, seed]
                 ter = overall_error(evaluate(model, {f"concat{k}": eval_set}), f"concat{k}")
                 rows.append(SweepRow(variant, k, str(seed), len(eval_set), ter))
                 per_seed.append(ter)

@@ -40,9 +40,8 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
     """Run one head's scores and their softmax under the allocation meter."""
     rng = np.random.default_rng([MEASURE_SEED, 0x6D])
     params = init_attention_params(variant, cfg.d_model, cfg.d_k, cfg.d_v, cfg.alpha, rng)
-    spec = VARIANTS[variant]
     x = const(rng.normal(size=(length, cfg.d_model)))
-    projected = spec.projections(x, params, cfg.alpha, start_index=0)
+    projected = VARIANTS[variant].projections(x, params, cfg.alpha, start_index=0)
     with count_allocations() as meter:
         attention_weights(projected, params, variant)
     return meter.elements

@@ -77,6 +77,11 @@ def sum_all(a: Tensor) -> Tensor:
     return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
 
 
+def sqnorms(a) -> np.ndarray:
+    """g_i = ||a_i||^2 of the rows of the Tensor ``a``, as the Gaussian projection computes it."""
+    return np.einsum("ij,ij->i", a.data, a.data)
+
+
 def head_weights(x, params, variant, alpha=DEFAULT_ALPHA, start_index=0, **blocks) -> Tensor:
     """One head's attention weights for the frames ``x`` (an array or a Tensor):
     the variant's projection stage, then ``attention_weights`` with ``blocks``
@@ -99,6 +104,19 @@ def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:
     if len(ref) == 0:
         raise UndefinedRateError("token error rate is undefined for an empty reference")
     return edit_distance(hyp, ref) / len(ref)
+
+
+# A float64 value that no generated array holds; a test writes it into one
+# array, then ``poison`` turns it into a value the writer would refuse.
+MARKER = 0.123456789012345
+
+
+def poison(path, bad: float) -> None:
+    """Rewrite the one ``MARKER`` in the container file ``path`` as ``bad``."""
+    data = path.read_bytes()
+    marker = np.float64(MARKER).tobytes()
+    assert data.count(marker) == 1
+    path.write_bytes(data.replace(marker, np.float64(bad).tobytes()))
 
 
 def sigma_mask(head) -> float:

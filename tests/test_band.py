@@ -96,8 +96,7 @@ def test_one_block_weights_are_zero_outside_every_window(inputs, start_index):
             x = outlier_frames(rng, length, d_model)
         else:
             x = far_twin(rng, length, d_model, head, alpha)
-        spec = VARIANTS[GFI]
-        half = spec.band(spec.projections(const(x), head, alpha, start_index), head, alpha)
+        half = VARIANTS[GFI].projections(const(x), head, alpha, start_index).half
         assert half is not None and half < length // 2
         full = head_weights(x, head, GFI, alpha, start_index).data
         if inputs == "far_twin":
@@ -121,7 +120,7 @@ def test_gaussian_has_no_band():
     with no_grad():
         multi_head_attention(x, heads, w_o, AttentionVariant.GAUSSIAN,
                              observe=lambda head, rows, keys, w: seen.append((keys, w.shape)))
-    assert VARIANTS[AttentionVariant.GAUSSIAN].band is None
+    assert VARIANTS[AttentionVariant.GAUSSIAN].projections(x, heads[0], 100.0, 0).half is None
     assert len(seen) > 2 and all(keys == slice(None) and shape[1] == 600
                                  for keys, shape in seen)
 
@@ -140,7 +139,7 @@ def test_pairwise_sqdist_scores_window_is_bit_identical_to_its_expression(rows, 
     a = np.random.default_rng(rows.start).normal(scale=3.0, size=(300, 16))
     g = np.einsum("ij,ij->i", a, a)
     expected = -0.5 * (g[rows, None] + g[None, keys]) + a[rows] @ a[keys].T
-    got = pairwise_sqdist_scores(const(a), rows, keys).data
+    got = pairwise_sqdist_scores(const(a), g, rows, keys).data
     npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -169,3 +168,52 @@ def test_multi_head_gradients_through_the_band(monkeypatch):
     errors = check_gradients(f, named)
     assert max(errors.values()) <= 1e-5, errors
     assert any(keys.indices(L)[1] - keys.indices(L)[0] < L for keys in windows)
+
+
+def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
+    # L = 8 000 in 1 000 blocks of 8 rows, with an index step of 5 per frame so
+    # that W is about 10 frames: sampled rows of the banded forward match a
+    # softmax over every key computed one row at a time, and the forward's
+    # peak memory doubles with L, where one L x L matrix would be 512 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(8000)
+    d_model, d_k, d_v, alpha = 8, 4, 4, 100.0
+    heads = [init_attention_params(GFI, d_model, d_k, d_v, alpha, rng) for _ in range(2)]
+    for head in heads:
+        head["w_s"].data[:, d_model] *= 30.0
+    w_o = const(rng.normal(size=(d_model, 2 * d_v + 1)))
+    peaks = {}
+    for length in (4000, 8000):
+        x = rng.normal(size=(length, d_model))
+        sample = set(rng.choice(length, size=24, replace=False)) | {0, length - 1}
+        rows_seen = {}
+
+        def observe(head, rows, keys, weights):
+            for i in sample.intersection(range(*rows.indices(length))):
+                rows_seen[head, i] = keys, weights[i - rows.start].copy()
+
+        tracemalloc.start()
+        try:
+            with no_grad():
+                multi_head_attention(const(x), heads, w_o, GFI, alpha=alpha, observe=observe)
+            peaks[length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows_seen) == 2 * len(sample)
+        for h, head in enumerate(heads):
+            index = np.arange(length, dtype=np.float64)[:, None] / alpha
+            xa = np.concatenate([x, index, np.ones((length, 1))], axis=1)
+            a = xa @ head["w_s"].data.T * d_k**-0.25
+            for i in sample:
+                keys, kept = rows_seen[h, i]
+                assert keys.stop - keys.start < 64, keys  # about 2W + 8 rows, rounded out
+                scores = -0.5 * ((a - a[i]) ** 2).sum(axis=1)
+                direct = np.exp(scores - scores.max())
+                direct /= direct.sum()
+                got = np.zeros(length)
+                got[keys] = kept
+                # the scores round as eps * ||a||^2 (about 2e-7 here) in the Gram
+                # form; a weight the softmax drops is subnormal in the oracle
+                npt.assert_allclose(got, direct, rtol=1e-5, atol=1e-300)
+    assert peaks[8000] <= 2.2 * peaks[4000], peaks

@@ -1,6 +1,7 @@
 """Encoder: subsampling, block structure, shape laws, gradients, checkpoints."""
 
 import math
+import re
 import struct
 import sys
 import tracemalloc
@@ -9,7 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import assert_packed, mul, parameter_count, sum_all, transpose
+from conftest import (MARKER, assert_packed, mul, parameter_count, poison, sqnorms, sum_all,
+                      transpose)
 from longattn.attention import AttentionVariant
 from longattn.encoder import (
     EncoderConfig,
@@ -300,21 +302,24 @@ def test_no_grad_forward_never_holds_a_full_attention_matrix(variant):
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
 def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypatch):
     # softmax_rows and pairwise_sqdist_scores are whole-matrix expressions; a
-    # long decode stays cache-sized because attention calls them per row block
+    # long decode stays cache-sized because attention calls them per row block,
+    # with the squared norms g that the head's projection computed once
     from longattn.attention import params
     from longattn.numerics import linalg
     from longattn.numerics import tensor as tensor_module
 
-    softmax_sizes, sqdist_sizes = [], []
+    softmax_sizes, sqdist_sizes, norms = [], [], []
     softmax, sqdist = tensor_module._softmax, params.pairwise_sqdist_scores
 
     def counted_softmax(m):
         softmax_sizes.append(m.size)
         return softmax(m)
 
-    def counted_sqdist(a, rows=slice(None), keys=slice(None)):
-        out = sqdist(a, rows, keys)
+    def counted_sqdist(a, g, rows=slice(None), keys=slice(None)):
+        out = sqdist(a, g, rows, keys)
         sqdist_sizes.append(out.data.size)
+        npt.assert_array_equal(g, sqnorms(a))
+        norms.append(g)  # kept alive, so each computed g has its own id
         return out
 
     monkeypatch.setattr(tensor_module, "_softmax", counted_softmax)
@@ -330,6 +335,8 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
     gaussian = variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX)
     assert len(sqdist_sizes) == (blocks if gaussian else 0)
     assert max(sqdist_sizes, default=0) <= linalg.CHUNK_ELEMENTS
+    # once per layer and head (8), not once per block (128)
+    assert len({id(g) for g in norms}) == (cfg.n_layers * cfg.n_heads if gaussian else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +439,10 @@ def test_container_rejects_non_finite_floats(tmp_path):
     path = tmp_path / "c.bin"
     for bad in (math.nan, math.inf, -math.inf):
         values = np.arange(6.0).reshape(2, 3)
-        values[1, 2] = bad
+        values[1, 2] = MARKER
         write_container(path, {}, [("ok", np.ones((1, 1))), ("w", values),
                                    ("n", np.array([[-1]], dtype=np.int64))])
+        poison(path, bad)  # the writer refuses such an array, so write its bytes by hand
         with pytest.raises(ConfigError) as info:
             read_container(path)
         assert str(info.value) == f"{path}: array 'w' holds a non-finite value"
@@ -442,6 +450,30 @@ def test_container_rejects_non_finite_floats(tmp_path):
     edges = np.array([[sys.float_info.max, -sys.float_info.max, 5e-324, -0.0]])
     write_container(path, {}, [("w", edges), ("n", np.array([[2**63 - 1]], dtype=np.int64))])
     npt.assert_array_equal(read_container(path)[1]["w"], edges)
+
+
+def test_write_container_refuses_an_array_before_it_opens_the_file(tmp_path):
+    # every array that read_container would refuse is refused by name, and the
+    # file is neither created nor, when it exists, touched
+    from longattn.container import write_container
+
+    one = np.ones((1, 1))
+    for arrays, named in [
+        ([("ok", one), ("cube", np.ones((1, 1, 1)))], "'cube' has shape (1, 1, 1)"),
+        ([("ok", one), ("f32", np.ones((1, 1), dtype=np.float32))], "for array 'f32'"),
+        ([("ok", one), ("nan", np.array([[1.0, math.nan]]))], "array 'nan' holds a non-finite"),
+        ([("ok", one), ("inf", np.array([[-math.inf]]))], "array 'inf' holds a non-finite"),
+        ([("ok", one), ("ok", one)], "duplicate array name"),
+    ]:
+        path = tmp_path / "new.bin"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            write_container(path, {}, arrays)
+        assert not path.exists(), named
+        kept = tmp_path / "kept.bin"
+        kept.write_bytes(b"earlier")
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            write_container(kept, {}, arrays)
+        assert kept.read_bytes() == b"earlier", named
 
 
 def test_container_rejects_repeated_array_names(tmp_path):

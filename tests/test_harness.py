@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import MARKER, poison
 from longattn.attention import AttentionVariant
 from longattn.cli import main as cli_main
 from longattn.encoder import (
@@ -586,6 +587,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
          too_short),
         (["sweep", "--checkpoint", f"gaussian_frame_index={small_ckpt}", "--lengths", "1",
           "--out", f"{tmp_path}/s.csv", *held_short], too_short),
+        # k = 2 gives 4-frame inputs that a model reads: every set is checked
+        # before the first decode, so nothing is decoded before k = 1 fails
+        (["sweep", "--checkpoint", f"gaussian_frame_index={small_ckpt}", "--lengths", "2,1",
+          "--seeds", "0,1", "--out", f"{tmp_path}/s.csv", *held_short], too_short),
         (["heatmap", "--checkpoint", small_ckpt, "--layer", "0", "--head", "0",
           "--out-prefix", f"{tmp_path}/short", *held_short], too_short),
         (["train", "--out", ckpt, *tiny, "--set", "task.tokens_per_utterance=[8,8]"],
@@ -725,9 +730,10 @@ def _train_on(tmp_path, arrays) -> int:
 def test_cli_exit_code_non_finite_checkpoint(tmp_path, capsys):
     small = load_config(None, CLI_SETS[1::2]).model
     model = TrainedModel(small, init_model(small, seed=0))
-    model.params.w_out.data[3, 1] = math.nan
+    model.params.w_out.data[3, 1] = MARKER
     ckpt = str(tmp_path / "m.ckpt")
     save_checkpoint(ckpt, model)
+    poison(tmp_path / "m.ckpt", math.nan)  # the writer refuses a NaN weight
     out = str(tmp_path / "r.csv")
     for argv in (["eval", "--checkpoint", ckpt, "--out", out],
                  ["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--out", out],
@@ -742,13 +748,34 @@ def test_cli_exit_code_non_finite_checkpoint(tmp_path, capsys):
 
 def test_cli_exit_code_non_finite_dataset(tmp_path, capsys):
     dataset = gen_dataset(load_config(None, CLI_SETS[1::2]).task)
-    dataset.utterances[3].features[2, 1] = -math.inf
+    dataset.utterances[3].features[2, 1] = MARKER
     save_dataset(tmp_path / "d.bin", dataset)
+    poison(tmp_path / "d.bin", -math.inf)  # the writer refuses an infinite feature
     assert cli_main(["train", "--data", str(tmp_path / "d.bin"),
                      "--out", str(tmp_path / "m.ckpt"), *CLI_SETS]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "array 'u00003.features' holds a non-finite value" in err[0], err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_exit_code_non_finite_trained_weight(tmp_path, capsys, monkeypatch):
+    # a model that ends training with a non-finite weight has diverged: train
+    # exits 3 naming the weight, and writes neither checkpoint nor curve
+    import longattn.cli as cli_module
+    from longattn.harness import TrainResult
+
+    def diverged(enc_cfg, *args, **kwargs):
+        model = TrainedModel(enc_cfg, init_model(enc_cfg, seed=0), {})
+        model.params.blocks[0].heads[1]["w_v"].data[0, 2] = math.inf
+        return TrainResult(model, curve=[1.0])
+
+    monkeypatch.setattr(cli_module, "train_model", diverged)
+    out, curve = tmp_path / "m.ckpt", tmp_path / "c.csv"
+    assert cli_main(["train", "--out", str(out), "--curve", str(curve), *CLI_SETS]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: training diverged"), err
+    assert "array 'block0.head1.w_v' holds a non-finite value" in err[0], err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_exit_code_labels_without_rows(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import ReferenceAdam, assert_packed, mul, sum_all, transpose
+from conftest import ReferenceAdam, assert_packed, mul, sqnorms, sum_all, transpose
 from longattn.attention.variants import pairwise_sqdist_scores, relative_shift, soft_mask_tensor
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
@@ -175,7 +175,7 @@ def test_pairwise_sqdist_scores_is_bit_identical_to_the_whole_matrix_sum(length)
     a = np.random.default_rng(length).normal(scale=3.0, size=(length, 16))
     g = np.einsum("ij,ij->i", a, a)
     expected = -0.5 * (g[:, None] + g[None, :]) + a @ a.T
-    got = pairwise_sqdist_scores(const(a)).data
+    got = pairwise_sqdist_scores(const(a), g).data
     npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -184,7 +184,7 @@ def test_pairwise_sqdist_scores_block_is_bit_identical_to_its_expression(rows):
     a = np.random.default_rng(rows.start).normal(scale=3.0, size=(300, 16))
     g = np.einsum("ij,ij->i", a, a)
     expected = -0.5 * (g[rows, None] + g[None, :]) + a[rows] @ a.T
-    got = pairwise_sqdist_scores(const(a), rows).data
+    got = pairwise_sqdist_scores(const(a), g, rows).data
     npt.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -403,11 +403,11 @@ def test_primitive_op_gradients(seed):
             [("block_offsets", block_offsets)],
         ),
         "pairwise_sqdist_scores": (
-            lambda: sum_all(mul(probe3, pairwise_sqdist_scores(a))),
+            lambda: sum_all(mul(probe3, pairwise_sqdist_scores(a, sqnorms(a)))),
             [("a", a)],
         ),
         "pairwise_sqdist_scores_block": (
-            lambda: sum_all(mul(probe23, pairwise_sqdist_scores(a, slice(1, 3)))),
+            lambda: sum_all(mul(probe23, pairwise_sqdist_scores(a, sqnorms(a), slice(1, 3)))),
             [("a", a)],
         ),
         "soft_mask_tensor": (
