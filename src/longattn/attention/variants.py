@@ -84,7 +84,7 @@ def pairwise_sqdist_scores(
         rc[keys] = u.sum(axis=0)
         rc[rows] += u.sum(axis=1)
         da -= rc[:, None] * a.data
-        accumulate_grad(a, da)
+        accumulate_grad(a, da, fresh=True)
 
     return make_op(scores, (a,), grad_fn)
 
@@ -102,16 +102,16 @@ def relative_shift(p: Tensor) -> Tensor:
     if n_rows < 1 or length < 1:
         raise DimensionError(f"relative_shift: needs a (c, L+c-1) matrix, got {p.data.shape}")
 
-    def skew(full: np.ndarray) -> np.ndarray:
+    def skew(full: np.ndarray) -> np.ndarray:  # ``full`` is C-contiguous
         s0, s1 = full.strides
-        return np.lib.stride_tricks.as_strided(
-            full[:, length - 1:], shape=(n_rows, length), strides=(s0 + s1, -s1))
+        return np.ndarray((n_rows, length), buffer=full, offset=(length - 1) * s1,
+                          strides=(s0 + s1, -s1))
 
     def grad_fn(u: np.ndarray) -> None:
         # each (i, j) lands on a distinct entry of row i, so assignment is exact
         dp = np.zeros((n_rows, n_cols))
         skew(dp)[...] = u
-        accumulate_grad(p, dp)
+        accumulate_grad(p, dp, fresh=True)
 
     return make_op(skew(np.ascontiguousarray(p.data)).copy(), (p,), grad_fn)
 
@@ -125,7 +125,7 @@ def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) 
     e = np.exp(log_sigma.data)
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(log_sigma, np.array([[np.sum(u * base)]]) * -2.0 * e**-3.0 * e)
+        accumulate_grad(log_sigma, np.array([[np.sum(u * base)]]) * -2.0 * e**-3.0 * e, fresh=True)
 
     return make_op(base * (e**-2.0)[0, 0], (log_sigma,), grad_fn)
 

@@ -116,7 +116,7 @@ def ctc_loss_op(lattice: Tensor, labels: Sequence[int]) -> Tensor:
     loss, grad = ctc_loss(lattice.data, labels)
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(lattice, u[0, 0] * grad)
+        accumulate_grad(lattice, u[0, 0] * grad, fresh=True)
 
     return make_op(np.array([[loss]]), (lattice,), grad_fn)
 

@@ -9,6 +9,11 @@ gradients into every reachable tensor with ``requires_grad``, and consumes
 it: a graph is differentiated once, and a result recorded before an earlier
 ``backward`` passes no gradient. The tape keeps nothing alive.
 
+Each grad_fn declares what it hands ``accumulate_grad``: an array it made fresh
+for that one parent, which the parent keeps as its first gradient, or the
+upstream gradient, a view of it, or one array for two parents, which is copied
+(``add``, ``add_row``'s first parent, ``append_const_col``, ``concat``, ``frame_stack``).
+
 All functions are pure and reentrant on disjoint tensors. The only shared
 state is the tape and two module flags, none of them thread-safe: the
 optional allocation meter used by the memory-footprint tool, and the
@@ -156,22 +161,25 @@ def make_op(
     parents via ``accumulate_grad``. The graph is pruned below constants, and
     nothing is recorded inside ``no_grad``.
     """
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out = Tensor(data, requires_grad=True, grad_fn=grad_fn)
-        _tape.append(weakref.ref(out))
-        return out
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out = Tensor(data, requires_grad=True, grad_fn=grad_fn)
+                _tape.append(weakref.ref(out))
+                return out
     return Tensor(data)
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+def accumulate_grad(t: Tensor, g: np.ndarray, *, fresh: bool) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # copy, never alias: ``add`` hands the same ``u`` to both parents
+    if t.grad is not None:
+        t.grad += g
+    elif fresh:  # the grad_fn made ``g`` for ``t`` alone, so ``t`` may own it
+        t.grad = g
+    else:  # ``g`` is ``u``, a view of it, or reaches two parents: never alias it
         t.grad = np.empty_like(t.data)
         np.copyto(t.grad, g)
-    else:
-        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -181,7 +189,7 @@ def backward(loss: Tensor) -> None:
     if not any(ref() is loss for ref in reversed(_tape)):
         raise StateError("backward needs a loss recorded since the last backward")
     try:
-        accumulate_grad(loss, np.ones((1, 1)))
+        accumulate_grad(loss, np.ones((1, 1)), fresh=True)
         for ref in reversed(_tape):
             node = ref()
             if node is not None and node.grad is not None:
@@ -200,8 +208,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add: shapes differ: {a.data.shape} vs {b.data.shape}")
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u)
-        accumulate_grad(b, u)
+        accumulate_grad(a, u, fresh=False)
+        accumulate_grad(b, u, fresh=False)
 
     return make_op(a.data + b.data, (a, b), grad_fn)
 
@@ -212,15 +220,15 @@ def add_row(a: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(f"add_row: {v.data.shape} is not a row of {a.data.shape}")
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u)
-        accumulate_grad(v, u.sum(axis=0, keepdims=True))
+        accumulate_grad(a, u, fresh=False)
+        accumulate_grad(v, u.sum(axis=0, keepdims=True), fresh=True)
 
     return make_op(a.data + v.data, (a, v), grad_fn)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u * c)
+        accumulate_grad(a, u * c, fresh=True)
 
     return make_op(a.data * c, (a,), grad_fn)
 
@@ -229,7 +237,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u * mask)
+        accumulate_grad(a, u * mask, fresh=True)
 
     return make_op(np.maximum(a.data, 0.0), (a,), grad_fn)
 
@@ -246,8 +254,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u @ b.data.T)
-        accumulate_grad(b, a.data.T @ u)
+        accumulate_grad(a, u @ b.data.T, fresh=True)
+        accumulate_grad(b, a.data.T @ u, fresh=True)
 
     return make_op(a.data @ b.data, (a, b), grad_fn)
 
@@ -262,8 +270,8 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(u: np.ndarray) -> None:
         if a.requires_grad:
-            accumulate_grad(a, u @ b.data)
-        accumulate_grad(b, (a.data.T @ u).T)
+            accumulate_grad(a, u @ b.data, fresh=True)
+        accumulate_grad(b, (a.data.T @ u).T, fresh=True)
 
     return make_op(a.data @ b.data.T, (a, b), grad_fn)
 
@@ -280,12 +288,13 @@ def affine(x: Tensor, w: Tensor) -> Tensor:
             f"affine: {x.data.shape} input plus a bias column does not match "
             f"weights {w.data.shape}"
         )
-    xa = np.concatenate([x.data, np.ones((x.data.shape[0], 1))], axis=1)
+    xa = np.empty((x.data.shape[0], x.data.shape[1] + 1))
+    xa[:, :-1], xa[:, -1] = x.data, 1.0
 
     def grad_fn(u: np.ndarray) -> None:
         if x.requires_grad:
-            accumulate_grad(x, (u @ w.data)[:, :-1])
-        accumulate_grad(w, (xa.T @ u).T)
+            accumulate_grad(x, (u @ w.data)[:, :-1], fresh=True)
+        accumulate_grad(w, (xa.T @ u).T, fresh=True)
 
     return make_op(xa @ w.data.T, (x, w), grad_fn)
 
@@ -302,15 +311,15 @@ def append_const_col(x: Tensor, col: np.ndarray | float = 1.0) -> Tensor:
     constant 1 is the bias input augmentation.
     """
     col = np.asarray(col, dtype=np.float64)
-    col = np.full((x.data.shape[0], 1), col) if col.ndim == 0 else col.reshape(-1, 1)
-    if col.shape[0] != x.data.shape[0]:
+    if col.ndim and col.size != x.data.shape[0]:
         raise DimensionError(
-            f"append_const_col: column length {col.shape[0]} vs {x.data.shape[0]} rows"
+            f"append_const_col: column length {col.size} vs {x.data.shape[0]} rows"
         )
-    out = np.concatenate([x.data, col], axis=1)
+    out = np.empty((x.data.shape[0], x.data.shape[1] + 1))
+    out[:, :-1], out[:, -1] = x.data, col.ravel()
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(x, u[:, :-1])
+        accumulate_grad(x, u[:, :-1], fresh=False)
 
     return make_op(out, (x,), grad_fn)
 
@@ -324,7 +333,7 @@ def slice_rows(x: Tensor, rows: slice) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
         dx = np.zeros_like(x.data)
         dx[rows] = u
-        accumulate_grad(x, dx)
+        accumulate_grad(x, dx, fresh=True)
 
     return make_op(x.data[rows], (x,), grad_fn)
 
@@ -341,7 +350,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
     def grad_fn(u: np.ndarray) -> None:
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            accumulate_grad(p, u[a:b] if axis == 0 else u[:, a:b])
+            accumulate_grad(p, u[a:b] if axis == 0 else u[:, a:b], fresh=False)
 
     return make_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), grad_fn)
 
@@ -358,7 +367,7 @@ def frame_stack(x: Tensor, factor: int) -> Tensor:
     out = padded.reshape(n_out, factor * f_in).copy()
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(x, u.reshape(n_out * factor, f_in)[:t_in])
+        accumulate_grad(x, u.reshape(n_out * factor, f_in)[:t_in], fresh=False)
 
     return make_op(out, (x,), grad_fn)
 
@@ -372,7 +381,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     p = _softmax(x.data)
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(x, p * (u - np.sum(u * p, axis=1, keepdims=True)))
+        accumulate_grad(x, p * (u - np.add.reduce(u * p, axis=1, keepdims=True)), fresh=True)
 
     return make_op(p, (x,), grad_fn)
 
@@ -385,7 +394,7 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     p = np.exp(out)
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(x, u - p * u.sum(axis=1, keepdims=True))
+        accumulate_grad(x, u - p * u.sum(axis=1, keepdims=True), fresh=True)
 
     return make_op(out, (x,), grad_fn)
 
@@ -401,9 +410,10 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm_rows: gain {gain.data.shape}, bias {bias.data.shape} "
             f"do not match row width {n}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    # np.add.reduce, then a division by the count, is what ``ndarray.mean`` does
+    mu = np.add.reduce(x.data, axis=1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = xhat * gain.data + bias.data
@@ -411,11 +421,11 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
         du = u * gain.data
         # d/dx of (x - mu) * inv_std with mu, var functions of x
-        dvar = np.sum(du * centered, axis=1, keepdims=True) * (-0.5) * inv_std**3
-        dmu = np.sum(du, axis=1, keepdims=True) * (-inv_std)
+        dvar = np.add.reduce(du * centered, axis=1, keepdims=True) * (-0.5) * inv_std**3
+        dmu = np.add.reduce(du, axis=1, keepdims=True) * (-inv_std)
         dx = du * inv_std + dvar * 2.0 * centered / n + dmu / n
-        accumulate_grad(x, dx)
-        accumulate_grad(gain, np.sum(u * xhat, axis=0, keepdims=True))
-        accumulate_grad(bias, np.sum(u, axis=0, keepdims=True))
+        accumulate_grad(x, dx, fresh=True)
+        accumulate_grad(gain, np.add.reduce(u * xhat, axis=0, keepdims=True), fresh=True)
+        accumulate_grad(bias, np.add.reduce(u, axis=0, keepdims=True), fresh=True)
 
     return make_op(out, (x, gain, bias), grad_fn)

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -10,6 +11,7 @@ import longattn.encoder as encoder_module
 from longattn.attention import DEFAULT_ALPHA, VARIANTS, attention_weights
 from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
 from longattn.errors import LongattnError
+from longattn.numerics import tensor as tensor_module
 from longattn.numerics.tensor import Tensor, accumulate_grad, const, make_op
 
 RELU_GAP_THRESHOLD = 3e-3
@@ -57,22 +59,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     assert a.data.shape == b.data.shape, (a.data.shape, b.data.shape)
 
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u * b.data)
-        accumulate_grad(b, u * a.data)
+        accumulate_grad(a, u * b.data, fresh=True)
+        accumulate_grad(b, u * a.data, fresh=True)
 
     return make_op(a.data * b.data, (a, b), grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, u.T)
+        accumulate_grad(a, u.T, fresh=False)
 
     return make_op(a.data.T, (a,), grad_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
     def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(a, np.full_like(a.data, u[0, 0]))
+        accumulate_grad(a, np.full_like(a.data, u[0, 0]), fresh=True)
 
     return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
 
@@ -151,6 +153,27 @@ class ReferenceAdam:
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def copy_always(t: Tensor, g: np.ndarray, *, fresh: bool) -> None:
+    """``accumulate_grad`` that ignores ``fresh`` and copies every first
+    gradient, so no ``grad`` is ever an array that a grad_fn handed over: the
+    reference that gradient ownership must reproduce byte for byte."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
+
+
+def use_copy_always(monkeypatch) -> None:
+    """Patch ``copy_always`` over every module's name for ``accumulate_grad``."""
+    original = tensor_module.accumulate_grad
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("accumulate_grad") is original:
+            monkeypatch.setattr(module, "accumulate_grad", copy_always)
 
 
 def assert_packed(tensors, data, grads):

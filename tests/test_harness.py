@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import MARKER, poison
+from conftest import MARKER, poison, use_copy_always
 from longattn.attention import AttentionVariant
 from longattn.cli import main as cli_main
 from longattn.encoder import (
@@ -194,6 +194,30 @@ def test_train_deterministic_and_loss_decreases():
     for (_, a), (_, b) in zip(r1.model.params.named(), r2.model.params.named()):
         npt.assert_array_equal(a.data, b.data)
     assert loss_decreased(r1.curve)
+
+
+@pytest.fixture(scope="module")
+def default_data():
+    return gen_dataset(SyntheticTaskConfig())
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_training_bytes_do_not_depend_on_gradient_ownership(variant, default_data, monkeypatch):
+    """A few default-config steps train the same bytes as with every first
+    gradient copied; both runs share one BLAS core, whichever it is."""
+    task = SyntheticTaskConfig()
+    cfg = EncoderConfig(variant=variant, feat_dim=task.feat_dim, vocab_size=task.vocab_size)
+
+    def run():
+        return train_model(cfg, task, steps=5, lr=2e-3, seed=1, dataset=default_data,
+                           log_every=0)
+
+    shipped = run()
+    use_copy_always(monkeypatch)
+    reference = run()
+    assert shipped.curve == reference.curve
+    for (name, a), (_, b) in zip(shipped.model.params.named(), reference.model.params.named()):
+        assert a.data.tobytes() == b.data.tobytes(), name
 
 
 def test_train_divergence_aborts():

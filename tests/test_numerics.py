@@ -6,7 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import ReferenceAdam, assert_packed, mul, sqnorms, sum_all, transpose
+from conftest import (
+    ReferenceAdam,
+    assert_packed,
+    mul,
+    sqnorms,
+    sum_all,
+    transpose,
+    use_copy_always,
+)
 from longattn.attention.variants import pairwise_sqdist_scores, relative_shift, soft_mask_tensor
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
@@ -442,6 +450,46 @@ def test_slice_and_concat_pass_whole_tensors_through():
     npt.assert_array_equal(T.concat(parts, axis=0).data, a.data)
     with pytest.raises(DimensionError):
         T.concat([a, param(np.zeros((1, 3)))], axis=0)
+
+
+# Each graph gives one intermediate h two consumers. The consumer that hands h
+# the upstream gradient, or a view of it, is recorded last, so in backward it
+# gives h its first gradient, which a later gradient is then added into.
+OWNERSHIP_GRAPHS = {
+    "add": lambda h: [T.add(h, h)],
+    "add_row": lambda h: [T.add_row(h, T.slice_rows(h, slice(0, 1)))],
+    "concat_axis_0": lambda h: [T.concat([h, h], axis=0)],
+    "concat_axis_1": lambda h: [T.concat([h, h], axis=1)],
+    "append_const_col": lambda h: [T.mul_scalar(h, 2.0), T.append_const_col(h)],
+    "frame_stack": lambda h: [T.mul_scalar(h, 2.0), T.frame_stack(h, 2)],
+    "overlapping_slice_rows": lambda h: [T.slice_rows(h, slice(0, 3)),
+                                         T.slice_rows(h, slice(1, 5))],
+}
+
+
+def ownership_run(graph) -> list:
+    """Backward through ``graph`` on h = 1.5 x; every tensor of the graph."""
+    rng = np.random.default_rng(5)
+    x = param(rng.normal(size=(5, 3)))
+    h = T.mul_scalar(x, 1.5)
+    tensors = [x, h, *graph(h)]
+    terms = [mul(y, const(rng.normal(size=y.shape))) for y in tensors[2:]]
+    loss = sum_all(terms[0])
+    for term in terms[1:]:
+        loss = T.add(loss, sum_all(term))
+    backward(loss)
+    return tensors + terms + [loss]
+
+
+@pytest.mark.parametrize("graph", OWNERSHIP_GRAPHS.values(), ids=OWNERSHIP_GRAPHS.keys())
+def test_no_gradient_aliases_another_and_ownership_changes_no_byte(graph, monkeypatch):
+    tensors = ownership_run(graph)
+    grads = [t.grad for t in tensors]
+    for i, a in enumerate(grads):
+        assert not any(np.shares_memory(a, b) for b in grads[i + 1:]), i
+    use_copy_always(monkeypatch)
+    reference = ownership_run(graph)
+    assert [t.grad.tobytes() for t in tensors] == [t.grad.tobytes() for t in reference]
 
 
 def test_determinism_forward_and_gradients():
