@@ -40,19 +40,10 @@ def attention_weights(
     return softmax_rows(VARIANTS[variant].scores(projected.operands, head, rows, keys))
 
 
-# A key window's ends are rounded out to multiples of this many frames. In a
-# product over n keys, OpenBLAS's SkylakeX dgemm kernels round only the last
-# n mod 8 keys differently, so the window's scores are then bit for bit the
-# scores over every key, except in the window of a short last block that
-# reaches the last frame.
-KEY_ALIGN = 8
-
-
 def key_window(rows: slice, half: int, length: int) -> slice:
-    """The keys within ``half`` frames of one of the query frames ``rows``, widened
-    to multiples of ``KEY_ALIGN`` and clipped to the ``length`` frames."""
-    return slice(max(0, (rows.start - half) // KEY_ALIGN * KEY_ALIGN),
-                 min(length, -(-(rows.stop + half) // KEY_ALIGN) * KEY_ALIGN))
+    """The keys within ``half`` frames of one of the query frames ``rows``, clipped
+    to the ``length`` frames."""
+    return slice(max(0, rows.start - half), min(length, rows.stop + half))
 
 
 def multi_head_attention(

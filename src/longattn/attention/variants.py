@@ -64,15 +64,14 @@ def pairwise_sqdist_scores(
     """S[i, j] = -||a_i - a_j||^2 / 2 for the rows i in ``rows`` and the rows j in ``keys``.
 
     Computed as ``-0.5 * (g[rows, None] + g[None, keys]) + a[rows] @ a[keys].T``
-    with the given g_i = ||a_i||^2, added into the Gram product in place.
+    with the given g_i = ||a_i||^2: g_i / 2 + g_j / 2 (halving is exact, so it
+    rounds as the half of the sum) is subtracted from the Gram product in place.
     Attention passes one block of query rows at a time, and for a banded variant
     the block's key window, so the temporary is block-sized.
     """
     a_rows, a_keys = a.data[rows], a.data[keys]
     scores = a_rows @ a_keys.T
-    half_sum = np.add(g[rows, None], g[None, keys])
-    np.multiply(half_sum, -0.5, out=half_sum)
-    scores += half_sum
+    scores -= np.add(0.5 * g[rows, None], 0.5 * g[None, keys])
 
     def grad_fn(u: np.ndarray) -> None:
         # over every key this is u @ a + u.T @ a - (r + c) * a for every row,
@@ -152,27 +151,33 @@ def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tenso
 
 
 def gaussian_projection(x: Tensor, w_s: Tensor, alpha: float | None = None) -> Projection:
-    """Rows a = [x, 1] w_s^T / d_k^(1/4), their g_i = ||a_i||^2 for every row block's
-    scores, and W, the half-width in frames of their exact key band: given the
-    frame-index scale ``alpha``, x's last column is the frame index; else no band.
+    """Rows a = [x, 1] w_s^T / d_k^(1/4) less their column mean, their g_i = ||a_i||^2
+    for every row block's scores, and W, the half-width in frames of their exact
+    key band: given the frame-index scale ``alpha``, x's last column is the frame
+    index; else no band.
 
-    Row i of a is f_i + i * v: v projects one frame of index, f_i is the rest
-    (the start offset is a constant in f). With beta = ||v|| and r_i = ||f_i -
-    mean(f)||, the triangle inequality gives -||a_i - a_j||^2 / 2 <= -(|i - j| *
-    beta - r_i - r_j)^2 / 2. So every key more than W = reach / beta frames from
-    row i, reach = 2 max r + sqrt(-2 * BAND_SCORE), scores at most BAND_SCORE
-    while the row's own key scores 0: its weight is exactly 0.0 (``EXP_NORMAL_MIN``).
-    W is rounded up and widened by one frame; there is no band unless reach < beta * L.
+    The mean is a constant shift of every row (no gradient flows through it): the
+    scores read only row differences, so the shift leaves them and their exact
+    gradient unchanged, but their Gram form a_i.a_j - (g_i + g_j) / 2 no longer
+    cancels terms of size ||a||^2 that grow with the start offset.
+
+    Row i of a is f_i + (i - (L - 1) / 2) * v: v projects one frame of index, f_i
+    is the rest. With beta = ||v|| and r_i = ||f_i||, the triangle inequality gives
+    -||a_i - a_j||^2 / 2 <= -(|i - j| * beta - r_i - r_j)^2 / 2. So every key more
+    than W = reach / beta frames from row i, reach = 2 max r + sqrt(-2 * BAND_SCORE),
+    scores at most BAND_SCORE while the row's own key scores 0: its weight is
+    exactly 0.0 (``EXP_NORMAL_MIN``). W is rounded up and widened by one frame;
+    there is no band unless reach < beta * L.
     """
     d_k = w_s.data.shape[0]
     a = mul_scalar(affine(x, w_s), d_k**-0.25)
+    a = add_row(a, const(-a.data.mean(axis=0, keepdims=True)))
     g = np.einsum("ij,ij->i", a.data, a.data)
     v = 0.0 if alpha is None else w_s.data[:, -2] * (d_k**-0.25 / alpha)  # scaled as a is
     beta, length = float(np.linalg.norm(v)), len(g)
     if not beta * length > math.sqrt(-2.0 * BAND_SCORE):  # the reach below is at least this
         return Projection((a, g))
-    f = a.data - np.arange(length, dtype=np.float64)[:, None] * v
-    f -= f.mean(axis=0)
+    f = a.data - (np.arange(length, dtype=np.float64) - (length - 1) / 2)[:, None] * v
     reach = 2.0 * math.sqrt(np.einsum("ij,ij->i", f, f).max()) + math.sqrt(-2.0 * BAND_SCORE)
     return Projection((a, g), math.ceil(reach / beta) + 1 if reach < beta * length else None)
 

@@ -4,10 +4,16 @@ Every comparison runs both of its sides in one process: the one-block logits
 of a trained model already differ between one and two OpenBLAS threads.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import longattn
 from conftest import head_weights, mul, sum_all
 from longattn.attention import AttentionVariant, init_attention_params
 from longattn.attention.multihead import key_window, multi_head_attention
@@ -64,6 +70,28 @@ def test_banded_logits_match_one_block(trained_gfi, k, monkeypatch):
     assert greedy_decode(banded) == greedy_decode(whole)
 
 
+@pytest.mark.parametrize("core, feature", [("Haswell", "AVX2"), ("SkylakeX", "AVX512F")])
+def test_blocked_forwards_match_one_block_under_every_blas_kernel(core, feature):
+    # OpenBLAS picks its kernels when numpy loads it, so each core runs the two
+    # row-blocking tests, tolerances unchanged, in a child process of its own
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get(feature):
+        pytest.skip(f"{core} kernels need {feature}, which this CPU lacks")
+    tests = Path(__file__).parent
+    src = str(Path(longattn.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_attention.py'}::test_blocked_forward_matches_one_block",
+         f"{tests / 'test_band.py'}::test_banded_logits_match_one_block"],
+        cwd=tests.parent, env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
+
+
 def outlier_frames(rng, length, d_model):
     x = rng.normal(size=(length, d_model))
     x[rng.choice(length, size=5, replace=False)] *= 20.0  # r is large, the bound is loose
@@ -82,7 +110,7 @@ def far_twin(rng, length, d_model, head, alpha):
     return x
 
 
-@pytest.mark.parametrize("start_index", [0, 1000, 10**6])
+@pytest.mark.parametrize("start_index", [0, 1000, 10**6, 10**7])
 @pytest.mark.parametrize("inputs", ["normal", "outliers", "far_twin"])
 def test_one_block_weights_are_zero_outside_every_window(inputs, start_index):
     rng = np.random.default_rng(start_index + len(inputs))
@@ -207,13 +235,15 @@ def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
             a = xa @ head["w_s"].data.T * d_k**-0.25
             for i in sample:
                 keys, kept = rows_seen[h, i]
-                assert keys.stop - keys.start < 64, keys  # about 2W + 8 rows, rounded out
+                assert keys.stop - keys.start < 64, keys  # about 2W + 8 rows
                 scores = -0.5 * ((a - a[i]) ** 2).sum(axis=1)
                 direct = np.exp(scores - scores.max())
                 direct /= direct.sum()
                 got = np.zeros(length)
                 got[keys] = kept
-                # the scores round as eps * ||a||^2 (about 2e-7 here) in the Gram
-                # form; a weight the softmax drops is subnormal in the oracle
+                # the scores round as eps * ||a||^2 in the Gram form, a growing
+                # with the frame index even when centred (the weights agree to
+                # about 1.5e-7 here); a weight the softmax drops is subnormal
+                # in the oracle
                 npt.assert_allclose(got, direct, rtol=1e-5, atol=1e-300)
     assert peaks[8000] <= 2.2 * peaks[4000], peaks
