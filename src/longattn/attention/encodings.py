@@ -6,8 +6,6 @@ reuse the same formulas through autodiff ops.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ..errors import ConfigError
@@ -15,25 +13,29 @@ from ..errors import ConfigError
 DEFAULT_ALPHA = 100.0
 
 
-# A forward asks for the same table in every layer and head, so a few cached
-# (length, dim) entries serve it; cached tables are returned read-only.
-@lru_cache(maxsize=4)
+_tables: dict[int, np.ndarray] = {}  # dim -> rows of offsets -(n-1)..(n-1), n the longest L yet
+
+
 def sinusoid_encoding(length: int, dim: int) -> np.ndarray:
     """Absolute sinusoid encoding: row i holds sin/cos of i at geometric frequencies.
 
     Column 2k is sin(i / 10000^(2k/dim)), column 2k+1 the matching cos.
-    The array is shared between calls, so it is read-only.
+    The array is a view of a shared table, so it is read-only.
     """
-    return _sinusoid_at(np.arange(length, dtype=np.float64), dim)
+    return signed_sinusoid_table(length, dim)[length - 1:]
 
 
-@lru_cache(maxsize=4)
 def signed_sinusoid_table(length: int, dim: int) -> np.ndarray:
     """Sinusoid rows for every signed offset -(L-1)..(L-1); row index = offset + L - 1.
 
-    The array is shared between calls, so it is read-only.
+    The array is a view of the one table kept for ``dim``, grown only when ``length``
+    is the longest yet, so it is read-only.
     """
-    return _sinusoid_at(np.arange(-(length - 1), length, dtype=np.float64), dim)
+    table = _tables.get(dim)
+    if table is None or len(table) < 2 * length - 1:
+        table = _tables[dim] = _sinusoid_at(np.arange(-(length - 1), length, dtype=np.float64), dim)
+    zero = (len(table) - 1) // 2
+    return table[zero - (length - 1):zero + length]
 
 
 def _sinusoid_at(positions: np.ndarray, dim: int) -> np.ndarray:

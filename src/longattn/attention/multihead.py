@@ -34,10 +34,11 @@ def attention_weights(
 ) -> Tensor:
     """Row-stochastic attention of the query frames ``rows`` over the key frames
     ``keys`` (all of each by default) for one head under ``variant``, from the
-    head's projection stage; only one with a band takes a narrower ``keys``."""
+    head's projection stage; only one with a band takes a narrower ``keys``. Every
+    score op makes a new block and never reads it back, so the softmax takes it over."""
     if projected.half is None and keys != slice(None):
         raise InternalError(f"{variant.value} attention without a band reads every key, got {keys}")
-    return softmax_rows(VARIANTS[variant].scores(projected.operands, head, rows, keys))
+    return softmax_rows(VARIANTS[variant].scores(projected.operands, head, rows, keys), fresh=True)
 
 
 def key_window(rows: slice, half: int, length: int) -> slice:

@@ -13,7 +13,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..numerics.tensor import Tensor, add, affine, append_const_col, mul_scalar, param
+from ..numerics.tensor import Tensor, add, affine, append_const_col, param
 from .encodings import frame_index_column
 from .variants import (
     Projection,
@@ -110,7 +110,7 @@ def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> Head:
 _STANDARD = VariantSpec(
     project=lambda x, p, alpha: Projection(qk_projections(x, p["w_q"], p["w_k_x"])),
     scores=lambda qk, p, rows, keys: dot_product_scores(*qk, rows=rows),
-    pair_elements=lambda n, d_model, d_k: 3 * n * n,  # raw, scaled scores; attention
+    pair_elements=lambda n, d_model, d_k: n * n,  # scaled scores, then attention in place
     init_scores=_init_qk,
     default_abs_pe=True,
 )
@@ -118,7 +118,7 @@ _GAUSSIAN = VariantSpec(
     project=lambda x, p, alpha: gaussian_projection(x, p["w_s"]),
     # sees only row differences, so it is shift-invariant
     scores=lambda ag, p, rows, keys: pairwise_sqdist_scores(*ag, rows, keys),
-    pair_elements=lambda n, d_model, d_k: 2 * n * n,  # pairwise distances, attention
+    pair_elements=lambda n, d_model, d_k: n * n,  # pairwise distances, then attention in place
     init_scores=_init_gaussian,
 )
 
@@ -130,7 +130,8 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         scores=lambda qk, p, rows, keys: add(
             dot_product_scores(*qk, rows=rows),
             soft_mask_tensor(qk[0].data.shape[0], p["log_sigma_mask"], rows)),
-        pair_elements=lambda n, d_model, d_k: 5 * n * n,  # standard plus mask, masked scores
+        # scaled scores, mask, their sum, then attention in place
+        pair_elements=lambda n, d_model, d_k: 3 * n * n,
         init_scores=lambda *dims: {
             **_init_qk(*dims), "log_sigma_mask": param([[math.log(SOFT_MASK_SIGMA_INIT)]])},
     ),
@@ -149,11 +150,10 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         # the offset table's key projection is per-frame work, done once per head
         project=lambda x, p, alpha: Projection(
             relative_projections(x, p["w_q"], p["w_k_x"], p["w_k_r"])),
-        scores=lambda qkr, p, rows, keys: mul_scalar(
-            relative_terms(*qkr, p["u"], p["v"], rows), 1.0 / math.sqrt(qkr[0].data.shape[1])),
-        # content scores, all-offset position scores (L x 2L-1), their shift,
-        # the sum, scaled scores, attention; q + u and q + v
-        pair_elements=lambda n, d_model, d_k: 5 * n * n + n * (2 * n - 1) + 2 * n * d_k,
+        scores=lambda qkr, p, rows, keys: relative_terms(*qkr, p["u"], p["v"], rows),
+        # the scores, then their attention in place; all-offset position scores
+        # (L x 2L-1); q + u and q + v
+        pair_elements=lambda n, d_model, d_k: n * n + n * (2 * n - 1) + 2 * n * d_k,
         init_scores=lambda rng, score_in, d_model, d_k, alpha: {
             **_init_qk(rng, score_in, d_model, d_k, alpha),
             "w_k_r": param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model))),

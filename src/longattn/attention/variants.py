@@ -9,8 +9,8 @@ stage with it. A score stage scores the query frames in ``rows``, all by
 default, so a caller can work through the queries one block at a time.
 ``params.VARIANTS`` wires each variant to its two stages.
 
-The Gaussian distances, relative_pe's shift and soft_mask's window are custom
-tape ops, each with an exact backward.
+The scaled dot products, the Gaussian distances, relative_pe's shifted terms
+and soft_mask's window are custom tape ops, each with an exact backward.
 
 ``attn_kernel_form`` is the plain-array oracle for the algebraic identity
 between shared-QK attention and its normalized-kernel rewriting: the scores
@@ -25,12 +25,11 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..errors import DimensionError, InternalError
+from ..errors import InternalError
 from ..numerics.linalg import as_matrix
 from ..numerics.tensor import (
     Tensor,
     accumulate_grad,
-    add,
     add_row,
     affine,
     append_const_col,
@@ -88,31 +87,12 @@ def pairwise_sqdist_scores(
     return make_op(scores, (a,), grad_fn)
 
 
-def relative_shift(p: Tensor) -> Tensor:
-    """S[i, j] = P[i, i - j + L - 1] for a (c, L + c - 1) block of offset scores.
-
-    Column m of P holds offset m - (L - 1) relative to the block's first query,
-    so row i of S is row i of P read backwards from column i + L - 1: a strided
-    skew view (Transformer-XL's relative shift) plus one copy. A whole matrix
-    is the block c = L, with all 2L - 1 offsets.
-    """
-    n_rows, n_cols = p.data.shape
-    length = n_cols - n_rows + 1
-    if n_rows < 1 or length < 1:
-        raise DimensionError(f"relative_shift: needs a (c, L+c-1) matrix, got {p.data.shape}")
-
-    def skew(full: np.ndarray) -> np.ndarray:  # ``full`` is C-contiguous
-        s0, s1 = full.strides
-        return np.ndarray((n_rows, length), buffer=full, offset=(length - 1) * s1,
-                          strides=(s0 + s1, -s1))
-
-    def grad_fn(u: np.ndarray) -> None:
-        # each (i, j) lands on a distinct entry of row i, so assignment is exact
-        dp = np.zeros((n_rows, n_cols))
-        skew(dp)[...] = u
-        accumulate_grad(p, dp, fresh=True)
-
-    return make_op(skew(np.ascontiguousarray(p.data)).copy(), (p,), grad_fn)
+def _skew(full: np.ndarray, length: int) -> np.ndarray:
+    """The view S[i, j] = P[i, i - j + L - 1] of a C-contiguous (c, L + c - 1) block P
+    of offset scores: Transformer-XL's relative shift, with no copy."""
+    s0, s1 = full.strides
+    return np.ndarray((full.shape[0], length), buffer=full, offset=(length - 1) * s1,
+                      strides=(s0 + s1, -s1))
 
 
 def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
@@ -140,9 +120,23 @@ def qk_projections(x: Tensor, w_q, w_k) -> tuple[Tensor, Tensor]:
 
 
 def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tensor:
-    """Scaled scores of the queries in ``rows`` over all keys."""
-    d_k = q.data.shape[1]
-    return mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(d_k))
+    """Scores q[rows] @ k.T / sqrt(d_k) of the queries in ``rows`` over all keys, scaled
+    in place; ``q`` may be ``k``. Forward and backward repeat the IEEE operations of
+    ``mul_scalar(matmul_t(slice_rows(q, rows), k), scale)``, in the chain's order."""
+    scale = 1.0 / math.sqrt(q.data.shape[1])
+    q_rows = q.data[rows]
+    scores = q_rows @ k.data.T
+    scores *= scale
+
+    def grad_fn(u: np.ndarray) -> None:
+        u = u * scale
+        accumulate_grad(k, (q_rows.T @ u).T, fresh=True)
+        if q.requires_grad:
+            dq = np.zeros_like(q.data)
+            dq[rows] = u @ k.data
+            accumulate_grad(q, dq, fresh=True)
+
+    return make_op(scores, (q, k), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +222,12 @@ def relative_projections(x: Tensor, w_q, w_k_x, w_k_r) -> tuple[Tensor, Tensor, 
 def relative_terms(
     q: Tensor, kx: Tensor, kr: Tensor, u: Tensor, v: Tensor, rows: slice = slice(None)
 ) -> Tensor:
-    """Pre-softmax scores (q_i + u).kx_j + (q_i + v).kr[i - j + L - 1] for the
-    queries i in ``rows``: content, content-position and both bias terms,
-    grouped as in Transformer-XL. A block of c queries reads c + L - 1 offsets."""
-    length = q.data.shape[0]
+    """Pre-softmax scores ((q_i + u).kx_j + (q_i + v).kr[i - j + L - 1]) / sqrt(d_k)
+    for the queries i in ``rows``: content, content-position and both bias terms,
+    grouped as in Transformer-XL. A block of c queries reads c + L - 1 offsets.
+    One op over (q + u, kx, position) adds the position term's skew view to the
+    content GEMM and scales, in place, with ``add``'s and ``mul_scalar``'s operations."""
+    length, d_k = q.data.shape
     if kr.data.shape[0] != 2 * length - 1:
         raise InternalError(
             f"relative-offset table has {kr.data.shape[0]} rows, needs "
@@ -239,7 +235,21 @@ def relative_terms(
         )
     start, stop, _ = rows.indices(length)
     q_rows = slice_rows(q, rows)
-    content = matmul_t(add_row(q_rows, u), kx)
+    qu = add_row(q_rows, u)
     offsets = slice_rows(kr, slice(start, stop + length - 1))
     position = matmul_t(add_row(q_rows, v), offsets)
-    return add(content, relative_shift(position))
+    scale = 1.0 / math.sqrt(d_k)
+    scores = qu.data @ kx.data.T
+    scores += _skew(position.data, length)
+    scores *= scale
+
+    def grad_fn(g: np.ndarray) -> None:
+        g = g * scale
+        if qu.requires_grad:
+            accumulate_grad(qu, g @ kx.data, fresh=True)
+        accumulate_grad(kx, (qu.data.T @ g).T, fresh=True)
+        dp = np.zeros_like(position.data)  # (i, j) land on distinct entries: exact
+        _skew(dp, length)[...] = g
+        accumulate_grad(position, dp, fresh=True)
+
+    return make_op(scores, (qu, kx, position), grad_fn)

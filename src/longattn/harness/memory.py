@@ -1,13 +1,14 @@
 """Element-count accounting for the attention scores and their softmax.
 
 Counts cover the pairwise-interaction intermediates of one head, over all
-query rows at once: score, mask, and normalization matrices, plus
-relative_pe's per-block query-bias sums. Per-frame projections (linear in
-sequence length) and parameters are excluded; they do not drive the
-long-sequence memory behaviour. relative_pe's (2L-1)-row offset table and its
-key projection are per-head projection work, so they are excluded too. The
-measured number comes from the allocation meter in the numerics substrate
-while ``attention_weights`` turns one head's projected frames into weights.
+query rows at once: score, mask and position-score matrices (the softmax
+normalises the scores in place, so they count once), plus relative_pe's
+per-block query-bias sums. Per-frame projections (linear in sequence length)
+and parameters are excluded; they do not drive the long-sequence memory
+behaviour. relative_pe's (2L-1)-row offset table and its key projection are
+per-head projection work, so they are excluded too. The measured number comes
+from the allocation meter in the numerics substrate while
+``attention_weights`` turns one head's projected frames into weights.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..errors import ConfigError
 from ..numerics.tensor import const, count_allocations
 
 MEASURE_SEED = 0  # seeds the head weights and input frames of a measurement
-MAX_LENGTH = 4096  # the longest measured length; relative_pe's stage there is 0.9 GB
+MAX_LENGTH = 4096  # the longest measured length; relative_pe's stage there is 0.4 GB
 
 
 @dataclass

@@ -42,14 +42,13 @@ def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with max subtraction; each row sums to 1.
-
-    The input is not modified. Shifted scores below ``EXP_NORMAL_MIN``, whose
-    weights would be subnormal or zero, become +0.0 without an ``exp`` call.
-    """
+def softmax_rows(m, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction into ``out``, new by default or a view
+    of all of ``m`` to normalise it in place; each row sums to 1. Shifted scores
+    below ``EXP_NORMAL_MIN``, whose weights would be subnormal or zero, become
+    +0.0 without an ``exp`` call."""
     m = as_matrix(m)
-    out = np.empty(m.shape)
+    out = np.empty(m.shape) if out is None else out
     if m.size == 0:
         return out
     np.subtract(m, m.max(axis=1, keepdims=True), out=out)

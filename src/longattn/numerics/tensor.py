@@ -377,8 +377,10 @@ def frame_stack(x: Tensor, factor: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    p = _softmax(x.data)
+def softmax_rows(x: Tensor, *, fresh: bool = False) -> Tensor:
+    """Row softmax. With ``fresh`` (as to ``accumulate_grad``) nothing else reads ``x``'s
+    array, its op's backward included, so the weights overwrite it and are a view of it."""
+    p = _softmax(x.data, x.data[...] if fresh else None)
 
     def grad_fn(u: np.ndarray) -> None:
         accumulate_grad(x, p * (u - np.add.reduce(u * p, axis=1, keepdims=True)), fresh=True)

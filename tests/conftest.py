@@ -12,7 +12,17 @@ from longattn.attention import DEFAULT_ALPHA, VARIANTS, attention_weights
 from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
 from longattn.errors import LongattnError
 from longattn.numerics import tensor as tensor_module
-from longattn.numerics.tensor import Tensor, accumulate_grad, const, make_op
+from longattn.numerics.tensor import (
+    Tensor,
+    accumulate_grad,
+    add,
+    add_row,
+    const,
+    make_op,
+    matmul_t,
+    mul_scalar,
+    slice_rows,
+)
 
 RELU_GAP_THRESHOLD = 3e-3
 
@@ -77,6 +87,43 @@ def sum_all(a: Tensor) -> Tensor:
         accumulate_grad(a, np.full_like(a.data, u[0, 0]), fresh=True)
 
     return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
+
+
+# The op chains that ``dot_product_scores`` and ``relative_terms`` fuse: the
+# references whose forward and every gradient the fused ops reproduce bit for bit.
+
+
+def relative_shift(p: Tensor) -> Tensor:
+    """S[i, j] = P[i, i - j + L - 1] of a (c, L + c - 1) block P of offset scores,
+    as its own op: a copy of the skew view forward, a scatter through it backward."""
+    n_rows, n_cols = p.data.shape
+    length = n_cols - n_rows + 1
+
+    def skew(full: np.ndarray) -> np.ndarray:  # ``full`` is C-contiguous
+        s0, s1 = full.strides
+        return np.ndarray((n_rows, length), buffer=full, offset=(length - 1) * s1,
+                          strides=(s0 + s1, -s1))
+
+    def grad_fn(u: np.ndarray) -> None:
+        dp = np.zeros((n_rows, n_cols))
+        skew(dp)[...] = u
+        accumulate_grad(p, dp, fresh=True)
+
+    return make_op(skew(np.ascontiguousarray(p.data)).copy(), (p,), grad_fn)
+
+
+def dot_product_chain(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tensor:
+    return mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(q.data.shape[1]))
+
+
+def relative_terms_chain(q, kx, kr, u, v, rows: slice = slice(None)) -> Tensor:
+    length = q.data.shape[0]
+    start, stop, _ = rows.indices(length)
+    q_rows = slice_rows(q, rows)
+    content = matmul_t(add_row(q_rows, u), kx)
+    offsets = slice_rows(kr, slice(start, stop + length - 1))
+    position = matmul_t(add_row(q_rows, v), offsets)
+    return mul_scalar(add(content, relative_shift(position)), 1.0 / math.sqrt(q.data.shape[1]))
 
 
 def sqnorms(a) -> np.ndarray:

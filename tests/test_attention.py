@@ -8,7 +8,9 @@ import pytest
 
 from conftest import head_weights, sigma_mask
 from longattn.attention import (
+    VARIANTS,
     AttentionVariant,
+    attention_weights,
     attn_kernel_form,
     init_attention_params,
     kernel_form_factors,
@@ -23,13 +25,12 @@ from longattn.attention.variants import (
     dot_product_scores,
     qk_projections,
     relative_projections,
-    relative_shift,
     relative_terms,
     soft_mask_tensor,
 )
 from longattn.errors import ConfigError
 from longattn.numerics import const, param
-from longattn.numerics.tensor import add, softmax_rows
+from longattn.numerics.tensor import Tensor, add, softmax_rows
 
 
 def rel_diff(a, b):
@@ -88,8 +89,30 @@ def test_sinusoid_tables_are_cached_and_read_only():
     for table in (sinusoid_encoding(9, 6), signed_sinusoid_table(9, 6)):
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
-    assert sinusoid_encoding(9, 6) is sinusoid_encoding(9, 6)
-    assert signed_sinusoid_table(9, 6) is signed_sinusoid_table(9, 6)
+    # every table of one dim is a view of the same buffer
+    assert sinusoid_encoding(9, 6).base is sinusoid_encoding(9, 6).base is not None
+    assert signed_sinusoid_table(9, 6).base is sinusoid_encoding(3, 6).base
+
+
+@pytest.mark.parametrize("dim", [6, 32, 64])
+def test_sinusoid_views_are_byte_identical_to_direct_tables(dim, monkeypatch):
+    # numpy's vector sin and cos must not round an entry by where it sits in
+    # its array: every view of the grown table equals the table built for it.
+    # Dims 32 and 64 take every 13th length to keep the test short.
+    from longattn.attention import encodings
+
+    monkeypatch.setattr(encodings, "_tables", {})
+    lengths = list(range(1, 2101, 1 if dim == 6 else 13)) + [2100]
+    for grown_first in (False, True) if dim == 6 else (True,):  # False: one length at a time
+        if grown_first:
+            signed_sinusoid_table(lengths[-1], dim)
+        for length in lengths:
+            offsets = np.arange(-(length - 1), length, dtype=np.float64)
+            direct = encodings._sinusoid_at(offsets, dim)
+            assert signed_sinusoid_table(length, dim).tobytes() == direct.tobytes()
+            direct = encodings._sinusoid_at(offsets[length - 1:], dim)
+            assert sinusoid_encoding(length, dim).tobytes() == direct.tobytes()
+    assert len(encodings._tables[dim]) == 2 * lengths[-1] - 1
 
 
 def test_sinusoid_rejects_odd_dim():
@@ -415,7 +438,7 @@ def oracle_relative(x, w_q, w_k_x, w_k_r, u, v, table):
 
 
 def relative_scores(x, w_q, w_k_x, w_k_r, u, v):
-    """Unscaled four-term scores over the signed sinusoid table for ``x``."""
+    """Four-term scores over the signed sinusoid table for ``x``, scaled by 1/sqrt(d_k)."""
     q, kx, kr = relative_projections(const(x), w_q, w_k_x, w_k_r)
     return relative_terms(q, kx, kr, u, v).data
 
@@ -428,7 +451,7 @@ def test_scores_relative_reduces_to_standard_qk():
     got = relative_scores(x, p["w_q"], p["w_k_x"], zero_like(p["w_k_r"]),
                           zero_like(p["u"]), zero_like(p["v"]))
     xa = np.concatenate([x, np.ones((5, 1))], axis=1)
-    expected = (xa @ p["w_q"].data.T) @ (xa @ p["w_k_x"].data.T).T
+    expected = (xa @ p["w_q"].data.T) @ (xa @ p["w_k_x"].data.T).T / math.sqrt(3)
     npt.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -449,7 +472,7 @@ def test_scores_relative_matches_four_term_oracle():
     table = signed_sinusoid_table(5, p["w_k_r"].data.shape[1])
     got = relative_scores(x, p["w_q"], p["w_k_x"], p["w_k_r"], p["u"], p["v"])
     expected = oracle_relative(x, p["w_q"].data, p["w_k_x"].data, p["w_k_r"].data,
-                               p["u"].data[0], p["v"].data[0], table)
+                               p["u"].data[0], p["v"].data[0], table) / math.sqrt(3)
     npt.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -554,23 +577,34 @@ def test_soft_mask_sigma_positive_and_matches_init():
     assert sigma_mask(p) > 0.0
 
 
+def relative_gather_case(rows: slice, length: int, seed: int):
+    """``relative_terms`` over the queries ``rows`` of random projections, and the
+    same scores with the relative shift done as an explicit gather."""
+    rng = np.random.default_rng(seed)
+    d_k = 4
+    q, kx = rng.normal(size=(length, d_k)), rng.normal(size=(length, d_k))
+    kr = rng.normal(size=(2 * length - 1, d_k))
+    u, v = rng.normal(size=(1, d_k)), rng.normal(size=(1, d_k))
+    got = relative_terms(const(q), const(kx), const(kr), const(u), const(v), rows).data
+    start, stop, _ = rows.indices(length)
+    # a block of c query rows reads the c + L - 1 offsets starting at its first row
+    offsets = (q[rows] + v) @ kr[start:stop + length - 1].T
+    i, j = np.arange(stop - start)[:, None], np.arange(length)[None, :]
+    expected = ((q[rows] + u) @ kx.T + offsets[i, i - j + length - 1]) * (1.0 / math.sqrt(d_k))
+    return got, expected
+
+
 @pytest.mark.parametrize("length", [1, 2, 7, 64])
 def test_relative_shift_equals_explicit_gather(length):
-    rng = np.random.default_rng(53 + length)
-    offsets = rng.normal(size=(length, 2 * length - 1))
-    idx = np.arange(length)
-    expected = offsets[idx[:, None], idx[:, None] - idx[None, :] + length - 1]
-    npt.assert_array_equal(relative_shift(const(offsets)).data, expected)
+    got, expected = relative_gather_case(slice(None), length, 53 + length)
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows,length", [(1, 1), (1, 5), (3, 7), (7, 7), (65, 300)])
 def test_relative_shift_block_equals_explicit_gather(rows, length):
-    # a block of c query rows reads the c + L - 1 offsets starting at its first row
-    rng = np.random.default_rng(rows + length)
-    offsets = rng.normal(size=(rows, length + rows - 1))
-    i, j = np.arange(rows)[:, None], np.arange(length)[None, :]
-    expected = offsets[i, i - j + length - 1]
-    npt.assert_array_equal(relative_shift(const(offsets)).data, expected)
+    start = (length - rows) // 2
+    got, expected = relative_gather_case(slice(start, start + rows), length, rows + length)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_offset_table_span_is_checked():
@@ -586,6 +620,35 @@ def test_offset_table_span_is_checked():
 # ---------------------------------------------------------------------------
 # row-blocked multi-head attention
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+def test_attention_weights_writes_no_array_but_its_own_score_block(variant):
+    # the softmax normalises each score block in place: no projection, weight
+    # or earlier block may change, and the weights share memory with none of them
+    from longattn.attention.multihead import key_window
+    from longattn.numerics import linalg
+
+    length = 300
+    head = make_params(variant, 16, 8, 8, 70)
+    x = param(np.random.default_rng(71).normal(size=(length, 16)))
+    projected = VARIANTS[variant].projections(x, head, 100.0, start_index=0)
+    operands = projected.operands if isinstance(projected.operands, tuple) else (projected.operands,)
+    arrays = [t.data if isinstance(t, Tensor) else t for t in operands]
+    arrays += [t.data for t in head.values()] + [x.data]
+    before = [a.copy() for a in arrays]
+    blocks, saved = [], []
+    for rows in linalg.row_chunks(length, length):
+        keys = key_window(rows, projected.half, length) if projected.half else slice(None)
+        weights = attention_weights(projected, head, variant, rows=rows, keys=keys).data
+        assert not any(np.shares_memory(weights, a) for a in arrays + blocks)
+        blocks.append(weights)
+        saved.append(weights.copy())
+    assert len(blocks) == 2
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(blocks, saved):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("length", [300, 1000])

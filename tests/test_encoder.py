@@ -287,13 +287,12 @@ def test_no_grad_forward_memory_does_not_grow_with_depth(variant):
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
-def test_no_grad_forward_never_holds_a_full_attention_matrix(variant):
+def test_no_grad_forward_never_holds_a_full_attention_matrix(variant, monkeypatch):
     # T = 4000 subsamples to L = 1000; attention runs in blocks of query rows,
     # so the peak stays below a single L x L float64 matrix
-    from longattn.attention.encodings import signed_sinusoid_table, sinusoid_encoding
+    from longattn.attention import encodings
 
-    sinusoid_encoding.cache_clear()  # a cached table would escape the count
-    signed_sinusoid_table.cache_clear()
+    monkeypatch.setattr(encodings, "_tables", {})  # a cached table would escape the count
     feats = np.random.default_rng(19).normal(size=(4000, 8))
     peak = forward_peak_bytes(EncoderConfig(variant=variant), feats)
     assert peak < 1000 * 1000 * 8, peak
@@ -311,9 +310,10 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
     softmax_sizes, sqdist_sizes, norms = [], [], []
     softmax, sqdist = tensor_module._softmax, params.pairwise_sqdist_scores
 
-    def counted_softmax(m):
+    def counted_softmax(m, out=None):
         softmax_sizes.append(m.size)
-        return softmax(m)
+        assert out is not None and out.base is m  # the block is normalised in place
+        return softmax(m, out)
 
     def counted_sqdist(a, g, rows=slice(None), keys=slice(None)):
         out = sqdist(a, g, rows, keys)

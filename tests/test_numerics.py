@@ -9,13 +9,20 @@ import pytest
 from conftest import (
     ReferenceAdam,
     assert_packed,
+    dot_product_chain,
     mul,
+    relative_terms_chain,
     sqnorms,
     sum_all,
     transpose,
     use_copy_always,
 )
-from longattn.attention.variants import pairwise_sqdist_scores, relative_shift, soft_mask_tensor
+from longattn.attention.variants import (
+    dot_product_scores,
+    pairwise_sqdist_scores,
+    relative_terms,
+    soft_mask_tensor,
+)
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
     Adam,
@@ -149,8 +156,14 @@ def test_softmax_rows_is_bit_identical_to_the_whole_matrix_oracle(shape):
     for m in (rng.normal(scale=5.0, size=shape), hard_rows(rng, *shape)):
         before = m.copy()
         got = linalg.softmax_rows(m)
-        npt.assert_array_equal(got.view(np.int64), plain_softmax_rows(m).view(np.int64))
+        expected = plain_softmax_rows(m).view(np.int64)
+        npt.assert_array_equal(got.view(np.int64), expected)
         npt.assert_array_equal(m, before)  # the input is not modified
+        # normalised in place, through a view as attention hands its blocks over
+        scores = T.Tensor(before)
+        weights = T.softmax_rows(scores, fresh=True).data
+        assert weights.base is before
+        npt.assert_array_equal(before.view(np.int64), expected)
 
 
 def test_row_chunks_cover_every_row_once():
@@ -349,9 +362,8 @@ def test_primitive_op_gradients(seed):
     probe = const(rng.normal(size=(3, 4)))
     probe5 = const(rng.normal(size=(3, 5)))
     twos = const(np.full((2, 8), 2.0))
-    offsets = param(rng.normal(size=(3, 5)))  # all 2L-1 offsets for L = 3
+    kr = param(rng.normal(size=(5, 4)))  # all 2L-1 offsets for L = 3
     probe3 = const(rng.normal(size=(3, 3)))
-    block_offsets = param(rng.normal(size=(2, 4)))  # offsets of a 2-row block, L = 3
     probe23 = const(rng.normal(size=(2, 3)))
     probe24 = const(rng.normal(size=(2, 4)))
     probe54 = const(rng.normal(size=(5, 4)))
@@ -402,13 +414,25 @@ def test_primitive_op_gradients(seed):
             lambda: sum_all(mul(probe, T.layer_norm_rows(a, g, bias))),
             [("a", a), ("g", g), ("bias", bias)],
         ),
-        "relative_shift": (
-            lambda: sum_all(mul(probe3, relative_shift(offsets))),
-            [("offsets", offsets)],
+        "dot_product_scores": (
+            lambda: sum_all(mul(probe3, dot_product_scores(a, b))),
+            [("a", a), ("b", b)],
         ),
-        "relative_shift_block": (
-            lambda: sum_all(mul(probe23, relative_shift(block_offsets))),
-            [("block_offsets", block_offsets)],
+        "dot_product_scores_block": (
+            lambda: sum_all(mul(probe23, dot_product_scores(a, b, slice(1, 3)))),
+            [("a", a), ("b", b)],
+        ),
+        "dot_product_scores_shared_block": (
+            lambda: sum_all(mul(probe23, dot_product_scores(a, a, slice(1, 3)))),
+            [("a", a)],
+        ),
+        "relative_terms": (
+            lambda: sum_all(mul(probe3, relative_terms(a, b, kr, g, bias))),
+            [("a", a), ("b", b), ("kr", kr), ("g", g), ("bias", bias)],
+        ),
+        "relative_terms_block": (
+            lambda: sum_all(mul(probe23, relative_terms(a, b, kr, g, bias, slice(1, 3)))),
+            [("a", a), ("b", b), ("kr", kr), ("g", g), ("bias", bias)],
         ),
         "pairwise_sqdist_scores": (
             lambda: sum_all(mul(probe3, pairwise_sqdist_scores(a, sqnorms(a)))),
@@ -439,6 +463,36 @@ def test_primitive_op_gradients(seed):
         errors = check_gradients(f, params)
         worst = max(errors.values())
         assert worst <= GRAD_TOL, f"{name}: rel err {worst:.2e} {errors}"
+
+
+FUSED_SCORE_CASES = {
+    "dot_product": (dot_product_scores, dot_product_chain, False, slice(None)),
+    "dot_product_block": (dot_product_scores, dot_product_chain, False, slice(65, 130)),
+    "dot_product_shared": (dot_product_scores, dot_product_chain, True, slice(None)),
+    "dot_product_shared_block": (dot_product_scores, dot_product_chain, True, slice(65, 130)),
+    "relative_terms": (relative_terms, relative_terms_chain, False, slice(None)),
+    "relative_terms_block": (relative_terms, relative_terms_chain, False, slice(65, 130)),
+}
+
+
+@pytest.mark.parametrize("case", FUSED_SCORE_CASES.values(), ids=FUSED_SCORE_CASES.keys())
+def test_fused_score_ops_match_their_op_chains_byte_for_byte(case):
+    fused, chain, shared, rows = case
+    length, d_k = 300, 8
+
+    def run(op):
+        rng = np.random.default_rng(7)
+        q = param(rng.normal(size=(length, d_k)))
+        k = q if shared else param(rng.normal(size=(length, d_k)))
+        extra = [param(rng.normal(size=(2 * length - 1, d_k))),
+                 param(rng.normal(size=(1, d_k))), param(rng.normal(size=(1, d_k)))]
+        tensors = [q, k, *extra] if fused is relative_terms else [q, k]
+        scores = op(*tensors, rows)
+        backward(sum_all(mul(scores, const(rng.normal(size=scores.shape)))))
+        return [scores.data] + [t.grad for t in tensors]
+
+    for got, expected in zip(run(fused), run(chain), strict=True):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_slice_and_concat_pass_whole_tensors_through():
