@@ -6,9 +6,10 @@ normalises the scores in place, so they count once), plus relative_pe's
 per-block query-bias sums. Per-frame projections (linear in sequence length)
 and parameters are excluded; they do not drive the long-sequence memory
 behaviour. relative_pe's (2L-1)-row offset table and its key projection are
-per-head projection work, so they are excluded too. The measured number comes
-from the allocation meter in the numerics substrate while
-``attention_weights`` turns one head's projected frames into weights.
+per-head projection work, so they are excluded too. The measured number is
+read off the tape that ``recording`` gives ``attention_weights`` while it turns
+one head's projected frames into weights: the sizes of the recorded results
+whose arrays own their memory, where a view of another array counts 0.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..attention.multihead import attention_weights
 from ..attention.params import VARIANTS, AttentionVariant, init_attention_params
 from ..encoder import EncoderConfig
 from ..errors import ConfigError
-from ..numerics.tensor import const, count_allocations
+from ..numerics.tensor import const, recording
 
 MEASURE_SEED = 0  # seeds the head weights and input frames of a measurement
 MAX_LENGTH = 4096  # the longest measured length; relative_pe's stage there is 0.4 GB
@@ -38,14 +39,17 @@ class MemoryFootprint:
 
 
 def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderConfig) -> int:
-    """Run one head's scores and their softmax under the allocation meter."""
+    """Record one head's scores and their softmax on a tape of their own and sum
+    the sizes of the recorded results whose arrays own their memory."""
     rng = np.random.default_rng([MEASURE_SEED, 0x6D])
     params = init_attention_params(variant, cfg.d_model, cfg.d_k, cfg.d_v, cfg.alpha, rng)
     x = const(rng.normal(size=(length, cfg.d_model)))
     projected = VARIANTS[variant].projections(x, params, cfg.alpha, start_index=0)
-    with count_allocations() as meter:
-        attention_weights(projected, params, variant)
-    return meter.elements
+    with recording() as tape:
+        weights = attention_weights(projected, params, variant)
+    elements = sum(ref().data.size for ref in tape if ref().data.base is None)
+    del weights  # held until here: its graph keeps every recorded result alive
+    return elements
 
 
 def memory_footprint_estimate(variant: AttentionVariant, length: int,

@@ -38,11 +38,12 @@ class TrainResult:
     wall_clock_s: float = 0.0
 
 
-def loss_decreased(curve: list[float], window: int = 10) -> bool:
-    """Final-window mean below the initial-window mean."""
-    if len(curve) < 2 * window:
+def loss_decreased(curve: list[float]) -> bool:
+    """Mean of the last 10 losses below the mean of the first 10; with fewer
+    than 20, the last loss below the first."""
+    if len(curve) < 20:
         return len(curve) >= 2 and curve[-1] < curve[0]
-    return float(np.mean(curve[-window:])) < float(np.mean(curve[:window]))
+    return float(np.mean(curve[-10:])) < float(np.mean(curve[:10]))
 
 
 def train_model(

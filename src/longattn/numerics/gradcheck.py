@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import EvaluationError
 from .tensor import Tensor, backward, no_grad
 
-DEFAULT_EPS = 1e-4
+EPS = 1e-4  # the central-difference step
 
 
 def _scalar(value) -> float:
@@ -21,26 +21,24 @@ def _scalar(value) -> float:
     return value
 
 
-def finite_diff_grad(f: Callable[[], object], p: Tensor, eps: float = DEFAULT_EPS) -> np.ndarray:
+def finite_diff_grad(f: Callable[[], object], p: Tensor) -> np.ndarray:
     """Central-difference gradient of the scalar ``f()`` w.r.t. every entry of ``p``.
 
     ``f`` must recompute its forward pass from the current contents of ``p``.
     ``p.data`` is restored exactly after each probe. The probes record no tape.
     """
-    if eps <= 0:
-        raise EvaluationError(f"finite differences need eps > 0, got {eps}")
     grad = np.zeros_like(p.data)
     it = np.nditer(p.data, flags=["multi_index"])
     with no_grad():
         for _ in it:
             idx = it.multi_index
             original = p.data[idx]
-            p.data[idx] = original + eps
+            p.data[idx] = original + EPS
             hi = _scalar(f())
-            p.data[idx] = original - eps
+            p.data[idx] = original - EPS
             lo = _scalar(f())
             p.data[idx] = original
-            grad[idx] = (hi - lo) / (2.0 * eps)
+            grad[idx] = (hi - lo) / (2.0 * EPS)
     return grad
 
 
@@ -50,11 +48,8 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
-def check_gradients(
-    f: Callable[[], Tensor],
-    params: Sequence[tuple[str, Tensor]],
-    eps: float = DEFAULT_EPS,
-) -> dict[str, float]:
+def check_gradients(f: Callable[[], Tensor],
+                    params: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
     """Compare tape gradients of ``f()`` against central differences.
 
     Returns the max relative error per parameter name. Gradient buffers of
@@ -67,6 +62,6 @@ def check_gradients(
     errors: dict[str, float] = {}
     for name, p in params:
         analytic = p.grad.copy()
-        numeric = finite_diff_grad(f, p, eps=eps)
+        numeric = finite_diff_grad(f, p)
         errors[name] = max_relative_error(analytic, numeric)
     return errors

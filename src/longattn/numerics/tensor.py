@@ -4,7 +4,7 @@ Every value is a matrix; vectors are 1xN or Nx1 matrices and scalars are
 1x1 matrices. Operations never broadcast: shape combinations are explicit
 per operation and mismatches raise ``DimensionError``. Each op appends a
 weak reference to its result, which holds an exact analytic backward, to
-the module's tape. ``backward(loss)`` walks the tape newest first, summing
+the current tape. ``backward(loss)`` walks the tape newest first, summing
 gradients into every reachable tensor with ``requires_grad``, and consumes
 it: a graph is differentiated once, and a result recorded before an earlier
 ``backward`` passes no gradient. The tape keeps nothing alive.
@@ -15,9 +15,9 @@ upstream gradient, a view of it, or one array for two parents, which is copied
 (``add``, ``add_row``'s first parent, ``append_const_col``, ``concat``, ``frame_stack``).
 
 All functions are pure and reentrant on disjoint tensors. The only shared
-state is the tape and two module flags, none of them thread-safe: the
-optional allocation meter used by the memory-footprint tool, and the
-``no_grad`` switch, under which ops record nothing on the tape.
+state is the current tape, which is not thread-safe. ``no_grad`` swaps in no
+tape, so ops record nothing, and ``recording`` swaps in an empty one of its own,
+which the memory-footprint tool reads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ContextManager, Iterator, Sequence
 
 import numpy as np
 
@@ -34,42 +34,30 @@ from .linalg import softmax_rows as _softmax
 
 LAYER_NORM_EPS = 1e-12  # added to each row's variance in ``layer_norm_rows``
 
-_meter: "AllocationMeter | None" = None
-_grad_enabled = True
-_tape: list[weakref.ref] = []  # recorded results since the last backward, oldest first
-
-
-class AllocationMeter:
-    """Counts float64 elements newly allocated for tensor data: a tensor whose
-    array owns its memory counts its size, a view of another array counts 0."""
-
-    def __init__(self) -> None:
-        self.elements = 0
+_tape: list[weakref.ref] | None = []  # recorded since its last backward, oldest first; None: off
 
 
 @contextmanager
-def count_allocations() -> Iterator[AllocationMeter]:
-    """Count tensor-data allocations made inside the block. Not thread-safe."""
-    global _meter
-    previous = _meter
-    _meter = meter = AllocationMeter()
+def _swap_tape(tape: list[weakref.ref] | None) -> Iterator[list[weakref.ref] | None]:
+    global _tape
+    previous, _tape = _tape, tape
     try:
-        yield meter
+        yield tape
     finally:
-        _meter = previous
+        _tape = previous
 
 
-@contextmanager
-def no_grad() -> Iterator[None]:
+def no_grad() -> ContextManager[None]:
     """Record no tape inside the block: every result is a constant, so each
-    intermediate is freed as soon as nothing refers to it. Not thread-safe."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
+    intermediate is freed as soon as nothing refers to it, and ``backward``
+    raises ``StateError``. Not thread-safe."""
+    return _swap_tape(None)
+
+
+def recording() -> ContextManager[list[weakref.ref]]:
+    """Record the block's ops on an empty tape of their own, yielded to the caller;
+    none of them reaches the outer tape. Not thread-safe."""
+    return _swap_tape([])
 
 
 class Tensor:
@@ -84,8 +72,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._grad_fn = grad_fn
-        if _meter is not None and arr.base is None:
-            _meter.elements += arr.size
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -161,7 +147,7 @@ def make_op(
     parents via ``accumulate_grad``. The graph is pruned below constants, and
     nothing is recorded inside ``no_grad``.
     """
-    if _grad_enabled:
+    if _tape is not None:
         for p in parents:
             if p.requires_grad:
                 out = Tensor(data, requires_grad=True, grad_fn=grad_fn)
@@ -186,8 +172,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every reachable requires_grad tensor; consumes the tape."""
     if loss.data.shape != (1, 1):
         raise DimensionError(f"backward needs a 1x1 loss, got {loss.data.shape}")
-    if not any(ref() is loss for ref in reversed(_tape)):
-        raise StateError("backward needs a loss recorded since the last backward")
+    if _tape is None or not any(ref() is loss for ref in reversed(_tape)):
+        raise StateError("backward needs a loss recorded on the current tape since its last backward")
     try:
         accumulate_grad(loss, np.ones((1, 1)), fresh=True)
         for ref in reversed(_tape):

@@ -24,7 +24,7 @@ from longattn.encoder import (
     subsample,
 )
 from longattn.errors import ConfigError, ShortInputError
-from longattn.numerics import check_gradients, const, no_grad, param
+from longattn.numerics import check_gradients, const, no_grad, param, recording
 from longattn.numerics import tensor as T
 
 TINY = dict(feat_dim=3, d_model=8, n_layers=2, n_heads=2, d_k=4, d_ff=16,
@@ -262,6 +262,26 @@ def test_no_grad_forward_is_bit_identical(variant):
     assert taped.requires_grad and not free.requires_grad
     assert free._grad_fn is None
     npt.assert_array_equal(free.data, taped.data)
+
+
+# tape ops one default training step records: the per-op fixed cost scales with these
+STEP_OPS = {"standard": 102, "soft_mask": 118, "relative_pe": 133, "shared_qk": 86,
+            "gaussian": 101, "gaussian_frame_index": 109, "standard_frame_index": 110}
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_default_training_step_records_the_stated_ops(variant):
+    # forward, log-softmax and CTC loss, as train_model runs them, on 115 frames
+    # (29 subsampled, one row block)
+    from longattn.ctc import ctc_loss_op
+
+    cfg = EncoderConfig(variant=variant)
+    params = init_model(cfg, seed=21)
+    feats = np.random.default_rng(22).normal(size=(115, cfg.feat_dim))
+    with recording() as tape:
+        loss = ctc_loss_op(T.log_softmax_rows(encoder_forward(feats, params, cfg)), [1, 5, 2])
+    assert tape[-1]() is loss
+    assert len(tape) == STEP_OPS[variant.value]
 
 
 def forward_peak_bytes(cfg, feats) -> int:

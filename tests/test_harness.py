@@ -362,7 +362,7 @@ def test_dump_heatmap_range_errors(tmp_path):
 def test_memory_measured_within_tolerance(variant):
     # each registry count must state exactly what the pairwise stage allocates
     cfg = EncoderConfig()
-    for length in (1, 7, 64):
+    for length in (1, 7, 64, 256):
         fp = memory_footprint_estimate(variant, length, cfg)
         assert fp.measured == fp.analytic, fp
 
@@ -376,14 +376,6 @@ def test_memory_quadratic_law():
             for field in ("analytic", "measured"):
                 ratio = getattr(big, field) / getattr(small, field)
                 assert abs(ratio - 4.0) <= 0.4, (variant, length, field, ratio)
-
-
-def test_memory_relative_exceeds_twice_standard():
-    cfg = EncoderConfig()
-    for length in (64, 256):
-        rel = memory_footprint_estimate(AttentionVariant.RELATIVE_PE, length, cfg)
-        std = memory_footprint_estimate(AttentionVariant.STANDARD, length, cfg)
-        assert rel.measured > 2 * std.measured
 
 
 def test_memory_gaussian_ratio_constant():

@@ -34,6 +34,7 @@ from longattn.numerics import (
     max_relative_error,
     no_grad,
     param,
+    recording,
 )
 from longattn.numerics import tensor as T
 
@@ -287,8 +288,12 @@ def test_no_grad_result_is_a_constant():
     assert loss.item() == -2.0
     with pytest.raises(StateError):
         backward(loss)
-    # outside the block the tape records again
-    assert sum_all(T.matmul(w, x)).requires_grad
+    # outside the block the tape records again, but backward inside a block
+    # has no tape to walk, even for a loss recorded before it
+    taped = sum_all(T.matmul(w, x))
+    assert taped.requires_grad
+    with no_grad(), pytest.raises(StateError):
+        backward(taped)
 
 
 def test_second_backward_on_the_same_loss_raises():
@@ -332,6 +337,15 @@ def test_no_grad_restores_the_flag_when_the_block_raises():
         with no_grad():
             T.add(w, const(np.ones((3, 3))))
     assert T.add(w, w).requires_grad
+    # so does ``recording``: the outer tape comes back, and gets nothing of the block's
+    outer, recorded = T._tape, len(T._tape)
+    with pytest.raises(DimensionError):
+        with recording() as tape:
+            inner = T.add(w, w)
+            T.add(w, const(np.ones((3, 3))))
+    assert [ref() for ref in tape] == [inner]
+    assert T._tape is outer and len(outer) == recorded
+    assert T.add(w, w).requires_grad and len(outer) == recorded + 1
 
 
 def test_grad_accumulates_across_backward_calls():

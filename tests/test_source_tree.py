@@ -36,3 +36,13 @@ def test_every_src_definition_is_used_in_src_or_allowlisted():
                     isinstance(node.value, ast.Name) and node.value.id == "np"):
                 used.add(node.attr)
     assert defined - used == UNREFERENCED_ALLOWED
+
+
+def test_the_only_global_src_rebinds_is_the_tape():
+    # the README names the current tape as the library's only global state
+    rebound = set()
+    for path in Path(longattn.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                rebound.update(node.names)
+    assert rebound == {"_tape"}
