@@ -15,25 +15,23 @@ default seed and learning rate for ``--steps`` steps, then prints one line:
 
     <variant> params=<sha256 of every trained parameter> curve=<sha256 of the loss curve>
 
-With ``--heatmap`` it also prints, for each trained variant, the sha256 of
-the CSV and PGM files that ``dump_heatmap`` writes for layer 0, head 0 of
-utterance 0 of the default held-out set concatenated k = 1 and k = 10 at a
-time (``concat_eval`` with seed 0):
+then the sha256 of the CSV and PGM files that ``dump_heatmap`` writes for
+layer 0, head 0 of utterance 0 of the default held-out set concatenated k = 1
+and k = 10 at a time (``concat_eval`` with seed 0):
 
     <variant> heatmap k=<k> frames=<L> csv=<sha256> pgm=<sha256>
 
-With ``--decode`` it also prints, for each trained variant, the sha256 of the
-logits of a no-grad forward over utterance 0 of the same held-out set
-concatenated k = 16 and k = 32 at a time, inputs long enough for several row
-blocks and, in gaussian_frame_index, the key band:
+and the sha256 of the logits of a no-grad forward over utterance 0 of the
+same held-out set concatenated k = 16 and k = 32 at a time, inputs long
+enough for several row blocks and, in gaussian_frame_index, the key band:
 
     <variant> decode k=<k> frames=<L> logits=<sha256>
 
-With ``--artifacts`` it also runs ``train --curve``, ``eval``, ``sweep``,
-``heatmap`` and ``memcheck`` through ``longattn.cli.main`` (gaussian_frame_index,
-``--steps`` steps, default config) in a temporary directory, with relative
-paths so that the reports' ``checkpoint=`` comment is the same in every run,
-and prints one line per file written:
+Last, it runs ``train --curve``, ``eval``, ``sweep``, ``heatmap`` and
+``memcheck`` through ``longattn.cli.main`` (gaussian_frame_index, ``--steps``
+steps, default config) in a temporary directory, with relative paths so that
+the reports' ``checkpoint=`` comment is the same in every run, and prints one
+line per file written:
 
     artifact <file> sha256=<sha256>
 
@@ -43,6 +41,9 @@ on one machine exactly when their outputs are equal:
     PYTHONPATH=src python3 scripts/train_digest.py --steps 150 > after.txt
     PYTHONPATH=/path/to/other/src python3 scripts/train_digest.py --steps 150 > before.txt
     diff before.txt after.txt
+
+(A tree whose script still takes ``--decode --heatmap --artifacts`` prints the
+same lines with those three flags.)
 
 Only the public harness API, ``encoder_forward``, ``no_grad`` and the CLI
 entry point are used, so the script runs against older trees.
@@ -167,13 +168,6 @@ def artifact_digests(steps: int) -> list[str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=150, help="training steps per variant")
-    parser.add_argument("--heatmap", action="store_true",
-                        help="also digest layer 0, head 0 heatmaps at k = 1 and k = 10")
-    parser.add_argument("--decode", action="store_true",
-                        help="also digest no-grad logits of held-out inputs at k = 16 and 32")
-    parser.add_argument("--artifacts", action="store_true",
-                        help="also digest the files the train, eval, sweep, heatmap and "
-                             "memcheck subcommands write")
     args = parser.parse_args()
     if args.steps < 1:
         parser.error("--steps must be at least 1")
@@ -181,18 +175,14 @@ def main() -> None:
     print(blas_line(), flush=True)
     task = SyntheticTaskConfig()
     data = gen_dataset(task)
-    if args.heatmap or args.decode:
-        settings = EvalSettings()
-        heldout = gen_dataset(heldout_task(task, settings.seed, settings.n_utterances))
+    settings = EvalSettings()
+    heldout = gen_dataset(heldout_task(task, settings.seed, settings.n_utterances))
     for variant in AttentionVariant:
         result = train(variant, args.steps, data, task)
         print(digest(variant, result), flush=True)
-        if args.heatmap:
-            print("\n".join(heatmap_digests(variant, result.model, heldout)), flush=True)
-        if args.decode:
-            print("\n".join(decode_digests(variant, result.model, heldout)), flush=True)
-    if args.artifacts:
-        print("\n".join(artifact_digests(args.steps)), flush=True)
+        print("\n".join(heatmap_digests(variant, result.model, heldout)), flush=True)
+        print("\n".join(decode_digests(variant, result.model, heldout)), flush=True)
+    print("\n".join(artifact_digests(args.steps)), flush=True)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..numerics.tensor import Tensor, add, affine, append_const_col, param
+from ..numerics.tensor import Tensor, affine, append_const_col, param
 from .encodings import frame_index_column
 from .variants import (
     Projection,
@@ -23,7 +23,6 @@ from .variants import (
     qk_projections,
     relative_projections,
     relative_terms,
-    soft_mask_tensor,
 )
 
 # At initialization the frame-index feature of Gaussian attention is scaled so
@@ -127,11 +126,7 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
     AttentionVariant.STANDARD_FRAME_INDEX: replace(_STANDARD, frame_indexed=True),
     AttentionVariant.SOFT_MASK: replace(
         _STANDARD,
-        scores=lambda qk, p, rows, keys: add(
-            dot_product_scores(*qk, rows=rows),
-            soft_mask_tensor(qk[0].data.shape[0], p["log_sigma_mask"], rows)),
-        # scaled scores, mask, their sum, then attention in place
-        pair_elements=lambda n, d_model, d_k: 3 * n * n,
+        scores=lambda qk, p, rows, keys: dot_product_scores(*qk, rows, p["log_sigma_mask"]),
         init_scores=lambda *dims: {
             **_init_qk(*dims), "log_sigma_mask": param([[math.log(SOFT_MASK_SIGMA_INIT)]])},
     ),

@@ -9,8 +9,8 @@ stage with it. A score stage scores the query frames in ``rows``, all by
 default, so a caller can work through the queries one block at a time.
 ``params.VARIANTS`` wires each variant to its two stages.
 
-The scaled dot products, the Gaussian distances, relative_pe's shifted terms
-and soft_mask's window are custom tape ops, each with an exact backward.
+The scaled dot products with soft_mask's optional window, the Gaussian distances
+and relative_pe's shifted terms are custom tape ops, each with an exact backward.
 
 ``attn_kernel_form`` is the plain-array oracle for the algebraic identity
 between shared-QK attention and its normalized-kernel rewriting: the scores
@@ -95,20 +95,6 @@ def _skew(full: np.ndarray, length: int) -> np.ndarray:
                       strides=(s0 + s1, -s1))
 
 
-def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
-    """Trainable-width Gaussian window -(i - j)^2 / (2 sigma^2), sigma =
-    exp(log_sigma), as an additive pre-softmax penalty for the query frames in
-    ``rows``. The backward rounds as the chain rule through exp, the power and
-    the product does, operation for operation."""
-    base = -0.5 * squared_offset_matrix(length, rows)
-    e = np.exp(log_sigma.data)
-
-    def grad_fn(u: np.ndarray) -> None:
-        accumulate_grad(log_sigma, np.array([[np.sum(u * base)]]) * -2.0 * e**-3.0 * e, fresh=True)
-
-    return make_op(base * (e**-2.0)[0, 0], (log_sigma,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # scaled dot-product scores
 # ---------------------------------------------------------------------------
@@ -119,16 +105,24 @@ def qk_projections(x: Tensor, w_q, w_k) -> tuple[Tensor, Tensor]:
     return matmul_t(xa, w_q), matmul_t(xa, w_k)
 
 
-def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tensor:
+def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None), log_sigma=None) -> Tensor:
     """Scores q[rows] @ k.T / sqrt(d_k) of the queries in ``rows`` over all keys, scaled
-    in place; ``q`` may be ``k``. Forward and backward repeat the IEEE operations of
-    ``mul_scalar(matmul_t(slice_rows(q, rows), k), scale)``, in the chain's order."""
+    in place; ``q`` may be ``k``. Given soft_mask's ``log_sigma``, its window -(i - j)^2 /
+    (2 sigma^2), sigma = exp(log_sigma), is added in place. Forward and backward repeat
+    the IEEE operations of ``mul_scalar(matmul_t(slice_rows(q, rows), k), scale)`` and of
+    the window added as an op of its own; the backward recomputes (i - j)^2."""
     scale = 1.0 / math.sqrt(q.data.shape[1])
     q_rows = q.data[rows]
     scores = q_rows @ k.data.T
     scores *= scale
+    if log_sigma is not None:
+        e = np.exp(log_sigma.data)
+        scores += -0.5 * squared_offset_matrix(len(k.data), rows) * (e**-2.0)[0, 0]
 
     def grad_fn(u: np.ndarray) -> None:
+        if log_sigma is not None:
+            du = np.sum(u * (-0.5 * squared_offset_matrix(len(k.data), rows)))
+            accumulate_grad(log_sigma, np.array([[du]]) * -2.0 * e**-3.0 * e, fresh=True)
         u = u * scale
         accumulate_grad(k, (q_rows.T @ u).T, fresh=True)
         if q.requires_grad:
@@ -136,7 +130,7 @@ def dot_product_scores(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tenso
             dq[rows] = u @ k.data
             accumulate_grad(q, dq, fresh=True)
 
-    return make_op(scores, (q, k), grad_fn)
+    return make_op(scores, (q, k) if log_sigma is None else (q, k, log_sigma), grad_fn)
 
 
 # ---------------------------------------------------------------------------

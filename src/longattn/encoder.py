@@ -160,6 +160,16 @@ def init_model(cfg: EncoderConfig, seed: int, zero_residual: bool = True) -> Mod
     return params
 
 
+def weight_count(cfg: EncoderConfig) -> int:
+    """How many weights ``init_model`` draws for ``cfg``; draws one head, not the model."""
+    d, f, rng = cfg.d_model, cfg.d_ff, np.random.default_rng(0)
+    heads = cfg.n_heads * sum(t.data.size for t in init_attention_params(
+        cfg.variant, d, cfg.d_k, cfg.d_v, cfg.alpha, rng).values())
+    # per block: heads, w_o, two norms, feed-forward; then front end, final norm, output map
+    return (cfg.n_layers * (heads + d * (d + 6 + 2 * f) + f)
+            + d * (cfg.subsample_factor * cfg.feat_dim + 3) + cfg.vocab_size * (d + 1))
+
+
 def subsample(features, factor: int, proj: Tensor) -> Tensor:
     """Stack ``factor`` consecutive frames (zero-padded tail) and project.
 
@@ -250,6 +260,9 @@ def load_checkpoint(path) -> TrainedModel:
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     cfg = build(EncoderConfig, meta.get("encoder"), f"{path}: encoder metadata")
+    held, implied = sum(a.size for a in arrays.values()), weight_count(cfg)
+    if held != implied:  # checked first: sizes within their bounds can still imply 1e10 weights
+        raise ConfigError(f"{path}: holds {held} weights, its encoder metadata implies {implied}")
     params = init_model(cfg, seed=0)
     named = dict(params.named())
     if set(named) != set(arrays):
@@ -257,9 +270,7 @@ def load_checkpoint(path) -> TrainedModel:
         raise ConfigError(f"{path}: parameter names do not match config: {missing}")
     for name, tensor in named.items():
         if tensor.data.shape != arrays[name].shape:
-            raise ConfigError(
-                f"{path}: shape mismatch for {name}: "
-                f"{arrays[name].shape} vs expected {tensor.data.shape}"
-            )
+            raise ConfigError(f"{path}: shape mismatch for {name}: "
+                              f"{arrays[name].shape} vs expected {tensor.data.shape}")
         tensor.data[...] = arrays[name]
     return TrainedModel(config=cfg, params=params, meta=meta.get("training", {}))

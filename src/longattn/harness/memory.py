@@ -1,7 +1,7 @@
 """Element-count accounting for the attention scores and their softmax.
 
 Counts cover the pairwise-interaction intermediates of one head, over all
-query rows at once: score, mask and position-score matrices (the softmax
+query rows at once: score and position-score matrices (the softmax
 normalises the scores in place, so they count once), plus relative_pe's
 per-block query-bias sums. Per-frame projections (linear in sequence length)
 and parameters are excluded; they do not drive the long-sequence memory

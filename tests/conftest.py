@@ -9,6 +9,7 @@ import numpy.testing as npt
 
 import longattn.encoder as encoder_module
 from longattn.attention import DEFAULT_ALPHA, VARIANTS, attention_weights
+from longattn.attention.encodings import squared_offset_matrix
 from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
 from longattn.errors import LongattnError
 from longattn.numerics import tensor as tensor_module
@@ -89,8 +90,9 @@ def sum_all(a: Tensor) -> Tensor:
     return make_op(np.array([[a.data.sum()]]), (a,), grad_fn)
 
 
-# The op chains that ``dot_product_scores`` and ``relative_terms`` fuse: the
-# references whose forward and every gradient the fused ops reproduce bit for bit.
+# The op chains that ``dot_product_scores`` (with and without soft_mask's window)
+# and ``relative_terms`` fuse: the references whose forward and every gradient
+# the fused ops reproduce bit for bit.
 
 
 def relative_shift(p: Tensor) -> Tensor:
@@ -112,8 +114,25 @@ def relative_shift(p: Tensor) -> Tensor:
     return make_op(skew(np.ascontiguousarray(p.data)).copy(), (p,), grad_fn)
 
 
-def dot_product_chain(q: Tensor, k: Tensor, rows: slice = slice(None)) -> Tensor:
-    return mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(q.data.shape[1]))
+def soft_mask_tensor(length: int, log_sigma: Tensor, rows: slice = slice(None)) -> Tensor:
+    """Trainable-width Gaussian window -(i - j)^2 / (2 sigma^2), sigma =
+    exp(log_sigma), as an additive pre-softmax penalty for the query frames in
+    ``rows``. The backward rounds as the chain rule through exp, the power and
+    the product does, operation for operation."""
+    base = -0.5 * squared_offset_matrix(length, rows)
+    e = np.exp(log_sigma.data)
+
+    def grad_fn(u: np.ndarray) -> None:
+        accumulate_grad(log_sigma, np.array([[np.sum(u * base)]]) * -2.0 * e**-3.0 * e, fresh=True)
+
+    return make_op(base * (e**-2.0)[0, 0], (log_sigma,), grad_fn)
+
+
+def dot_product_chain(q: Tensor, k: Tensor, rows: slice = slice(None), log_sigma=None) -> Tensor:
+    scores = mul_scalar(matmul_t(slice_rows(q, rows), k), 1.0 / math.sqrt(q.data.shape[1]))
+    if log_sigma is None:
+        return scores
+    return add(scores, soft_mask_tensor(k.data.shape[0], log_sigma, rows))
 
 
 def relative_terms_chain(q, kx, kr, u, v, rows: slice = slice(None)) -> Tensor:

@@ -26,7 +26,6 @@ from longattn.attention.variants import (
     qk_projections,
     relative_projections,
     relative_terms,
-    soft_mask_tensor,
 )
 from longattn.errors import ConfigError
 from longattn.numerics import const, param
@@ -177,12 +176,15 @@ def test_huge_sigma_equals_unmasked():
     assert np.abs(masked - plain).max() <= 1e-10
 
 
-def test_soft_mask_tensor_matches_array_form():
+def test_soft_mask_scores_match_array_form():
+    # the window that dot_product_scores adds is the array-level soft mask
+    rng = np.random.default_rng(3)
+    q, k = param(rng.normal(size=(7, 4))), param(rng.normal(size=(7, 4)))
     log_sigma = param([[math.log(3.5)]])
-    npt.assert_allclose(soft_mask_tensor(7, log_sigma).data, soft_mask_matrix(7, 3.5),
-                        atol=1e-12)
-    npt.assert_allclose(soft_mask_tensor(7, log_sigma, slice(2, 5)).data,
-                        soft_mask_matrix(7, 3.5)[2:5], atol=1e-12)
+    for rows in (slice(None), slice(2, 5)):
+        npt.assert_allclose(dot_product_scores(q, k, rows, log_sigma).data,
+                            dot_product_scores(q, k, rows).data + soft_mask_matrix(7, 3.5)[rows],
+                            atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

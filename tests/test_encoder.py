@@ -22,6 +22,7 @@ from longattn.encoder import (
     sa_block_forward,
     save_checkpoint,
     subsample,
+    weight_count,
 )
 from longattn.errors import ConfigError, ShortInputError
 from longattn.numerics import check_gradients, const, no_grad, param, recording
@@ -265,7 +266,7 @@ def test_no_grad_forward_is_bit_identical(variant):
 
 
 # tape ops one default training step records: the per-op fixed cost scales with these
-STEP_OPS = {"standard": 102, "soft_mask": 118, "relative_pe": 133, "shared_qk": 86,
+STEP_OPS = {"standard": 102, "soft_mask": 102, "relative_pe": 133, "shared_qk": 86,
             "gaussian": 101, "gaussian_frame_index": 109, "standard_frame_index": 110}
 
 
@@ -406,6 +407,13 @@ def test_checkpoint_round_trip(tmp_path):
     x = rng.normal(size=(20, cfg.feat_dim))
     npt.assert_array_equal(encoder_forward(x, params, cfg).data,
                            encoder_forward(x, loaded.params, cfg).data)
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
+def test_weight_count_is_what_init_model_draws(variant):
+    # load_checkpoint compares it with the file's arrays before it draws a model
+    for cfg in (tiny_cfg(variant), EncoderConfig(variant=variant)):
+        assert weight_count(cfg) == parameter_count(init_model(cfg, seed=0))
 
 
 def test_init_model_and_load_checkpoint_pack_each_model_into_one_buffer(tmp_path):

@@ -723,6 +723,33 @@ def test_cli_exit_code_bad_checkpoint_and_dataset_metadata(tmp_path, capsys):
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_cli_exit_code_metadata_larger_than_the_arrays_draws_no_model(tmp_path, capsys,
+                                                                     monkeypatch):
+    # each size is within its bound, but together they imply 9.8e9 weights (78 GB)
+    import longattn.encoder as encoder_module
+    from longattn.container import write_container
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_model drew a model the file does not hold")
+
+    monkeypatch.setattr(encoder_module, "init_model", refuse)
+    ckpt = tmp_path / "huge.ckpt"
+    write_container(ckpt, {"format": "longattn-checkpoint-v1", "encoder": {
+        "n_layers": 64, "n_heads": 64, "d_model": 1024, "d_k": 1024, "d_ff": 8192,
+        "variant": "standard"}},
+        [("w_out", np.zeros((12, 1025)))])
+    for argv in (["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "r.csv")],
+                 ["sweep", "--checkpoint", f"standard={ckpt}", "--lengths", "1",
+                  "--seeds", "0", "--out", str(tmp_path / "s.csv")],
+                 ["heatmap", "--checkpoint", str(ckpt), "--layer", "0", "--head", "0",
+                  "--out-prefix", str(tmp_path / "hm")]):
+        capsys.readouterr()
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "encoder metadata implies" in err[0], (argv, err)
+    assert [path.name for path in tmp_path.iterdir()] == ["huge.ckpt"]  # no report written
+
+
 def test_cli_exit_code_repeated_array_name(tmp_path, capsys):
     meta = b'{"format":"longattn-checkpoint-v1"}'
     entry = struct.pack("<H", 5) + b"w_out" + struct.pack("<BII", 0, 1, 1) + bytes(8)

@@ -21,7 +21,6 @@ from longattn.attention.variants import (
     dot_product_scores,
     pairwise_sqdist_scores,
     relative_terms,
-    soft_mask_tensor,
 )
 from longattn.errors import ConfigError, DimensionError, EvaluationError, StateError
 from longattn.numerics import (
@@ -456,13 +455,13 @@ def test_primitive_op_gradients(seed):
             lambda: sum_all(mul(probe23, pairwise_sqdist_scores(a, sqnorms(a), slice(1, 3)))),
             [("a", a)],
         ),
-        "soft_mask_tensor": (
-            lambda: sum_all(mul(probe3, soft_mask_tensor(3, log_sigma))),
-            [("log_sigma", log_sigma)],
+        "dot_product_scores_soft_mask": (
+            lambda: sum_all(mul(probe3, dot_product_scores(a, b, slice(None), log_sigma))),
+            [("a", a), ("b", b), ("log_sigma", log_sigma)],
         ),
-        "soft_mask_tensor_block": (
-            lambda: sum_all(mul(probe23, soft_mask_tensor(3, log_sigma, slice(1, 3)))),
-            [("log_sigma", log_sigma)],
+        "dot_product_scores_soft_mask_block": (
+            lambda: sum_all(mul(probe23, dot_product_scores(a, b, slice(1, 3), log_sigma))),
+            [("a", a), ("b", b), ("log_sigma", log_sigma)],
         ),
         "slice_rows": (
             lambda: sum_all(mul(probe24, T.slice_rows(a, slice(1, 3)))),
@@ -479,19 +478,23 @@ def test_primitive_op_gradients(seed):
         assert worst <= GRAD_TOL, f"{name}: rel err {worst:.2e} {errors}"
 
 
+# fused op, op chain, whether q is k, query rows, whether soft_mask's window is added
 FUSED_SCORE_CASES = {
-    "dot_product": (dot_product_scores, dot_product_chain, False, slice(None)),
-    "dot_product_block": (dot_product_scores, dot_product_chain, False, slice(65, 130)),
-    "dot_product_shared": (dot_product_scores, dot_product_chain, True, slice(None)),
-    "dot_product_shared_block": (dot_product_scores, dot_product_chain, True, slice(65, 130)),
-    "relative_terms": (relative_terms, relative_terms_chain, False, slice(None)),
-    "relative_terms_block": (relative_terms, relative_terms_chain, False, slice(65, 130)),
+    "dot_product": (dot_product_scores, dot_product_chain, False, slice(None), False),
+    "dot_product_block": (dot_product_scores, dot_product_chain, False, slice(65, 130), False),
+    "dot_product_shared": (dot_product_scores, dot_product_chain, True, slice(None), False),
+    "dot_product_shared_block": (
+        dot_product_scores, dot_product_chain, True, slice(65, 130), False),
+    "soft_mask": (dot_product_scores, dot_product_chain, False, slice(None), True),
+    "soft_mask_block": (dot_product_scores, dot_product_chain, False, slice(65, 130), True),
+    "relative_terms": (relative_terms, relative_terms_chain, False, slice(None), False),
+    "relative_terms_block": (relative_terms, relative_terms_chain, False, slice(65, 130), False),
 }
 
 
 @pytest.mark.parametrize("case", FUSED_SCORE_CASES.values(), ids=FUSED_SCORE_CASES.keys())
 def test_fused_score_ops_match_their_op_chains_byte_for_byte(case):
-    fused, chain, shared, rows = case
+    fused, chain, shared, rows, window = case
     length, d_k = 300, 8
 
     def run(op):
@@ -500,8 +503,12 @@ def test_fused_score_ops_match_their_op_chains_byte_for_byte(case):
         k = q if shared else param(rng.normal(size=(length, d_k)))
         extra = [param(rng.normal(size=(2 * length - 1, d_k))),
                  param(rng.normal(size=(1, d_k))), param(rng.normal(size=(1, d_k)))]
-        tensors = [q, k, *extra] if fused is relative_terms else [q, k]
-        scores = op(*tensors, rows)
+        if window:  # sigma = exp(log_sigma) of a few frames to a few tens
+            tensors = [q, k, param(rng.normal(2.0, 1.0, size=(1, 1)))]
+            scores = op(q, k, rows, tensors[2])
+        else:
+            tensors = [q, k, *extra] if fused is relative_terms else [q, k]
+            scores = op(*tensors, rows)
         backward(sum_all(mul(scores, const(rng.normal(size=scores.shape)))))
         return [scores.data] + [t.grad for t in tensors]
 
