@@ -4,8 +4,8 @@ Trains the models of the eval benchmark on the default task with the default
 seed and learning rate (gaussian_frame_index for 200 steps, standard for
 400), then decodes the first ``--utterances`` utterances of the default
 held-out set concatenated k at a time (``concat_eval`` with seed 0) for each
-k in ``--ks``. BLAS runs on one thread, as in the benchmark. One line per k
-and variant:
+k in ``--ks``. BLAS runs on one thread, as in the benchmark, and attention's
+row blocks on one pool worker per CPU. One line per k and variant:
 
     <variant> k=<k> L=<frames> ms_per_frame=<ms> keys=<window widths>
 

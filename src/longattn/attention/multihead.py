@@ -4,6 +4,9 @@ variant's scores become row-stochastic weights: their row softmax."""
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -19,6 +22,7 @@ from ..numerics.tensor import (
     matmul_t,
     slice_rows,
     softmax_rows,
+    tape_is_on,
 )
 from .encodings import DEFAULT_ALPHA
 from .params import VARIANTS, AttentionVariant, Head, Projection
@@ -47,6 +51,18 @@ def key_window(rows: slice, half: int, length: int) -> slice:
     return slice(max(0, rows.start - half), min(length, rows.stop + half))
 
 
+@functools.cache
+def row_block_pool() -> ThreadPoolExecutor | None:
+    """The process's pool of one thread per CPU it may run on, started on first
+    use; None on one CPU. A forked child starts a pool of its own."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return ThreadPoolExecutor(cpus, thread_name_prefix="longattn-rows") if cpus > 1 else None
+
+
+if hasattr(os, "register_at_fork"):  # the parent's workers do not exist in a child
+    os.register_at_fork(after_in_child=row_block_pool.cache_clear)
+
+
 def multi_head_attention(
     x: Tensor,
     heads: list[Head],
@@ -65,28 +81,36 @@ def multi_head_attention(
     The keys of a block are every frame, or the block's ``key_window`` when
     the head's projection has a band W (every frame again when the block is
     the whole input). Every weight outside that window is exactly 0.0, so the
-    output is the one-block output up to the rounding of shorter sums.
+    output is the one-block output up to the rounding of shorter sums. A
+    banded head sizes its blocks for 2W + 128 keys, not for all L.
 
-    ``observe`` is called as ``observe(head, rows, keys, weights)`` for each
-    block, in row order, with the block's weights over the keys ``keys``; it
-    must not modify them.
+    With no tape and no observer, a head's blocks run on ``row_block_pool``,
+    one head at a time; each block computes the same bytes on any thread,
+    and only its output outlives it. Otherwise they run in row order on the
+    calling thread, and ``observe`` is called as ``observe(head, rows, keys,
+    weights)`` for each block, in row order, with the block's weights over the
+    keys ``keys``; it must not modify them.
 
     Values are always projected from the raw input frames; frame indexing,
     from frame 0, only ever enters the query/key projections.
     """
     xa = append_const_col(x)
     length = x.data.shape[0]
-    blocks = row_chunks(length, length)
     outputs = []
     for index, head in enumerate(heads):
         projected = VARIANTS[variant].projections(x, head, alpha, start_index=0)
         values = matmul_t(xa, head["w_v"])
-        parts = []
-        for rows in blocks:
-            keys = key_window(rows, projected.half, length) if projected.half else slice(None)
+        half = projected.half
+
+        def block(rows: slice) -> Tensor:
+            keys = key_window(rows, half, length) if half else slice(None)
             attn = attention_weights(projected, head, variant, rows=rows, keys=keys)
             if observe is not None:
                 observe(index, rows, keys, attn.data)
-            parts.append(matmul(attn, slice_rows(values, keys)))
+            return matmul(attn, slice_rows(values, keys))
+
+        blocks = row_chunks(length, min(length, 2 * half + 128) if half else length)
+        pool = None if tape_is_on() or observe is not None or len(blocks) < 2 else row_block_pool()
+        parts = list(pool.map(block, blocks)) if pool else [block(rows) for rows in blocks]
         outputs.append(concat(parts, axis=0))
     return affine(concat(outputs, axis=1), w_o)

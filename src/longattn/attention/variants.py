@@ -150,12 +150,12 @@ def gaussian_projection(x: Tensor, w_s: Tensor, alpha: float | None = None) -> P
     cancels terms of size ||a||^2 that grow with the start offset.
 
     Row i of a is f_i + (i - (L - 1) / 2) * v: v projects one frame of index, f_i
-    is the rest. With beta = ||v|| and r_i = ||f_i||, the triangle inequality gives
-    -||a_i - a_j||^2 / 2 <= -(|i - j| * beta - r_i - r_j)^2 / 2. So every key more
-    than W = reach / beta frames from row i, reach = 2 max r + sqrt(-2 * BAND_SCORE),
-    scores at most BAND_SCORE while the row's own key scores 0: its weight is
-    exactly 0.0 (``EXP_NORMAL_MIN``). W is rounded up and widened by one frame;
-    there is no band unless reach < beta * L.
+    is the rest. With beta = ||v||, v^ = v / beta and p_i = a_i.v^ - (i - (L - 1) / 2)
+    * beta = f_i.v^, ||a_i - a_j|| >= |(a_i - a_j).v^| >= |i - j| * beta - (max p -
+    min p). So every key more than W = reach / beta frames from row i, reach = max p
+    - min p + sqrt(-2 * BAND_SCORE), scores at most BAND_SCORE while the row's own
+    key scores 0: its weight is exactly 0.0 (``EXP_NORMAL_MIN``). W is rounded up
+    and widened by one frame; there is no band unless reach < beta * L.
     """
     d_k = w_s.data.shape[0]
     a = mul_scalar(affine(x, w_s), d_k**-0.25)
@@ -165,8 +165,8 @@ def gaussian_projection(x: Tensor, w_s: Tensor, alpha: float | None = None) -> P
     beta, length = float(np.linalg.norm(v)), len(g)
     if not beta * length > math.sqrt(-2.0 * BAND_SCORE):  # the reach below is at least this
         return Projection((a, g))
-    f = a.data - (np.arange(length, dtype=np.float64) - (length - 1) / 2)[:, None] * v
-    reach = 2.0 * math.sqrt(np.einsum("ij,ij->i", f, f).max()) + math.sqrt(-2.0 * BAND_SCORE)
+    p = a.data @ (v / beta) - (np.arange(length, dtype=np.float64) - (length - 1) / 2) * beta
+    reach = float(p.max() - p.min()) + math.sqrt(-2.0 * BAND_SCORE)
     return Projection((a, g), math.ceil(reach / beta) + 1 if reach < beta * length else None)
 
 

@@ -15,9 +15,10 @@ upstream gradient, a view of it, or one array for two parents, which is copied
 (``add``, ``add_row``'s first parent, ``append_const_col``, ``concat``, ``frame_stack``).
 
 All functions are pure and reentrant on disjoint tensors. The only shared
-state is the current tape, which is not thread-safe. ``no_grad`` swaps in no
-tape, so ops record nothing, and ``recording`` swaps in an empty one of its own,
-which the memory-footprint tool reads.
+state is the current tape. ``no_grad`` swaps in no tape, so ops record nothing,
+and ``recording`` swaps in an empty one of its own, which the memory-footprint
+tool reads. Swapping is not thread-safe; reading is, so the attention workers
+of ``multihead`` run ops under the tape their caller set and never swap it.
 """
 
 from __future__ import annotations
@@ -50,14 +51,21 @@ def _swap_tape(tape: list[weakref.ref] | None) -> Iterator[list[weakref.ref] | N
 def no_grad() -> ContextManager[None]:
     """Record no tape inside the block: every result is a constant, so each
     intermediate is freed as soon as nothing refers to it, and ``backward``
-    raises ``StateError``. Not thread-safe."""
+    raises ``StateError``. Only here does attention run its row blocks on
+    worker threads, which read this tape and never swap it. Not thread-safe."""
     return _swap_tape(None)
 
 
 def recording() -> ContextManager[list[weakref.ref]]:
     """Record the block's ops on an empty tape of their own, yielded to the caller;
-    none of them reaches the outer tape. Not thread-safe."""
+    none of them reaches the outer tape, and attention runs its row blocks in
+    order on the calling thread. Not thread-safe."""
     return _swap_tape([])
+
+
+def tape_is_on() -> bool:
+    """Whether ops record on a tape: everywhere but inside ``no_grad``."""
+    return _tape is not None
 
 
 class Tensor:

@@ -70,6 +70,39 @@ def test_banded_logits_match_one_block(trained_gfi, k, monkeypatch):
     assert greedy_decode(banded) == greedy_decode(whole)
 
 
+@pytest.mark.parametrize("k", [32, 64])
+def test_trained_band_is_exact_and_within_a_few_frames_of_the_reach(trained_gfi, k, monkeypatch):
+    # every head of the trained model, at L = 976 and 1 950: a softmax over
+    # every key, computed one row at a time, is exactly 0.0 more than W frames
+    # off the diagonal, and some row reaches nearly that far
+    from longattn.attention import params
+
+    model, heldout = trained_gfi
+    features = concat_eval(heldout, k, seed=0).utterances[0].features
+    project, seen = params.gaussian_projection, []
+
+    def recorded(*args):
+        projected = project(*args)
+        seen.append(projected)
+        return projected
+
+    monkeypatch.setattr(params, "gaussian_projection", recorded)
+    with no_grad():
+        encoder_forward(features, model.params, model.config)
+    assert len(seen) == model.config.n_layers * model.config.n_heads
+    for projected in seen:
+        a, half = projected.operands[0].data, projected.half
+        length = len(a)
+        assert length >= 976 and half is not None and half < length // 2
+        reach = 0
+        for i in range(length):
+            scores = -0.5 * ((a - a[i]) ** 2).sum(axis=1)
+            direct = np.exp(scores - scores.max())
+            kept = np.flatnonzero(direct)
+            reach = max(reach, i - kept[0], kept[-1] - i)
+        assert half - 10 <= reach <= half, (half, reach)  # 3-9 frames apart here
+
+
 @pytest.mark.parametrize("core, feature", [("Haswell", "AVX2"), ("SkylakeX", "AVX512F")])
 def test_blocked_forwards_match_one_block_under_every_blas_kernel(core, feature):
     # OpenBLAS picks its kernels when numpy loads it, so each core runs the two
@@ -199,10 +232,11 @@ def test_multi_head_gradients_through_the_band(monkeypatch):
 
 
 def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
-    # L = 8 000 in 1 000 blocks of 8 rows, with an index step of 5 per frame so
-    # that W is about 10 frames: sampled rows of the banded forward match a
-    # softmax over every key computed one row at a time, and the forward's
-    # peak memory doubles with L, where one L x L matrix would be 512 MB
+    # L = 8 000 with an index step of 5 per frame, so that W is about 10 frames
+    # and each block holds CHUNK_ELEMENTS / (2W + 128) rows: sampled rows of the
+    # banded forward match a softmax over every key computed one row at a time,
+    # and the forward's peak memory doubles with L, where one L x L matrix
+    # would be 512 MB
     import tracemalloc
 
     rng = np.random.default_rng(8000)
@@ -219,7 +253,7 @@ def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
 
         def observe(head, rows, keys, weights):
             for i in sample.intersection(range(*rows.indices(length))):
-                rows_seen[head, i] = keys, weights[i - rows.start].copy()
+                rows_seen[head, i] = rows, keys, weights[i - rows.start].copy()
 
         tracemalloc.start()
         try:
@@ -230,12 +264,17 @@ def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
             tracemalloc.stop()
         assert len(rows_seen) == 2 * len(sample)
         for h, head in enumerate(heads):
+            half = VARIANTS[GFI].projections(const(x), head, alpha, 0).half
+            assert half is not None and half < 32
+            step = linalg.CHUNK_ELEMENTS // (2 * half + 128)
             index = np.arange(length, dtype=np.float64)[:, None] / alpha
             xa = np.concatenate([x, index, np.ones((length, 1))], axis=1)
             a = xa @ head["w_s"].data.T * d_k**-0.25
             for i in sample:
-                keys, kept = rows_seen[h, i]
-                assert keys.stop - keys.start < 64, keys  # about 2W + 8 rows
+                rows, keys, kept = rows_seen[h, i]
+                assert rows.start % step == 0 and rows.stop - rows.start == step
+                # the block's rows and W frames on each side, clipped to the input
+                assert keys == slice(max(0, rows.start - half), min(length, rows.stop + half))
                 scores = -0.5 * ((a - a[i]) ** 2).sum(axis=1)
                 direct = np.exp(scores - scores.max())
                 direct /= direct.sum()

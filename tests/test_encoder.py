@@ -1,9 +1,12 @@
 """Encoder: subsampling, block structure, shape laws, gradients, checkpoints."""
 
 import math
+import multiprocessing
+import os
 import re
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -254,15 +257,78 @@ def test_observer_sees_each_row_block_once_per_layer_and_head():
 
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
 def test_no_grad_forward_is_bit_identical(variant):
+    # 37 frames are one row block; 4000 frames (L = 1000) are several, which
+    # the no-grad forward runs on the pool and the taped one in row order
     cfg = tiny_cfg(variant)
     params = init_model(cfg, seed=15, zero_residual=False)
-    feats = np.random.default_rng(16).normal(size=(37, cfg.feat_dim))
-    taped = encoder_forward(feats, params, cfg)
+    for frames in (37, 4000):
+        feats = np.random.default_rng(16).normal(size=(frames, cfg.feat_dim))
+        taped = encoder_forward(feats, params, cfg)
+        with no_grad():
+            free = encoder_forward(feats, params, cfg)
+        assert taped.requires_grad and not free.requires_grad
+        assert free._grad_fn is None
+        npt.assert_array_equal(free.data, taped.data)
+
+
+def block_threads(monkeypatch, run) -> set[int]:
+    """The threads that scored a row block while ``run()`` ran."""
+    from longattn.attention import multihead
+
+    threads, weights = set(), multihead.attention_weights
+
+    def counted(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return weights(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(multihead, "attention_weights", counted)
+        run()
+    return threads
+
+
+def test_no_grad_row_blocks_run_on_every_cpu_and_taped_ones_in_order(monkeypatch):
+    cfg = tiny_cfg(AttentionVariant.STANDARD)
+    params = init_model(cfg, seed=15, zero_residual=False)
+    feats = np.random.default_rng(16).normal(size=(4000, cfg.feat_dim))  # 16 blocks a head
+
+    def decode():
+        with no_grad():
+            encoder_forward(feats, params, cfg)
+
+    pooled = block_threads(monkeypatch, decode)
+    if len(os.sched_getaffinity(0)) > 1:
+        assert len(pooled) > 1 and threading.get_ident() not in pooled
+    else:
+        assert pooled == {threading.get_ident()}
+    taped = block_threads(monkeypatch, lambda: encoder_forward(feats, params, cfg))
+    assert taped == {threading.get_ident()}
+
+
+def test_a_forked_child_decodes_after_a_pooled_decode():
+    # the parent's pool threads do not exist in a forked child, which must
+    # start a pool of its own rather than wait on them
+    cfg = tiny_cfg(AttentionVariant.GAUSSIAN_FRAME_INDEX)
+    params = init_model(cfg, seed=15, zero_residual=False)
+    feats = np.random.default_rng(16).normal(size=(4000, cfg.feat_dim))
     with no_grad():
-        free = encoder_forward(feats, params, cfg)
-    assert taped.requires_grad and not free.requires_grad
-    assert free._grad_fn is None
-    npt.assert_array_equal(free.data, taped.data)
+        expected = encoder_forward(feats, params, cfg).data.tobytes()
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+
+    def child():
+        with no_grad():
+            results.put(encoder_forward(feats, params, cfg).data.tobytes())
+
+    process = context.Process(target=child)
+    process.start()
+    try:
+        got = results.get(timeout=60)
+    finally:
+        process.join(timeout=10)
+        if process.is_alive():
+            process.kill()
+    assert got == expected and process.exitcode == 0
 
 
 # tape ops one default training step records: the per-op fixed cost scales with these
@@ -285,11 +351,11 @@ def test_default_training_step_records_the_stated_ops(variant):
     assert len(tape) == STEP_OPS[variant.value]
 
 
-def forward_peak_bytes(cfg, feats) -> int:
+def forward_peak_bytes(cfg, feats, tape=no_grad) -> int:
     params = init_model(cfg, seed=17, zero_residual=False)
     tracemalloc.start()
     try:
-        with no_grad():
+        with tape():
             encoder_forward(feats, params, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -300,11 +366,25 @@ def forward_peak_bytes(cfg, feats) -> int:
                                      AttentionVariant.RELATIVE_PE], ids=lambda v: v.value)
 def test_no_grad_forward_memory_does_not_grow_with_depth(variant):
     # a k=16 concatenation is about 1864 frames; without a tape each block's
-    # intermediates die before the next block runs
+    # intermediates die before the next block runs. A row block holds its
+    # score buffer and at most two temporaries as large at once, and up to one
+    # block per pool worker is alive, so a forward's peak moves by up to that
+    # much with thread timing alone
+    from longattn.numerics import linalg
+
+    timing = (len(os.sched_getaffinity(0)) - 1) * 3 * linalg.CHUNK_ELEMENTS * 8
+
+    def bound(shallow):
+        return 1.2 * shallow + timing
+
     feats = np.random.default_rng(18).normal(size=(1864, 8))
     shallow = forward_peak_bytes(EncoderConfig(variant=variant, n_layers=1), feats)
     deep = forward_peak_bytes(EncoderConfig(variant=variant, n_layers=4), feats)
-    assert deep <= 1.2 * shallow, (deep, shallow)
+    assert deep <= bound(shallow), (deep, shallow, timing)
+    # a forward that keeps its layers alive (a recorded graph) exceeds the bound
+    shallow = forward_peak_bytes(EncoderConfig(variant=variant, n_layers=1), feats, recording)
+    deep = forward_peak_bytes(EncoderConfig(variant=variant, n_layers=4), feats, recording)
+    assert deep > bound(shallow), (deep, shallow, timing)
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
@@ -328,8 +408,9 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
     from longattn.numerics import linalg
     from longattn.numerics import tensor as tensor_module
 
-    softmax_sizes, sqdist_sizes, norms = [], [], []
+    softmax_sizes, sqdist_sizes, norms, halves = [], [], [], []
     softmax, sqdist = tensor_module._softmax, params.pairwise_sqdist_scores
+    project = params.gaussian_projection
 
     def counted_softmax(m, out=None):
         softmax_sizes.append(m.size)
@@ -343,19 +424,32 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
         norms.append(g)  # kept alive, so each computed g has its own id
         return out
 
+    def banded_projection(*args):
+        projected = project(*args)
+        halves.append(projected.half)
+        return projected
+
     monkeypatch.setattr(tensor_module, "_softmax", counted_softmax)
     monkeypatch.setattr(params, "pairwise_sqdist_scores", counted_sqdist)
+    monkeypatch.setattr(params, "gaussian_projection", banded_projection)
     cfg = EncoderConfig(variant=variant)
     feats = np.random.default_rng(20).normal(size=(4000, 8))
     with no_grad():
         encoder_forward(feats, init_model(cfg, seed=17), cfg)
-    # L = 1000: 16 blocks per head and layer, each at most CHUNK_ELEMENTS
-    blocks = 16 * cfg.n_layers * cfg.n_heads
+    # L = 1000: 16 blocks of 65 rows per head and layer, each at most
+    # CHUNK_ELEMENTS; a head with a band W cuts blocks of CHUNK_ELEMENTS //
+    # (2W + 128) rows, each scored against at most 2W more keys than rows
+    heads = cfg.n_layers * cfg.n_heads
+    banded = [half for half in halves if half is not None]
+    assert len(banded) == (heads if variant == AttentionVariant.GAUSSIAN_FRAME_INDEX else 0)
+    steps = [linalg.CHUNK_ELEMENTS // min(1000, 2 * half + 128) for half in banded]
+    blocks = 16 * (heads - len(banded)) + sum(-(-1000 // step) for step in steps)
     assert len(softmax_sizes) == blocks
-    assert max(softmax_sizes) <= linalg.CHUNK_ELEMENTS
+    assert max(softmax_sizes) <= max([linalg.CHUNK_ELEMENTS]
+                                     + [step * (step + 2 * half) for step, half in zip(steps, banded)])
     gaussian = variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX)
     assert len(sqdist_sizes) == (blocks if gaussian else 0)
-    assert max(sqdist_sizes, default=0) <= linalg.CHUNK_ELEMENTS
+    assert max(sqdist_sizes, default=0) <= max(softmax_sizes)
     # once per layer and head (8), not once per block (128)
     assert len({id(g) for g in norms}) == (cfg.n_layers * cfg.n_heads if gaussian else 0)
 

@@ -62,7 +62,8 @@ def test_every_src_definition_is_used_in_src_or_allowlisted():
 
 
 def test_the_only_global_src_rebinds_is_the_tape():
-    # the README names the current tape as the library's only global state
+    # the README names the current tape as the only global the library
+    # rebinds; the row-block pool is a cached object, started once, never rebound
     rebound = set()
     for path in Path(longattn.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
