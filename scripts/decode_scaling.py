@@ -15,11 +15,12 @@ divided by the utterance's L. ``keys`` lists, for every layer and head (layer
 by layer, heads within a layer), the widest key window in frames of a row
 block in the decode of the first utterance, read through ``encoder_forward``'s
 observer, with ``-`` for a head whose blocks read every key. An interior
-block's window is its rows plus W frames on each side, so W is exactly
-(width - rows) / 2; a window clipped at both ends of the input reads L
-frames. Only a head whose projection has a band reads a window. With the
-band, gaussian_frame_index's cost per frame stops growing once L is well
-past 2W; standard's keeps growing with L.
+block's window is its rows plus W frames on each side, as
+``linalg.row_blocks(L, W)`` plans both, so W is exactly (width - rows) / 2;
+a window clipped at both ends of the input reads L frames. Only a head whose
+projection has a band reads a window. With the band, gaussian_frame_index's
+cost per frame stops growing once L is well past 2W; standard's keeps
+growing with L.
 
     PYTHONPATH=src python3 scripts/decode_scaling.py
 """

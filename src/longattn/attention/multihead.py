@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InternalError
-from ..numerics.linalg import row_chunks
+from ..numerics.linalg import row_blocks
 from ..numerics.tensor import (
     Tensor,
     affine,
@@ -36,19 +36,12 @@ def attention_weights(
     rows: slice = slice(None),
     keys: slice = slice(None),
 ) -> Tensor:
-    """Row-stochastic attention of the query frames ``rows`` over the key frames
-    ``keys`` (all of each by default) for one head under ``variant``, from the
-    head's projection stage; only one with a band takes a narrower ``keys``. Every
+    """Row-stochastic attention of the query frames ``rows`` over the key frames ``keys``
+    (all of each by default; fewer only with a band) for one head under ``variant``. Every
     score op makes a new block and never reads it back, so the softmax takes it over."""
     if projected.half is None and keys != slice(None):
         raise InternalError(f"{variant.value} attention without a band reads every key, got {keys}")
     return softmax_rows(VARIANTS[variant].scores(projected.operands, head, rows, keys), fresh=True)
-
-
-def key_window(rows: slice, half: int, length: int) -> slice:
-    """The keys within ``half`` frames of one of the query frames ``rows``, clipped
-    to the ``length`` frames."""
-    return slice(max(0, rows.start - half), min(length, rows.stop + half))
 
 
 @functools.cache
@@ -73,23 +66,18 @@ def multi_head_attention(
 ) -> Tensor:
     """Concatenate per-head attention outputs and apply the output linear map.
 
-    Each head is projected once; then each block of query rows from
-    ``row_chunks`` is scored against its keys, normalised and applied to the
-    values of those keys, and the block outputs are stacked. So no forward
-    holds an L x L matrix once L passes 256 (shorter inputs are one block).
-
-    The keys of a block are every frame, or the block's ``key_window`` when
-    the head's projection has a band W (every frame again when the block is
-    the whole input). Every weight outside that window is exactly 0.0, so the
-    output is the one-block output up to the rounding of shorter sums. A
-    banded head sizes its blocks for 2W + 128 keys, not for all L.
+    Each head is projected once; then each row block that ``row_blocks`` plans
+    for the head's band is scored against its keys, normalised and applied to
+    the values of those keys, and the block outputs are stacked. So no forward
+    holds an L x L matrix once L passes 256. Every weight outside a block's
+    keys is exactly 0.0, so the output is the one-block output up to the
+    rounding of shorter sums.
 
     With no tape and no observer, a head's blocks run on ``row_block_pool``,
     one head at a time; each block computes the same bytes on any thread,
     and only its output outlives it. Otherwise they run in row order on the
-    calling thread, and ``observe`` is called as ``observe(head, rows, keys,
-    weights)`` for each block, in row order, with the block's weights over the
-    keys ``keys``; it must not modify them.
+    calling thread, and ``observe(head, rows, keys, weights)`` is called for
+    each block with its weights over ``keys``; it must not modify them.
 
     Values are always projected from the raw input frames; frame indexing,
     from frame 0, only ever enters the query/key projections.
@@ -100,17 +88,15 @@ def multi_head_attention(
     for index, head in enumerate(heads):
         projected = VARIANTS[variant].projections(x, head, alpha, start_index=0)
         values = matmul_t(xa, head["w_v"])
-        half = projected.half
 
-        def block(rows: slice) -> Tensor:
-            keys = key_window(rows, half, length) if half else slice(None)
+        def block(rows: slice, keys: slice) -> Tensor:
             attn = attention_weights(projected, head, variant, rows=rows, keys=keys)
             if observe is not None:
                 observe(index, rows, keys, attn.data)
             return matmul(attn, slice_rows(values, keys))
 
-        blocks = row_chunks(length, min(length, 2 * half + 128) if half else length)
+        blocks = row_blocks(length, projected.half)
         pool = None if tape_is_on() or observe is not None or len(blocks) < 2 else row_block_pool()
-        parts = list(pool.map(block, blocks)) if pool else [block(rows) for rows in blocks]
+        parts = list(pool.map(block, *zip(*blocks))) if pool else [block(*b) for b in blocks]
         outputs.append(concat(parts, axis=0))
     return affine(concat(outputs, axis=1), w_o)

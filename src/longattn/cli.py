@@ -22,7 +22,7 @@ from .errors import ConfigError, DivergenceError, LongattnError, reading
 from .harness.configio import config_hash, load_config
 from .harness.evaluation import ReportRow, SweepRow, evaluate, run_length_sweep
 from .harness.heatmap import dump_heatmap
-from .harness.memory import MemoryFootprint, memory_footprint_estimate
+from .harness.memory import MemoryFootprint, check_lengths, memory_footprint_estimate
 from .harness.synth import (SyntheticTaskConfig, concat_eval, gen_dataset, heldout_task,
                              load_dataset, save_dataset)
 from .harness.training import TrainResult, train_model
@@ -200,10 +200,9 @@ def cmd_memcheck(args) -> int:
         variants = [AttentionVariant.parse(v) for v in args.variants.split(",") if v]
         if not variants:
             raise ConfigError("--variants needs at least one variant, or 'all'")
-    rows = []
-    for variant in variants:
-        for length in _int_list(args.lengths):
-            rows.append(memory_footprint_estimate(variant, length, cfg.model))
+    lengths = check_lengths(_int_list(args.lengths))
+    rows = [memory_footprint_estimate(variant, length, cfg.model)
+            for variant in variants for length in lengths]
     if args.out:
         write_csv(args.out, f"config_hash={digest}",
                   [MemoryFootprint.columns, *map(astuple, rows)])

@@ -52,11 +52,18 @@ def measure_pair_elements(variant: AttentionVariant, length: int, cfg: EncoderCo
     return elements
 
 
+def check_lengths(lengths: list[int]) -> list[int]:
+    """``lengths``, or a ConfigError naming the first one that is not measurable."""
+    for length in lengths:
+        if not 1 <= length <= MAX_LENGTH:
+            raise ConfigError(f"length must be in [1, {MAX_LENGTH}], got {length}")
+    return lengths
+
+
 def memory_footprint_estimate(variant: AttentionVariant, length: int,
                               cfg: EncoderConfig) -> MemoryFootprint:
     """Analytic and measured pairwise-stage element counts for one head."""
-    if not 1 <= length <= MAX_LENGTH:
-        raise ConfigError(f"length must be in [1, {MAX_LENGTH}], got {length}")
+    check_lengths([length])
     return MemoryFootprint(
         variant=variant.value,
         length=length,

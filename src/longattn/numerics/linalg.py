@@ -4,13 +4,15 @@ These functions operate on plain float64 ndarrays; ``softmax_rows`` is the
 forward definition the autodiff op in ``tensor`` builds on. No broadcasting:
 mismatched shapes raise ``DimensionError``.
 
-Attention works through blocks of query rows from ``row_chunks``, each of
-about ``CHUNK_ELEMENTS`` elements, so the elementwise passes of
-``softmax_rows`` over a block read cache rather than memory. That is the one
-level of blocking: ``softmax_rows`` itself is a whole-matrix expression.
+Attention works through the row blocks ``row_blocks`` plans, each of at most
+``CHUNK_ELEMENTS`` scores, so the elementwise passes of ``softmax_rows`` over
+a block read cache rather than memory. That is the one level of blocking:
+``softmax_rows`` itself is a whole-matrix expression.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,7 +26,7 @@ def as_matrix(x) -> np.ndarray:
     return arr
 
 
-# 2**16 float64 elements are 512 KB: a chunk, its one-byte mask and its row
+# 2**16 float64 elements are 512 KB: a block, its one-byte mask and its row
 # vectors stay in a core's 1-2 MB L2 cache between the passes over it.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -36,10 +38,16 @@ CHUNK_ELEMENTS = 1 << 16
 EXP_NORMAL_MIN = float(np.log(np.finfo(np.float64).tiny))
 
 
-def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
-    """Row slices of about ``CHUNK_ELEMENTS`` elements each (at least one row)."""
-    step = max(1, CHUNK_ELEMENTS // max(1, n_cols))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+def row_blocks(length: int, half: int | None) -> list[tuple[slice, slice]]:
+    """Attention's row blocks over ``length`` = L frames, each ``(rows, keys)``, in row order.
+    With no band (``half`` None), ``CHUNK_ELEMENTS // L`` rows over every key; with band
+    W = ``half``, the most rows r whose r x min(L, r + 2W) scores fit in ``CHUNK_ELEMENTS``,
+    over its rows and W frames on each side within [0, L). Every block has at least one row."""
+    step = max(1, CHUNK_ELEMENTS // max(1, length))
+    if half is not None:  # r x (r + 2W) <= C  <=>  (r + W)^2 <= C + W^2
+        step = max(step, math.isqrt(CHUNK_ELEMENTS + half * half) - half)
+    return [(slice(s, min(s + step, length)), slice(None) if half is None else
+             slice(max(0, s - half), min(length, s + step + half))) for s in range(0, length, step)]
 
 
 def softmax_rows(m, out: np.ndarray | None = None) -> np.ndarray:

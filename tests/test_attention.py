@@ -628,7 +628,6 @@ def test_offset_table_span_is_checked():
 def test_attention_weights_writes_no_array_but_its_own_score_block(variant):
     # the softmax normalises each score block in place: no projection, weight
     # or earlier block may change, and the weights share memory with none of them
-    from longattn.attention.multihead import key_window
     from longattn.numerics import linalg
 
     length = 300
@@ -640,8 +639,7 @@ def test_attention_weights_writes_no_array_but_its_own_score_block(variant):
     arrays += [t.data for t in head.values()] + [x.data]
     before = [a.copy() for a in arrays]
     blocks, saved = [], []
-    for rows in linalg.row_chunks(length, length):
-        keys = key_window(rows, projected.half, length) if projected.half else slice(None)
+    for rows, keys in linalg.row_blocks(length, projected.half):
         weights = attention_weights(projected, head, variant, rows=rows, keys=keys).data
         assert not any(np.shares_memory(weights, a) for a in arrays + blocks)
         blocks.append(weights)
@@ -675,11 +673,11 @@ def test_blocked_forward_matches_one_block(variant, length, monkeypatch):
             out = multi_head_attention(const(x), heads, w_o, variant, observe=observe).data
         return out, [np.concatenate(head_blocks) for head_blocks in blocks]
 
-    assert len(linalg.row_chunks(length, length)) >= 2
+    assert len(linalg.row_blocks(length, None)) >= 2
     blocked, blocked_maps = forward()
     with monkeypatch.context() as m:
         m.setattr(linalg, "CHUNK_ELEMENTS", length * length)
-        assert len(linalg.row_chunks(length, length)) == 1
+        assert len(linalg.row_blocks(length, None)) == 1
         whole, whole_maps = forward()
     assert rel_diff(blocked, whole) <= 1e-12
     for head, stacked, one in zip(heads, blocked_maps, whole_maps):

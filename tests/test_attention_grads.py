@@ -67,7 +67,7 @@ def test_multi_head_gradients_through_row_blocks(variant, monkeypatch):
     monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 16)  # L = 7 runs in blocks of 2 rows
     rng = np.random.default_rng(9000)
     d_model, d_k, d_v, L = 4, 3, 2, 7
-    assert len(linalg.row_chunks(L, L)) >= 3
+    assert len(linalg.row_blocks(L, None)) >= 3
     heads = [init_attention_params(variant, d_model, d_k, d_v, 100.0, rng) for _ in range(2)]
     w_o = param(rng.normal(size=(d_model, 2 * d_v + 1)))
     x = param(rng.normal(size=(L, d_model)))

@@ -16,7 +16,7 @@ import pytest
 import longattn
 from conftest import head_weights, mul, sum_all
 from longattn.attention import AttentionVariant, init_attention_params
-from longattn.attention.multihead import key_window, multi_head_attention
+from longattn.attention.multihead import multi_head_attention
 from longattn.attention.params import VARIANTS
 from longattn.attention.variants import pairwise_sqdist_scores
 from longattn.ctc import greedy_decode
@@ -162,8 +162,7 @@ def test_one_block_weights_are_zero_outside_every_window(inputs, start_index):
         full = head_weights(x, head, GFI, alpha, start_index).data
         if inputs == "far_twin":
             assert full[100, 280] > 0.0 and half > 180
-        for rows in linalg.row_chunks(length, length):
-            keys = key_window(rows, half, length)
+        for rows, keys in linalg.row_blocks(length, half):
             outside = np.ones(length, dtype=bool)
             outside[keys] = False
             assert (full[rows][:, outside] == 0.0).all(), (seed, rows, keys)
@@ -205,8 +204,8 @@ def test_pairwise_sqdist_scores_window_is_bit_identical_to_its_expression(rows, 
 
 
 def test_multi_head_gradients_through_the_band(monkeypatch):
-    # blocks of 2 rows over L = 40, and an index step of 5 per frame: W is
-    # about 10 frames, so most blocks see a window narrower than L
+    # an index step of 5 per frame makes W about 10 frames, and row_blocks(40,
+    # 10) cuts blocks of 3 rows, so most blocks see a window narrower than L
     monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 80)
     rng = np.random.default_rng(9100)
     d_model, d_k, d_v, L = 4, 3, 2, 40
@@ -233,10 +232,11 @@ def test_multi_head_gradients_through_the_band(monkeypatch):
 
 def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
     # L = 8 000 with an index step of 5 per frame, so that W is about 10 frames
-    # and each block holds CHUNK_ELEMENTS / (2W + 128) rows: sampled rows of the
-    # banded forward match a softmax over every key computed one row at a time,
-    # and the forward's peak memory doubles with L, where one L x L matrix
-    # would be 512 MB
+    # and each block holds the most rows r whose r x (r + 2W) scores fit in
+    # CHUNK_ELEMENTS: sampled rows of the banded forward match a softmax over
+    # every key computed one row at a time, no block holds more than
+    # CHUNK_ELEMENTS scores, and the forward's peak memory doubles with L,
+    # where one L x L matrix would be 512 MB
     import tracemalloc
 
     rng = np.random.default_rng(8000)
@@ -249,9 +249,10 @@ def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
     for length in (4000, 8000):
         x = rng.normal(size=(length, d_model))
         sample = set(rng.choice(length, size=24, replace=False)) | {0, length - 1}
-        rows_seen = {}
+        rows_seen, sizes = {}, []
 
         def observe(head, rows, keys, weights):
+            sizes.append(weights.size)
             for i in sample.intersection(range(*rows.indices(length))):
                 rows_seen[head, i] = rows, keys, weights[i - rows.start].copy()
 
@@ -263,16 +264,17 @@ def test_lecture_length_rows_match_a_direct_softmax_and_memory_grows_linearly():
         finally:
             tracemalloc.stop()
         assert len(rows_seen) == 2 * len(sample)
+        assert max(sizes) <= linalg.CHUNK_ELEMENTS
         for h, head in enumerate(heads):
             half = VARIANTS[GFI].projections(const(x), head, alpha, 0).half
             assert half is not None and half < 32
-            step = linalg.CHUNK_ELEMENTS // (2 * half + 128)
+            step = linalg.row_blocks(length, half)[0][0].stop
             index = np.arange(length, dtype=np.float64)[:, None] / alpha
             xa = np.concatenate([x, index, np.ones((length, 1))], axis=1)
             a = xa @ head["w_s"].data.T * d_k**-0.25
             for i in sample:
                 rows, keys, kept = rows_seen[h, i]
-                assert rows.start % step == 0 and rows.stop - rows.start == step
+                assert rows.start % step == 0 and rows.stop == min(rows.start + step, length)
                 # the block's rows and W frames on each side, clipped to the input
                 assert keys == slice(max(0, rows.start - half), min(length, rows.stop + half))
                 scores = -0.5 * ((a - a[i]) ** 2).sum(axis=1)

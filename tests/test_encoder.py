@@ -231,7 +231,7 @@ def test_observer_sees_each_row_block_once_per_layer_and_head():
     from longattn.numerics import linalg
 
     length = 300
-    assert len(linalg.row_chunks(length, length)) >= 2
+    assert len(linalg.row_blocks(length, None)) >= 2
     for variant in AttentionVariant:
         cfg = tiny_cfg(variant)
         params = init_model(cfg, seed=14, zero_residual=False)
@@ -433,24 +433,28 @@ def test_no_grad_forward_hands_the_pair_kernels_one_row_block(variant, monkeypat
     monkeypatch.setattr(params, "pairwise_sqdist_scores", counted_sqdist)
     monkeypatch.setattr(params, "gaussian_projection", banded_projection)
     cfg = EncoderConfig(variant=variant)
+    model = init_model(cfg, seed=17)
+    if variant == AttentionVariant.GAUSSIAN_FRAME_INDEX:
+        for block in model.blocks:  # an index step of 30x the init's: W is about 9 frames
+            for head in block.heads:
+                head["w_s"].data[:, cfg.d_model] *= 30.0
     feats = np.random.default_rng(20).normal(size=(4000, 8))
     with no_grad():
-        encoder_forward(feats, init_model(cfg, seed=17), cfg)
-    # L = 1000: 16 blocks of 65 rows per head and layer, each at most
-    # CHUNK_ELEMENTS; a head with a band W cuts blocks of CHUNK_ELEMENTS //
-    # (2W + 128) rows, each scored against at most 2W more keys than rows
+        encoder_forward(feats, model, cfg)
+    # L = 1000: the blocks row_blocks plans for each head and layer, 16 of 65
+    # rows over every key without a band, each within CHUNK_ELEMENTS
     heads = cfg.n_layers * cfg.n_heads
     banded = [half for half in halves if half is not None]
     assert len(banded) == (heads if variant == AttentionVariant.GAUSSIAN_FRAME_INDEX else 0)
-    steps = [linalg.CHUNK_ELEMENTS // min(1000, 2 * half + 128) for half in banded]
-    blocks = 16 * (heads - len(banded)) + sum(-(-1000 // step) for step in steps)
+    assert all(half < 16 for half in banded)
+    blocks = sum(len(linalg.row_blocks(1000, half)) for half in banded)
+    blocks += len(linalg.row_blocks(1000, None)) * (heads - len(banded))
     assert len(softmax_sizes) == blocks
-    assert max(softmax_sizes) <= max([linalg.CHUNK_ELEMENTS]
-                                     + [step * (step + 2 * half) for step, half in zip(steps, banded)])
+    assert max(softmax_sizes) <= linalg.CHUNK_ELEMENTS
     gaussian = variant in (AttentionVariant.GAUSSIAN, AttentionVariant.GAUSSIAN_FRAME_INDEX)
     assert len(sqdist_sizes) == (blocks if gaussian else 0)
     assert max(sqdist_sizes, default=0) <= max(softmax_sizes)
-    # once per layer and head (8), not once per block (128)
+    # once per layer and head (8), not once per block
     assert len({id(g) for g in norms}) == (cfg.n_layers * cfg.n_heads if gaussian else 0)
 
 

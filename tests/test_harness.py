@@ -562,10 +562,16 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
     for empty in (["--lengths", ""], ["--variants", ""], ["--variants", ","]):
         assert cli_main(["memcheck", *empty]) == 2, empty
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, empty
-    # a length past the bound fails before its stage is allocated
+    # a length past the bound fails before its stage is allocated, and before
+    # any length of the list is measured
+    import longattn.harness.memory as memory_module
+
+    measured = []
+    monkeypatch.setattr(memory_module, "measure_pair_elements", lambda *a: measured.append(a))
     for lengths in ("4097", "16,20000", "1" + "0" * 30):
         assert cli_main(["memcheck", "--lengths", lengths]) == 2, lengths
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, lengths
+    assert measured == []
     # an output in a missing directory or that is a directory, and an input
     # that is missing or a directory, fail before the command runs: train
     # never trains

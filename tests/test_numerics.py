@@ -166,14 +166,46 @@ def test_softmax_rows_is_bit_identical_to_the_whole_matrix_oracle(shape):
         npt.assert_array_equal(before.view(np.int64), expected)
 
 
-def test_row_chunks_cover_every_row_once():
-    for shape in [(1, 1), (31, 31), (1000, 200), (3, 2**16 + 5)]:
-        rows = np.concatenate([np.arange(shape[0])[c] for c in linalg.row_chunks(*shape)])
-        npt.assert_array_equal(rows, np.arange(shape[0]))
-    # three 327-row chunks and a 19-row tail, and one row per chunk when a
-    # row is wider than CHUNK_ELEMENTS
-    assert len(linalg.row_chunks(1000, 200)) == 4
-    assert len(linalg.row_chunks(3, 2**16 + 5)) == 3
+def test_row_blocks_tile_the_rows_and_fit_each_block_in_chunk_elements():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    chunk = linalg.CHUNK_ELEMENTS
+
+    @st.composite
+    def lengths_and_bands(draw):
+        length = draw(st.integers(1, 10**5))
+        return length, draw(st.none() | st.integers(1, length))
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(lengths_and_bands())
+    def check(length_and_band):
+        length, half = length_and_band
+        blocks = linalg.row_blocks(length, half)
+        assert all(r.step is None and k.step is None for r, k in blocks)
+        starts, stops = np.array([(r.start, r.stop) for r, _ in blocks]).T
+        step = stops[0]
+        # the rows tile [0, L) once, in order, in blocks of one size
+        npt.assert_array_equal(starts, np.arange(0, length, step))
+        npt.assert_array_equal(stops, np.minimum(starts + step, length))
+        if half is None:
+            assert all(k == slice(None) for _, k in blocks)
+            widths = length
+        else:  # the rows and W frames on each side, clipped
+            first, last = np.array([(k.start, k.stop) for _, k in blocks]).T
+            npt.assert_array_equal(first, np.maximum(0, starts - half))
+            npt.assert_array_equal(last, np.minimum(length, stops + half))
+            widths = last - first
+        sizes = (stops - starts) * widths
+        assert ((stops - starts == 1) | (sizes <= chunk)).all(), (length, half, sizes.max())
+        if half is None:  # the plan every unbanded byte was computed under
+            assert step == min(length, max(1, chunk // length))
+        elif step < length:  # one row more would not fit
+            assert (step + 1) * min(length, step + 1 + 2 * half) > chunk, (length, half, step)
+
+    check()
+    # a window of 10 frames: blocks of 246 rows over 266 keys
+    assert linalg.row_blocks(8000, 10)[1] == (slice(246, 492), slice(236, 502))
 
 
 def test_softmax_rows_hard_rows_hit_every_band():
