@@ -4,8 +4,9 @@ Trains the models of the eval benchmark on the default task with the default
 seed and learning rate (gaussian_frame_index for 200 steps, standard for
 400), then decodes the first ``--utterances`` utterances of the default
 held-out set concatenated k at a time (``concat_eval`` with seed 0) for each
-k in ``--ks``. BLAS runs on one thread, as in the benchmark, and attention's
-row blocks on one pool worker per CPU. One line per k and variant:
+k in ``--ks``. BLAS runs on one thread, longattn's default and the
+benchmark's, and attention's row blocks on one pool worker per CPU. One line
+per k and variant:
 
     <variant> k=<k> L=<frames> ms_per_frame=<ms> keys=<window widths>
 
@@ -28,17 +29,13 @@ growing with L.
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import time
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
-
-import numpy as np  # noqa: E402
-
-from longattn.attention import AttentionVariant  # noqa: E402
-from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward  # noqa: E402
-from longattn.harness import (  # noqa: E402
+# longattn before numpy, so that BLAS loads with longattn's one thread
+from longattn.attention import AttentionVariant
+from longattn.encoder import EncoderConfig, TrainedModel, encoder_forward
+from longattn.harness import (
     EvalSettings,
     SyntheticTaskConfig,
     TrainSettings,
@@ -48,7 +45,9 @@ from longattn.harness import (  # noqa: E402
     heldout_task,
     train_model,
 )
-from longattn.numerics import no_grad  # noqa: E402
+from longattn.numerics import no_grad
+
+import numpy as np
 
 MODELS = {AttentionVariant.GAUSSIAN_FRAME_INDEX: 200, AttentionVariant.STANDARD: 400}
 

@@ -59,6 +59,8 @@ import os
 import tempfile
 from pathlib import Path
 
+# numpy before longattn: BLAS loads under the caller's environment, on older
+# trees and on those whose import sets a thread count alike
 import numpy as np
 
 from longattn.attention import AttentionVariant

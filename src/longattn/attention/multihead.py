@@ -47,7 +47,11 @@ def attention_weights(
 @functools.cache
 def row_block_pool() -> ThreadPoolExecutor | None:
     """The process's pool of one thread per CPU it may run on, started on first
-    use; None on one CPU. A forked child starts a pool of its own."""
+    use; None on one CPU. A forked child starts a pool of its own.
+
+    The pool is the parallelism, so BLAS runs on one thread beside it: importing
+    ``longattn`` sets that before numpy loads, unless the user set a count. A
+    program that imports numpy before longattn must set it itself."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return ThreadPoolExecutor(cpus, thread_name_prefix="longattn-rows") if cpus > 1 else None
 

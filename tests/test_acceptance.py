@@ -10,7 +10,6 @@ import itertools
 import math
 import multiprocessing
 import multiprocessing.pool
-import os
 import time
 from dataclasses import astuple, replace
 
@@ -316,18 +315,11 @@ TREND_VARIANTS = ("standard", "gaussian", "gaussian_frame_index")
 
 
 def training_pool() -> multiprocessing.pool.Pool:
-    """Two spawned workers with one BLAS thread each: the thread count leaves
-    the trained bytes as they are, and two trainings do not oversubscribe the
-    cores. The variable is set only while the workers start."""
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        return multiprocessing.get_context("spawn").Pool(2)
-    finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    """Two spawned workers. They inherit the environment that importing
+    longattn set up here, so each runs BLAS on one thread (unless the user chose
+    a count): two trainings do not oversubscribe the cores, and the thread count
+    leaves the trained bytes as they are."""
+    return multiprocessing.get_context("spawn").Pool(2)
 
 
 @pytest.fixture(scope="module")

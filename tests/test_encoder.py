@@ -1,18 +1,22 @@
 """Encoder: subsampling, block structure, shape laws, gradients, checkpoints."""
 
+import json
 import math
 import multiprocessing
 import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import longattn
 from conftest import (MARKER, assert_packed, mul, parameter_count, poison, sqnorms, sum_all,
                       transpose)
 from longattn.attention import AttentionVariant
@@ -329,6 +333,29 @@ def test_a_forked_child_decodes_after_a_pooled_decode():
         if process.is_alive():
             process.kill()
     assert got == expected and process.exitcode == 0
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs /proc and 2 CPUs")
+@pytest.mark.parametrize("chosen, variables, threads", [
+    ({}, ["1", "1", "1"], 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None], 2),
+], ids=["unset", "user-set"])
+def test_importing_longattn_runs_blas_on_one_thread_unless_a_count_is_set(
+        chosen, variables, threads):
+    # the pool is the parallelism: with no count set, OpenBLAS starts no threads
+    # of its own when numpy loads it, and a count the user set is kept as it is
+    src = str(Path(longattn.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    env.update(chosen, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    code = ("import json, os, longattn.cli; print(json.dumps([[os.environ.get(name) for name in "
+            f"{BLAS_THREAD_VARIABLES!r}], len(os.listdir('/proc/self/task'))]))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    assert json.loads(child.stdout) == [variables, threads]
 
 
 # tape ops one default training step records: the per-op fixed cost scales with these
