@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from typing import Callable
 
 import numpy as np
@@ -47,7 +48,8 @@ def attention_weights(
 @functools.cache
 def row_block_pool() -> ThreadPoolExecutor | None:
     """The process's pool of one thread per CPU it may run on, started on first
-    use; None on one CPU. A forked child starts a pool of its own.
+    use; None on one CPU. A forked child starts a pool of its own. Each task runs
+    in a copy of its caller's context, so on its caller's tape state.
 
     The pool is the parallelism, so BLAS runs on one thread beside it: importing
     ``longattn`` sets that before numpy loads, unless the user set a count. A
@@ -78,10 +80,11 @@ def multi_head_attention(
     rounding of shorter sums.
 
     With no tape and no observer, a head's blocks run on ``row_block_pool``,
-    one head at a time; each block computes the same bytes on any thread,
-    and only its output outlives it. Otherwise they run in row order on the
-    calling thread, and ``observe(head, rows, keys, weights)`` is called for
-    each block with its weights over ``keys``; it must not modify them.
+    one head at a time, each in its own copy of this context; each block
+    computes the same bytes on any thread, and only its output outlives it.
+    Otherwise they run in row order on the calling thread, and
+    ``observe(head, rows, keys, weights)`` is called for each block with its
+    weights over ``keys``; it must not modify them.
 
     Values are always projected from the raw input frames; frame indexing,
     from frame 0, only ever enters the query/key projections.
@@ -101,6 +104,7 @@ def multi_head_attention(
 
         blocks = row_blocks(length, projected.half)
         pool = None if tape_is_on() or observe is not None or len(blocks) < 2 else row_block_pool()
-        parts = list(pool.map(block, *zip(*blocks))) if pool else [block(*b) for b in blocks]
+        parts = ([f.result() for f in [pool.submit(copy_context().run, block, *b) for b in blocks]]
+                 if pool else [block(*b) for b in blocks])
         outputs.append(concat(parts, axis=0))
     return affine(concat(outputs, axis=1), w_o)

@@ -14,17 +14,18 @@ for that one parent, which the parent keeps as its first gradient, or the
 upstream gradient, a view of it, or one array for two parents, which is copied
 (``add``, ``add_row``'s first parent, ``append_const_col``, ``concat``, ``frame_stack``).
 
-All functions are pure and reentrant on disjoint tensors. The only shared
-state is the current tape. ``no_grad`` swaps in no tape, so ops record nothing,
-and ``recording`` swaps in an empty one of its own, which the memory-footprint
-tool reads. Swapping is not thread-safe; reading is, so the attention workers
-of ``multihead`` run ops under the tape their caller set and never swap it.
+All functions are pure and reentrant on disjoint tensors. The only state is the
+current tape, a context variable: each thread and context has its own, and a new
+thread starts recording. ``no_grad`` sets no tape and ``recording`` an empty one,
+which the memory-footprint tool reads. A graph is differentiated in the context
+that recorded it; pool tasks run in a copy of their caller's context.
 """
 
 from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import accumulate
 from typing import Callable, ContextManager, Iterator, Sequence
 
@@ -35,37 +36,44 @@ from .linalg import softmax_rows as _softmax
 
 LAYER_NORM_EPS = 1e-12  # added to each row's variance in ``layer_norm_rows``
 
-_tape: list[weakref.ref] | None = []  # recorded since its last backward, oldest first; None: off
+_tape: ContextVar[list[weakref.ref] | None] = ContextVar("tape")  # oldest first; None: off
+
+
+def _current_tape() -> list[weakref.ref] | None:
+    try:
+        return _tape.get()
+    except LookupError:  # this context's first read; a default list would be every thread's
+        _tape.set(tape := [])
+        return tape
 
 
 @contextmanager
 def _swap_tape(tape: list[weakref.ref] | None) -> Iterator[list[weakref.ref] | None]:
-    global _tape
-    previous, _tape = _tape, tape
+    token = _tape.set(tape)
     try:
         yield tape
     finally:
-        _tape = previous
+        _tape.reset(token)
 
 
 def no_grad() -> ContextManager[None]:
-    """Record no tape inside the block: every result is a constant, so each
-    intermediate is freed as soon as nothing refers to it, and ``backward``
-    raises ``StateError``. Only here does attention run its row blocks on
-    worker threads, which read this tape and never swap it. Not thread-safe."""
+    """Record no tape inside the block, in this context only: every result is a
+    constant, so each intermediate is freed as soon as nothing refers to it, and
+    ``backward`` raises ``StateError``. Only here does attention run its row
+    blocks on worker threads, each in a copy of this context."""
     return _swap_tape(None)
 
 
 def recording() -> ContextManager[list[weakref.ref]]:
     """Record the block's ops on an empty tape of their own, yielded to the caller;
-    none of them reaches the outer tape, and attention runs its row blocks in
-    order on the calling thread. Not thread-safe."""
+    none of them reaches the outer tape, no other thread's op reaches this one, and
+    attention runs its row blocks in order on the calling thread."""
     return _swap_tape([])
 
 
 def tape_is_on() -> bool:
     """Whether ops record on a tape: everywhere but inside ``no_grad``."""
-    return _tape is not None
+    return _current_tape() is not None
 
 
 class Tensor:
@@ -155,11 +163,11 @@ def make_op(
     parents via ``accumulate_grad``. The graph is pruned below constants, and
     nothing is recorded inside ``no_grad``.
     """
-    if _tape is not None:
+    if (tape := _current_tape()) is not None:
         for p in parents:
             if p.requires_grad:
                 out = Tensor(data, requires_grad=True, grad_fn=grad_fn)
-                _tape.append(weakref.ref(out))
+                tape.append(weakref.ref(out))
                 return out
     return Tensor(data)
 
@@ -180,16 +188,16 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every reachable requires_grad tensor; consumes the tape."""
     if loss.data.shape != (1, 1):
         raise DimensionError(f"backward needs a 1x1 loss, got {loss.data.shape}")
-    if _tape is None or not any(ref() is loss for ref in reversed(_tape)):
-        raise StateError("backward needs a loss recorded on the current tape since its last backward")
+    if (tape := _current_tape()) is None or not any(ref() is loss for ref in reversed(tape)):
+        raise StateError("backward needs a loss recorded on this thread's tape since its last backward")
     try:
         accumulate_grad(loss, np.ones((1, 1)), fresh=True)
-        for ref in reversed(_tape):
+        for ref in reversed(tape):
             node = ref()
             if node is not None and node.grad is not None:
                 node._grad_fn(node.grad)
     finally:
-        _tape.clear()
+        tape.clear()
 
 
 # ---------------------------------------------------------------------------

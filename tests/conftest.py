@@ -1,5 +1,9 @@
 """Shared helpers for the test suite."""
 
+# First: importing longattn sets BLAS to one thread unless a count is set, and
+# BLAS reads that only when numpy loads, so the tests run BLAS as the CLI does.
+import longattn  # noqa: F401
+
 import math
 import sys
 from typing import Sequence

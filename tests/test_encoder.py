@@ -335,6 +335,82 @@ def test_a_forked_child_decodes_after_a_pooled_decode():
     assert got == expected and process.exitcode == 0
 
 
+@pytest.fixture
+def fast_switching():
+    """Threads switch every 10 us, so two threads' ops interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_a_decode_on_one_thread_leaves_training_on_another_as_it_runs_alone(fast_switching):
+    # each thread has its own current tape: no_grad around a pooled decode turns
+    # no other thread's recording off, and recording() on one thread captures
+    # none of another thread's ops (memcheck counts one head's ops that way)
+    from longattn.ctc import ctc_loss_op
+    from longattn.numerics.optim import Adam
+
+    cfg = tiny_cfg(AttentionVariant.GAUSSIAN_FRAME_INDEX)
+    decoded = init_model(cfg, seed=15, zero_residual=False)
+    long_feats = np.random.default_rng(16).normal(size=(4000, cfg.feat_dim))  # 10 blocks a head
+    decoding, stop, decodes = threading.Event(), threading.Event(), []
+
+    def decode_until_stopped():
+        while not decodes or not stop.is_set():
+            with no_grad():
+                decoding.set()
+                decodes.append(encoder_forward(long_feats, decoded, cfg).data.tobytes())
+
+    def train(steps=8):  # train_model's step on fresh 37-frame utterances
+        params = init_model(cfg, seed=18)
+        optimizer = Adam(params.tensors(), lr=2e-3)
+        rng = np.random.default_rng(19)
+        curve = []
+        for _ in range(steps):
+            feats = rng.normal(size=(37, cfg.feat_dim))
+            loss = ctc_loss_op(T.log_softmax_rows(encoder_forward(feats, params, cfg)), [1, 2, 3])
+            optimizer.zero_grad()
+            T.backward(loss)
+            optimizer.step()
+            curve.append(loss.item())
+        return np.array(curve).tobytes(), b"".join(t.data.tobytes() for t in params.tensors())
+
+    with no_grad():
+        expected = encoder_forward(long_feats, decoded, cfg).data.tobytes()
+    trained = train()
+    decoder = threading.Thread(target=decode_until_stopped, daemon=True)
+    decoder.start()
+    try:
+        assert decoding.wait(timeout=60)
+        assert train() == trained
+    finally:
+        stop.set()
+        decoder.join(timeout=60)
+    assert not decoder.is_alive() and decodes and set(decodes) == {expected}
+
+    def count_ops(frames, barrier=None):
+        """Ops a taped forward of ``frames`` frames records; with ``barrier``, the
+        other thread's recording() block is open all the while."""
+        feats = np.random.default_rng(frames).normal(size=(frames, cfg.feat_dim))
+        with recording() as tape:
+            if barrier:
+                barrier.wait(timeout=60)
+            encoder_forward(feats, decoded, cfg)
+            if barrier:
+                barrier.wait(timeout=60)
+        return len(tape)
+
+    alone, barrier, counts = [count_ops(37), count_ops(1200)], threading.Barrier(2), []
+    other = threading.Thread(target=lambda: counts.append(count_ops(1200, barrier)), daemon=True)
+    other.start()
+    try:
+        counts.insert(0, count_ops(37, barrier))
+    finally:
+        other.join(timeout=60)
+    assert not other.is_alive() and counts == alone and alone[0] < alone[1]
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

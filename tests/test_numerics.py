@@ -1,5 +1,6 @@
 """Substrate tests: tape op contracts, autodiff, optimizer."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -356,7 +357,7 @@ def test_backward_clears_the_tape_when_a_grad_fn_raises():
     broken = T.make_op(x.data * 3.0, (x,), broken_grad_fn)
     with pytest.raises(EvaluationError):
         backward(sum_all(mul(broken, x)))
-    assert T._tape == []
+    assert T._tape.get() == []
     x.zero_grad()
     backward(sum_all(mul(x, x)))
     npt.assert_array_equal(x.grad, [[2.0, 4.0]])
@@ -369,14 +370,36 @@ def test_no_grad_restores_the_flag_when_the_block_raises():
             T.add(w, const(np.ones((3, 3))))
     assert T.add(w, w).requires_grad
     # so does ``recording``: the outer tape comes back, and gets nothing of the block's
-    outer, recorded = T._tape, len(T._tape)
+    outer = T._tape.get()
+    recorded = len(outer)
     with pytest.raises(DimensionError):
         with recording() as tape:
             inner = T.add(w, w)
             T.add(w, const(np.ones((3, 3))))
     assert [ref() for ref in tape] == [inner]
-    assert T._tape is outer and len(outer) == recorded
+    assert T._tape.get() is outer and len(outer) == recorded
     assert T.add(w, w).requires_grad and len(outer) == recorded + 1
+
+
+def test_backward_on_another_thread_raises_and_leaves_the_tape():
+    # a graph is differentiated in the context that recorded it: another
+    # thread's tape does not hold the loss
+    x = param([[1.0, 2.0]])
+    loss = sum_all(mul(x, x))
+    raised = []
+
+    def other():
+        with pytest.raises(StateError, match="this thread's tape"):
+            backward(loss)
+        raised.append(True)
+
+    thread = threading.Thread(target=other, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert raised == [True]
+    npt.assert_array_equal(x.grad, [[0.0, 0.0]])
+    backward(loss)
+    npt.assert_array_equal(x.grad, [[2.0, 4.0]])
 
 
 def test_grad_accumulates_across_backward_calls():
