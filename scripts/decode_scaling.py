@@ -54,16 +54,18 @@ MODELS = {AttentionVariant.GAUSSIAN_FRAME_INDEX: 200, AttentionVariant.STANDARD:
 
 def key_windows(model: TrainedModel, features: np.ndarray) -> list[int | None]:
     """Each layer's and head's widest key window in frames over the row blocks
-    of one no-grad forward of ``features``; None where every block reads every key."""
-    widest: dict[tuple[int, int], int] = {}
-
-    def observe(layer, head, rows, keys, weights):
-        if keys != slice(None):
-            widest[layer, head] = max(widest.get((layer, head), 0), keys.stop - keys.start)
-
+    of one no-grad forward of ``features``; None where every block reads every key.
+    Pool workers observe a head's blocks at once, so each block only appends its
+    window, and the widest is taken after the forward."""
+    seen: list[tuple[int, int, slice]] = []
     cfg = model.config
     with no_grad():
-        encoder_forward(features, model.params, cfg, observe=observe)
+        encoder_forward(features, model.params, cfg,
+                        observe=lambda layer, head, rows, keys, w: seen.append((layer, head, keys)))
+    widest: dict[tuple[int, int], int] = {}
+    for layer, head, keys in seen:
+        if keys != slice(None):
+            widest[layer, head] = max(widest.get((layer, head), 0), keys.stop - keys.start)
     return [widest.get((layer, head))
             for layer in range(cfg.n_layers) for head in range(cfg.n_heads)]
 

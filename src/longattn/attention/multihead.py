@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextvars import copy_context
 from typing import Callable
 
@@ -79,12 +79,19 @@ def multi_head_attention(
     keys is exactly 0.0, so the output is the one-block output up to the
     rounding of shorter sums.
 
-    With no tape and no observer, a head's blocks run on ``row_block_pool``,
-    one head at a time, each in its own copy of this context; each block
-    computes the same bytes on any thread, and only its output outlives it.
-    Otherwise they run in row order on the calling thread, and
-    ``observe(head, rows, keys, weights)`` is called for each block with its
-    weights over ``keys``; it must not modify them.
+    With no tape, a head's blocks run on ``row_block_pool``, one head at a
+    time, each in its own copy of this context; each block computes the same
+    bytes on any thread, and only its output outlives it. If one raises, the
+    blocks not yet started are cancelled, and the call raises once the running
+    ones have finished. Under a tape they run in row order on the calling
+    thread, since the tape's order fixes backward's order of accumulation.
+
+    ``observe(head, rows, keys, weights)`` is called once for each block with
+    its weights over ``keys``, which it must not modify, where the block is
+    scored: with no tape, on any thread, in any order and possibly at the same
+    time as the head's other blocks, so it must be safe to run concurrently
+    (for example, write only its block's rows); under a tape, in row order on
+    the calling thread. All of a head's calls finish before the next head's.
 
     Values are always projected from the raw input frames; frame indexing,
     from frame 0, only ever enters the query/key projections.
@@ -103,8 +110,15 @@ def multi_head_attention(
             return matmul(attn, slice_rows(values, keys))
 
         blocks = row_blocks(length, projected.half)
-        pool = None if tape_is_on() or observe is not None or len(blocks) < 2 else row_block_pool()
-        parts = ([f.result() for f in [pool.submit(copy_context().run, block, *b) for b in blocks]]
-                 if pool else [block(*b) for b in blocks])
+        pool = None if tape_is_on() or len(blocks) < 2 else row_block_pool()
+        if pool is None:
+            parts = [block(*b) for b in blocks]
+        else:
+            futures = [pool.submit(copy_context().run, block, *b) for b in blocks]
+            try:
+                parts = [f.result() for f in futures]
+            except BaseException:
+                wait([f for f in futures if not f.cancel()])
+                raise
         outputs.append(concat(parts, axis=0))
     return affine(concat(outputs, axis=1), w_o)

@@ -229,7 +229,11 @@ def encoder_forward(
 ) -> Tensor:
     """Features (T, feat_dim) -> token logits (ceil(T/factor), vocab_size).
     ``observe(layer, head, rows, keys, weights)`` sees every attention row block
-    and the key frames its weights cover."""
+    once, with the key frames its weights cover, where the block is scored:
+    under ``no_grad()`` on any thread, in any order and possibly at the same
+    time as the head's other blocks, so it must be safe to run concurrently;
+    under a tape in row order on the calling thread. All of a head's calls
+    finish before the next head's."""
     x = subsample(features, cfg.subsample_factor, params.subsample_proj)
     if cfg.abs_pe_enabled:
         x = add(x, const(sinusoid_encoding(x.data.shape[0], cfg.d_model)))

@@ -4,6 +4,7 @@ Every comparison runs both of its sides in one process: the one-block logits
 of a trained model already differ between one and two OpenBLAS threads.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -103,10 +104,26 @@ def test_trained_band_is_exact_and_within_a_few_frames_of_the_reach(trained_gfi,
         assert half - 10 <= reach <= half, (half, reach)  # 3-9 frames apart here
 
 
-@pytest.mark.parametrize("core, feature", [("Haswell", "AVX2"), ("SkylakeX", "AVX512F")])
+def loaded_blas_core() -> str | None:
+    """The core whose kernels the OpenBLAS that numpy loaded runs, if it says."""
+    for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        try:  # the library numpy loaded, not a second copy
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except AttributeError:
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+# No child runs the core this process loaded: test_blocked_forward_matches_one_block
+# and test_banded_logits_match_one_block check that core in process already.
+@pytest.mark.parametrize("core, feature", [(core, feature) for core, feature in
+                                           [("Haswell", "AVX2"), ("SkylakeX", "AVX512F")]
+                                           if core != loaded_blas_core()])
 def test_blocked_forwards_match_one_block_under_every_blas_kernel(core, feature):
-    # OpenBLAS picks its kernels when numpy loads it, so each core runs the two
-    # row-blocking tests, tolerances unchanged, in a child process of its own
+    # OpenBLAS picks its kernels when numpy loads it, so each other core runs the
+    # two row-blocking tests, tolerances unchanged, in a child process of its own
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2

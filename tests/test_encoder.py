@@ -231,7 +231,13 @@ def test_shifted_input_matches_on_overlap():
     assert diff <= 1e-8, diff
 
 
-def test_observer_sees_each_row_block_once_per_layer_and_head():
+def test_observer_sees_each_row_block_once_per_layer_and_head(fast_switching):
+    # taped, a head's blocks come in row order on the calling thread; with no
+    # tape, in any order on any thread, so sorted by rows they tile the head
+    # once, and a lost call would leave a gap. Either way a head's calls end
+    # before the next head's begin.
+    from contextlib import nullcontext
+
     from longattn.numerics import linalg
 
     length = 300
@@ -241,22 +247,33 @@ def test_observer_sees_each_row_block_once_per_layer_and_head():
         params = init_model(cfg, seed=14, zero_residual=False)
         feats = np.random.default_rng(17).normal(size=(length * cfg.subsample_factor,
                                                       cfg.feat_dim))
-        seen: dict[tuple[int, int], list] = {}
+        for taped in (True, False):
+            calls = []
 
-        def observe(layer, head, rows, keys, weights):
-            seen.setdefault((layer, head), []).append((rows, weights))
+            def observe(layer, head, rows, keys, weights):
+                calls.append(((layer, head), rows, weights, threading.get_ident()))
 
-        encoder_forward(feats, params, cfg, observe=observe)
-        assert sorted(seen) == [(i, h) for i in range(cfg.n_layers) for h in range(cfg.n_heads)]
-        for blocks in seen.values():
-            covered = 0
-            for rows, weights in blocks:
-                start, stop, _ = rows.indices(length)
-                assert start == covered and stop > start, (variant, rows)
-                assert weights.shape == (stop - start, length)
-                npt.assert_allclose(weights.sum(axis=1), np.ones(stop - start), atol=1e-12)
-                covered = stop
-            assert covered == length and len(blocks) >= 2
+            with nullcontext() if taped else no_grad():
+                encoder_forward(feats, params, cfg, observe=observe)
+            order = [at for at, *_ in calls]
+            assert order == sorted(order), (variant, taped)
+            heads = {at: [] for at in order}
+            for at, *block in calls:
+                heads[at].append(block)
+            assert list(heads) == [(i, h) for i in range(cfg.n_layers) for h in range(cfg.n_heads)]
+            for blocks in heads.values():
+                if taped:
+                    assert {thread for *_, thread in blocks} == {threading.get_ident()}
+                else:
+                    blocks.sort(key=lambda block: block[0].indices(length))
+                covered = 0
+                for rows, weights, _ in blocks:
+                    start, stop, _ = rows.indices(length)
+                    assert start == covered and stop > start, (variant, taped, rows)
+                    assert weights.shape == (stop - start, length)
+                    npt.assert_allclose(weights.sum(axis=1), np.ones(stop - start), atol=1e-12)
+                    covered = stop
+                assert covered == length and len(blocks) >= 2
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
@@ -300,13 +317,58 @@ def test_no_grad_row_blocks_run_on_every_cpu_and_taped_ones_in_order(monkeypatch
         with no_grad():
             encoder_forward(feats, params, cfg)
 
-    pooled = block_threads(monkeypatch, decode)
-    if len(os.sched_getaffinity(0)) > 1:
-        assert len(pooled) > 1 and threading.get_ident() not in pooled
-    else:
-        assert pooled == {threading.get_ident()}
+    def observed_decode():  # an observer runs where its block is scored, on the pool
+        with no_grad():
+            encoder_forward(feats, params, cfg, observe=lambda *block: None)
+
+    for run in (decode, observed_decode):
+        pooled = block_threads(monkeypatch, run)
+        if len(os.sched_getaffinity(0)) > 1:
+            assert len(pooled) > 1 and threading.get_ident() not in pooled, run.__name__
+        else:
+            assert pooled == {threading.get_ident()}
     taped = block_threads(monkeypatch, lambda: encoder_forward(feats, params, cfg))
     assert taped == {threading.get_ident()}
+
+
+def test_a_failed_pooled_block_cancels_the_blocks_not_started_and_outlives_none(monkeypatch):
+    # the first of 16 blocks raises while the others sleep: the call raises
+    # only once no block of it runs, and no queued block starts afterwards
+    import time
+
+    from longattn.attention import multihead
+
+    cfg = tiny_cfg(AttentionVariant.STANDARD, n_layers=1, n_heads=1)
+    params = init_model(cfg, seed=15, zero_residual=False)
+    feats = np.random.default_rng(16).normal(size=(4000, cfg.feat_dim))  # 16 blocks
+    started, ended = [], []
+    weights, matmul = multihead.attention_weights, multihead.matmul
+
+    def first_fails(projected, head, variant, *, rows, keys):
+        started.append(rows)
+        if rows.start == 0:
+            raise RuntimeError("first block")
+        time.sleep(0.05)
+        return weights(projected, head, variant, rows=rows, keys=keys)
+
+    def counted(attn, values):
+        out = matmul(attn, values)
+        ended.append(out)
+        return out
+
+    monkeypatch.setattr(multihead, "attention_weights", first_fails)
+    monkeypatch.setattr(multihead, "matmul", counted)
+    with pytest.raises(RuntimeError, match="first block"), no_grad():
+        encoder_forward(feats, params, cfg)
+    at_raise = len(started), len(ended)
+    pool, workers = multihead.row_block_pool(), len(os.sched_getaffinity(0))
+    if pool is not None:  # every worker waits at one barrier, so none runs a block
+        barrier = threading.Barrier(workers, timeout=60)
+        for done in [pool.submit(barrier.wait) for _ in range(workers)]:
+            done.result(timeout=60)
+    assert (len(started), len(ended)) == at_raise
+    assert at_raise[1] == at_raise[0] - 1  # every block that started but the first ended
+    assert at_raise[0] < 16
 
 
 def test_a_forked_child_decodes_after_a_pooled_decode():

@@ -343,6 +343,24 @@ def test_dump_heatmap_peak_memory_is_under_three_maps(tmp_path):
     assert peak < 3 * length * length * 8, peak
 
 
+@pytest.mark.parametrize("variant", [AttentionVariant.GAUSSIAN_FRAME_INDEX,
+                                     AttentionVariant.STANDARD], ids=lambda v: v.value)
+def test_attention_map_is_byte_identical_pooled_and_in_order(variant, monkeypatch):
+    # T = 4000 subsamples to L = 1000, several row blocks a head; the observer
+    # runs on the pool's workers, and each writes only its own block's rows
+    from longattn.attention import multihead
+    from longattn.harness.heatmap import attention_map
+
+    cfg = EncoderConfig(variant=variant)
+    model = TrainedModel(cfg, init_model(cfg, seed=0, zero_residual=False))
+    feats = np.random.default_rng(22).normal(size=(4000, cfg.feat_dim))
+    pooled = attention_map(model, feats, layer=1, head=1)
+    monkeypatch.setattr(multihead, "row_block_pool", lambda: None)
+    in_order = attention_map(model, feats, layer=1, head=1)
+    assert pooled.shape == (1000, 1000)
+    assert pooled.tobytes() == in_order.tobytes()
+
+
 def test_dump_heatmap_range_errors(tmp_path):
     task = small_task()
     model = trained_tiny(task, steps=10)
