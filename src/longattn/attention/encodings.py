@@ -1,4 +1,4 @@
-"""Positional encodings, Gaussian window masks, and frame indexing.
+"""Positional encodings, the frame offsets of soft_mask's window, and frame indexing.
 
 Array-level building blocks; the trainable attention paths in ``variants``
 reuse the same formulas through autodiff ops.
@@ -56,13 +56,6 @@ def squared_offset_matrix(length: int, rows: slice = slice(None)) -> np.ndarray:
     idx = np.arange(length, dtype=np.float64)
     diff = idx[rows, None] - idx[None, :]
     return diff * diff
-
-
-def soft_mask_matrix(length: int, sigma: float) -> np.ndarray:
-    """Additive Gaussian-window penalty -(i-j)^2 / (2 sigma^2)."""
-    if sigma <= 0:
-        raise ConfigError(f"soft mask width must be positive, got {sigma}")
-    return -squared_offset_matrix(length) / (2.0 * sigma * sigma)
 
 
 def frame_index_column(length: int, start_index: int, alpha: float) -> np.ndarray:

@@ -64,13 +64,13 @@ class VariantSpec:
     """Everything one attention variant means: ``project(x, head, alpha)`` is the
     per-frame stage, ``scores(operands, head, rows, keys)`` the pre-softmax scores
     of the query rows ``rows`` against the key frames ``keys``, ``pair_elements(
-    length, d_model, d_k)`` the closed-form element count of one head's scores
-    and their softmax over all rows, and ``init_scores(rng, score_in, d_model,
-    d_k, alpha)`` draws the score weights, whose names and order are the variant's."""
+    length, d_k)`` the closed-form element count of one head's scores and their
+    softmax over all rows, and ``init_scores(rng, score_in, d_model, d_k, alpha)``
+    draws the score weights, whose names and order are the variant's."""
 
     project: Callable[[Tensor, Head, float], Projection]
     scores: Callable[[Any, Head, slice, slice], Tensor]
-    pair_elements: Callable[[int, int, int], int]
+    pair_elements: Callable[[int, int], int]
     init_scores: Callable[..., Head]
     frame_indexed: bool = False
     default_abs_pe: bool = False
@@ -109,7 +109,7 @@ def _init_gaussian_frame_index(rng, score_in, d_model, d_k, alpha) -> Head:
 _STANDARD = VariantSpec(
     project=lambda x, p, alpha: Projection(qk_projections(x, p["w_q"], p["w_k_x"])),
     scores=lambda qk, p, rows, keys: dot_product_scores(*qk, rows=rows),
-    pair_elements=lambda n, d_model, d_k: n * n,  # scaled scores, then attention in place
+    pair_elements=lambda n, d_k: n * n,  # scaled scores, then attention in place
     init_scores=_init_qk,
     default_abs_pe=True,
 )
@@ -117,7 +117,7 @@ _GAUSSIAN = VariantSpec(
     project=lambda x, p, alpha: gaussian_projection(x, p["w_s"]),
     # sees only row differences, so it is shift-invariant
     scores=lambda ag, p, rows, keys: pairwise_sqdist_scores(*ag, rows, keys),
-    pair_elements=lambda n, d_model, d_k: n * n,  # pairwise distances, then attention in place
+    pair_elements=lambda n, d_k: n * n,  # pairwise distances, then attention in place
     init_scores=_init_gaussian,
 )
 
@@ -148,7 +148,7 @@ VARIANTS: dict[AttentionVariant, VariantSpec] = {
         scores=lambda qkr, p, rows, keys: relative_terms(*qkr, p["u"], p["v"], rows),
         # the scores, then their attention in place; all-offset position scores
         # (L x 2L-1); q + u and q + v
-        pair_elements=lambda n, d_model, d_k: n * n + n * (2 * n - 1) + 2 * n * d_k,
+        pair_elements=lambda n, d_k: n * n + n * (2 * n - 1) + 2 * n * d_k,
         init_scores=lambda rng, score_in, d_model, d_k, alpha: {
             **_init_qk(rng, score_in, d_model, d_k, alpha),
             "w_k_r": param(rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_k, d_model))),

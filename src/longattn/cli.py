@@ -52,8 +52,16 @@ def _load(args) -> tuple:
 
 
 def _check_outputs(args) -> None:
-    """Every file a command writes goes into a directory that exists, and is not
-    itself a directory."""
+    """Every file a command writes goes into a directory that exists, is not
+    itself a directory, and is neither an input nor another output."""
+    def key(path):  # a file's (inode, device) once it exists, else its resolved path
+        return os.stat(path)[1:3] if os.path.exists(path) else os.path.realpath(path)
+
+    ckpt = getattr(args, "checkpoint", None)  # a path, or sweep's VARIANT=PATH items
+    ckpts = [item.partition("=")[2] for item in ckpt] if isinstance(ckpt, list) else [ckpt]
+    inputs = [("config", args.config), ("data", getattr(args, "data", None))]
+    taken = {key(path): f"--{name} {path}" for name, path in
+             inputs + [("checkpoint", path) for path in ckpts] if path}
     for name in ("out", "curve", "out_prefix"):
         path = getattr(args, name, None)
         if path is None:
@@ -64,6 +72,9 @@ def _check_outputs(args) -> None:
                 raise ConfigError(f"{flag}: no such directory")
             if os.path.isdir(file):
                 raise ConfigError(f"{flag}: {file} is a directory")
+            other = taken.setdefault(key(file), flag)
+            if other != flag:
+                raise ConfigError(f"{flag}: {file} is also {other}")
 
 
 def _heldout_dataset(cfg):
@@ -81,12 +92,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.variant is not None:
-        args.overrides = list(args.overrides) + [f"model.variant={args.variant}"]
-    for name in ("steps", "lr", "seed"):
+    for name, section in (("variant", "model"), ("steps", "train"), ("lr", "train"), ("seed", "train")):
         value = getattr(args, name)
         if value is not None:
-            args.overrides.append(f"train.{name}={value}")
+            args.overrides.append(f"{section}.{name}={value}")
     cfg, digest = _load(args)
     if args.data is None:
         dataset, source = gen_dataset(cfg.task), "the task config"
@@ -164,10 +173,8 @@ def cmd_sweep(args) -> int:
     for name, path in specs.items():
         model = _load_model(path, cfg)
         if model.config.variant.value != name:
-            raise ConfigError(
-                f"checkpoint {path} holds variant {model.config.variant.value!r}, "
-                f"labelled {name!r}"
-            )
+            raise ConfigError(f"checkpoint {path} holds variant "
+                              f"{model.config.variant.value!r}, labelled {name!r}")
         models[name] = model
     heldout = _heldout_dataset(cfg)
     rows = run_length_sweep(models, heldout, _int_list(args.lengths), _int_list(args.seeds))

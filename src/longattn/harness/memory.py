@@ -67,6 +67,6 @@ def memory_footprint_estimate(variant: AttentionVariant, length: int,
     return MemoryFootprint(
         variant=variant.value,
         length=length,
-        analytic=VARIANTS[variant].pair_elements(length, cfg.d_model, cfg.d_k),
+        analytic=VARIANTS[variant].pair_elements(length, cfg.d_k),
         measured=measure_pair_elements(variant, length, cfg),
     )

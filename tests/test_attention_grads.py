@@ -1,40 +1,18 @@
-"""Analytic gradients of every attention variant vs central finite differences."""
+"""Analytic gradients of multi-head attention vs central finite differences.
+
+One head of every variant is checked the same way by acceptance criterion 4.
+"""
 
 import numpy as np
 import pytest
 
-from conftest import dot_product_chain, head_weights, mul, relative_terms_chain, sum_all
+from conftest import dot_product_chain, mul, relative_terms_chain, sum_all
 from longattn.attention import AttentionVariant, init_attention_params
 from longattn.attention.multihead import multi_head_attention
 from longattn.numerics import check_gradients, const, param
 
 GRAD_TOL = 1e-5
 SEEDS = range(5)
-
-
-def variant_case(variant, seed):
-    rng = np.random.default_rng(seed)
-    d_model, d_k, d_v, L = 4, 3, 4, 5
-    params = init_attention_params(variant, d_model, d_k, d_v, 100.0, rng)
-    x = param(rng.normal(size=(L, d_model)))
-    probe = const(rng.normal(size=(L, L)))
-
-    def f():
-        attn = head_weights(x, params, variant, alpha=100.0, start_index=2)
-        return sum_all(mul(probe, attn))
-
-    named = [("x", x), *params.items()]
-    named = [(n, t) for n, t in named if n != "w_v"]  # values unused by the weights
-    return f, named
-
-
-@pytest.mark.parametrize("variant", list(AttentionVariant), ids=lambda v: v.value)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_variant_gradients_match_finite_differences(variant, seed):
-    f, named = variant_case(variant, 7000 + seed)
-    errors = check_gradients(f, named)
-    worst = max(errors.values())
-    assert worst <= GRAD_TOL, f"{variant.value}: {errors}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)

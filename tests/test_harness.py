@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 import tracemalloc
 
@@ -679,6 +680,45 @@ def test_cli_exit_code_config_error(tmp_path, capsys, monkeypatch):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind", ["eval", "eval-hard-link", "train-data", "train-curve",
+                                  "heatmap-prefix", "sweep-out", "config"])
+def test_cli_refuses_an_output_that_names_an_input_or_another_output(kind, tmp_path, capsys):
+    # each command would run and then overwrite the file it names twice
+    ckpt, link, data, config, hm = (str(tmp_path / name)
+                                    for name in ("m.ckpt", "h.ckpt", "d.bin", "c.json", "hm"))
+    small = load_config(None, CLI_SETS[1::2]).model
+    for path in (ckpt, f"{hm}.pgm"):
+        save_checkpoint(path, TrainedModel(small, init_model(small, seed=0)))
+    os.link(ckpt, link)
+    assert cli_main(["gen-data", "--out", data, *CLI_SETS]) == 0
+    (tmp_path / "c.json").write_text('{"task": {"n_utterances": 4}}')
+    argv, kept, named = {
+        "eval": (["eval", "--checkpoint", ckpt, "--out", ckpt],
+                 ckpt, f"--out {ckpt}: {ckpt} is also --checkpoint {ckpt}"),
+        "eval-hard-link": (["eval", "--checkpoint", ckpt, "--out", link],
+                           ckpt, f"--out {link}: {link} is also --checkpoint {ckpt}"),
+        "train-data": (["train", "--data", data, "--out", data],
+                       data, f"--out {data}: {data} is also --data {data}"),
+        "train-curve": (["train", "--out", ckpt, "--curve", ckpt],
+                        ckpt, f"--curve {ckpt}: {ckpt} is also --out {ckpt}"),
+        "heatmap-prefix": (["heatmap", "--checkpoint", f"{hm}.pgm", "--layer", "0", "--head",
+                            "0", "--out-prefix", hm],
+                           f"{hm}.pgm", f"--out-prefix {hm}: {hm}.pgm is also --checkpoint"),
+        "sweep-out": (["sweep", "--checkpoint", f"gaussian_frame_index={ckpt}", "--lengths",
+                       "1", "--out", ckpt],
+                      ckpt, f"--out {ckpt}: {ckpt} is also --checkpoint {ckpt}"),
+        "config": (["gen-data", "--config", config, "--out", config],
+                   config, f"--out {config}: {config} is also --config {config}"),
+    }[kind]
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli_main(argv + (CLI_SETS if kind != "config" else [])) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and named in err[0], err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+    assert kept in map(str, files)
+
+
 def test_cli_exit_code_corrupt_checkpoint_and_removed_key(tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     assert cli_main(["train", "--out", str(ckpt), *CLI_SETS]) == 0
@@ -1012,13 +1052,11 @@ def test_evaluate_overfit_model_near_zero_on_training_data():
 
 
 def test_concat_per_segment_hypotheses_are_exact():
-    from conftest import token_error_rate
-
     ds = gen_dataset(small_task())
     k = 3
     long_set = concat_eval(ds, k, seed=2)
     # match each long utterance back to its source segments by features, then
-    # check that concatenating per-segment perfect hypotheses gives zero error
+    # check that the segments' labels, concatenated, are the long utterance's
     by_first_row = {tuple(np.round(u.features[0], 12)): u for u in ds}
     for long_utt in long_set:
         cursor = 0
@@ -1030,4 +1068,4 @@ def test_concat_per_segment_hypotheses_are_exact():
             rebuilt += src.labels
             cursor += src.features.shape[0]
         assert cursor == long_utt.features.shape[0]
-        assert token_error_rate(rebuilt, long_utt.labels) == 0.0
+        assert rebuilt == long_utt.labels

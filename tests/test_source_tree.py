@@ -17,7 +17,6 @@ UNREFERENCED_ALLOWED = {
     "attn_kernel_form",
     "sigma_inverse",
     "ctc_brute_force",
-    "soft_mask_matrix",
     "check_gradients",
     # the benchmark's per-block training check
     "loss_decreased",
