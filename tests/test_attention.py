@@ -229,6 +229,19 @@ def test_shared_qk_presoftmax_scores_symmetric():
 # ---------------------------------------------------------------------------
 
 
+def test_kernel_form_identity_100_random_instances():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        L = int(rng.integers(1, 17))
+        D = int(rng.integers(1, 9))
+        d_k = int(rng.integers(1, 9))
+        x = rng.normal(size=(L, D))
+        w_s = rng.normal(scale=1.0 / math.sqrt(D + 1), size=(d_k, D + 1))
+        direct = shared_qk(x, const(w_s))
+        rewritten = attn_kernel_form(x, w_s)
+        assert rel_diff(rewritten, direct) <= 1e-10
+
+
 def test_kernel_form_singleton():
     npt.assert_array_equal(attn_kernel_form(np.zeros((1, 3)), np.ones((2, 4))), [[1.0]])
 
@@ -295,6 +308,34 @@ def test_gaussian_prenormalization_diagonal_is_one():
     npt.assert_allclose(np.diag(kernel), np.ones(5), atol=1e-12)
 
 
+def test_gaussian_shift_invariance():
+    rng = np.random.default_rng(14)
+    p = make_params(AttentionVariant.GAUSSIAN, 4, 4, 4, 15)
+    x = rng.normal(size=(8, 4))
+    base = gaussian(x, p["w_s"])
+    for _ in range(5):
+        c = rng.normal(size=(1, 4))
+        shifted = gaussian(x + c, p["w_s"])
+        assert np.abs(shifted - base).max() <= 1e-10
+
+
+def test_standard_attention_shift_witness():
+    rng = np.random.default_rng(15)
+    hits = 0
+    for trial in range(100):
+        p = make_params(AttentionVariant.STANDARD, 4, 4, 4, 1000 + trial)
+        x = rng.normal(size=(6, 4))
+        base = standard(x, p["w_q"], p["w_k_x"])
+        found = False
+        for _ in range(10):
+            c = rng.normal(size=(1, 4))
+            if np.abs(standard(x + c, p["w_q"], p["w_k_x"]) - base).max() > 1e-3:
+                found = True
+                break
+        hits += found
+    assert hits >= 95
+
+
 def test_gaussian_scores_symmetric():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(6, 4))
@@ -342,6 +383,20 @@ def test_gaussian_frame_index_translation_invariance():
     ]
     for shifted in outs[1:]:
         assert np.abs(shifted - outs[0]).max() <= 1e-10
+
+
+def test_standard_frame_index_breaks_translation_invariance():
+    rng = np.random.default_rng(19)
+    hits = 0
+    for trial in range(100):
+        p = make_params(AttentionVariant.STANDARD_FRAME_INDEX, 4, 4, 4, 2000 + trial)
+        x = rng.normal(size=(6, 4))
+        base = head_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
+                            alpha=100.0, start_index=0).data
+        shifted = head_weights(x, p, AttentionVariant.STANDARD_FRAME_INDEX,
+                               alpha=100.0, start_index=1000).data
+        hits += np.abs(shifted - base).max() > 1e-3
+    assert hits >= 95
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +523,18 @@ def test_multi_head_matches_manual_two_slice():
 # ---------------------------------------------------------------------------
 
 ALL_VARIANTS = list(AttentionVariant)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+def test_all_variants_row_stochastic(variant):
+    rng = np.random.default_rng(32)
+    for trial in range(10):
+        L = int(rng.integers(1, 12))
+        x = rng.normal(size=(L, 6))
+        p = make_params(variant, 6, 4, 6, 5000 + trial)
+        w = head_weights(x, p, variant, alpha=100.0).data
+        npt.assert_allclose(w.sum(axis=1), np.ones(L), atol=1e-12)
+        assert np.all(w > 0)
 
 
 def test_attention_params_named_only_present_fields():

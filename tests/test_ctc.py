@@ -73,6 +73,22 @@ def test_brute_force_budget():
         ctc_brute_force(np.zeros((15, 3)), [1])
 
 
+def test_probability_completeness():
+    rng = np.random.default_rng(3)
+    vocab = 3
+    for n_frames in (2, 3, 4):
+        lat = random_lattice(rng, n_frames, vocab)
+        total = 0.0
+        for n_labels in range(0, n_frames + 1):
+            for labels in itertools.product([1, 2], repeat=n_labels):
+                try:
+                    loss, _ = ctc_loss(lat, labels)
+                except InfeasibleAlignmentError:
+                    continue
+                total += math.exp(-loss)
+        assert abs(total - 1.0) <= 1e-8
+
+
 def test_log_space_stability():
     lat = np.log(np.array([[1e-280, 1.0 - 2e-280, 1e-280],
                            [1.0 - 2e-280, 1e-280, 1e-280],
